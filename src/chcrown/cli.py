@@ -36,9 +36,10 @@ def _sweep_options(fn):
                      default="uniform", show_default=True),
         click.option("--precision", type=click.Choice(["double", "extended"]),
                      default="double", show_default=True,
-                     help="extended evaluates the generator matrices in 50-digit arithmetic."),
+                     help="extended evaluates the relations suite's generator matrices in "
+                          "40-digit mpmath arithmetic; the other suites always run in double."),
         click.option("--jobs", type=int, default=1, show_default=True,
-                     help="Worker processes for the sweep cells."),
+                     help="Worker processes; each takes one parameter (all suites) at a time."),
     ]
     for opt in reversed(opts):
         fn = opt(fn)

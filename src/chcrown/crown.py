@@ -16,9 +16,8 @@ spheres; their cutting disks tile the boundary of the crown solid.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -329,6 +328,15 @@ def build_crown_arc(config: DirichletConfig, name: str) -> CrownArc:
     alpha hat); the constructor certifies it holds a single in-domain
     segment.
     """
+    arc = _crown_arc(config, name)
+    segs = _in_domain_segments(arc, config, _sphere_crossing_params(arc, config))
+    if len(segs) != 1:
+        raise GeometryError(f"{name}: expected one in-domain segment, got {len(segs)}")
+    return arc
+
+
+def _crown_arc(config: DirichletConfig, name: str) -> CrownArc:
+    """The named arc, before its in-domain segment is certified."""
     if name not in ARC_NAMES:
         raise GeometryError(f"unknown arc name {name!r}")
     gens = config.gens
@@ -347,11 +355,7 @@ def build_crown_arc(config: DirichletConfig, name: str) -> CrownArc:
     theta_att = chart.chart_angle(att_v)
     theta_rep = chart.chart_angle(rep_v)
     ccw = (theta_rep - theta_att) % (2.0 * math.pi)
-    arc = CrownArc(name, word, circle, chart, theta_att, theta_rep, ccw)
-    segs = _in_domain_segments(arc, config)
-    if len(segs) != 1:
-        raise GeometryError(f"{name}: expected one in-domain segment, got {len(segs)}")
-    return arc
+    return CrownArc(name, word, circle, chart, theta_att, theta_rep, ccw)
 
 
 def mirror_symmetry_residual(arc: CrownArc, config: DirichletConfig) -> float:
@@ -369,8 +373,8 @@ def mirror_symmetry_residual(arc: CrownArc, config: DirichletConfig) -> float:
         return math.inf
     worst = max((abs(a - b) + (ka != kb) for (a, ka), (b, kb) in zip(mine, theirs)),
                 default=math.inf)
-    segs_a = _in_domain_segments(arc, config)
-    segs_b = _in_domain_segments(other, config)
+    segs_a = _in_domain_segments(arc, config, mine)
+    segs_b = _in_domain_segments(other, config, theirs)
     if len(segs_a) != len(segs_b):
         return math.inf
     for (a0, a1), (b0, b1) in zip(segs_a, segs_b):
@@ -392,9 +396,12 @@ def _sphere_crossing_params(arc: CrownArc, config: DirichletConfig):
 
 
 def _in_domain_segments(arc: CrownArc, config: DirichletConfig,
+                        hits: List[Tuple[float, int]],
                         guard: float = 1e-12) -> List[Tuple[float, float]]:
-    """Maximal sub-intervals of the arc outside all eight spheres."""
-    hits = _sphere_crossing_params(arc, config)
+    """Maximal sub-intervals of the arc outside all eight spheres.
+
+    ``hits`` are the arc's sphere crossings from ``_sphere_crossing_params``.
+    """
     cuts = [0.0] + [s for s, _ in hits] + [1.0]
     segments = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
@@ -442,15 +449,18 @@ class HatArc:
         return np.stack([self.arc.lift_at(float(s)) for s in ss])
 
 
-def hat_arc(arc: CrownArc, config: DirichletConfig) -> HatArc:
+def hat_arc(arc: CrownArc, config: DirichletConfig,
+            hits: Optional[List[Tuple[float, int]]] = None) -> HatArc:
     """Cut the arc by all spheres and keep the unique in-domain segment.
 
     The endpoints are sphere crossings; their spheres are the hosts.  The
     minus end is the one hosted by the odd-indexed sphere of the pair
-    (canonical 2i+1 for both arc families).
+    (canonical 2i+1 for both arc families).  ``hits`` are the arc's sphere
+    crossings when the caller has them already.
     """
-    hits = _sphere_crossing_params(arc, config)
-    segs = _in_domain_segments(arc, config)
+    if hits is None:
+        hits = _sphere_crossing_params(arc, config)
+    segs = _in_domain_segments(arc, config, hits)
     if len(segs) != 1:
         raise GeometryError(f"{arc.name}: expected one in-domain segment, got {len(segs)}")
     lo, hi = segs[0]
@@ -507,10 +517,16 @@ class ArcReport:
 
 
 def arc_report(config: DirichletConfig, name: str) -> ArcReport:
-    arc = build_crown_arc(config, name)
-    hat = hat_arc(arc, config)
+    """Hat, hosts and crossing counts of one arc from a single crossing list.
+
+    :func:`hat_arc` certifies the one in-domain segment, as
+    :func:`build_crown_arc` would.
+    """
+    arc = _crown_arc(config, name)
+    hits = _sphere_crossing_params(arc, config)
+    hat = hat_arc(arc, config, hits)
     counts: Dict[int, int] = {k: 0 for k in range(1, 9)}
-    for _s, k in _sphere_crossing_params(arc, config):
+    for _s, k in hits:
         counts[k] += 1
     return ArcReport(name, hat.hosts, expected_relevant_spheres(name), counts, hat)
 
@@ -544,14 +560,16 @@ def chart_line_coeffs(config: DirichletConfig, k: int,
     return chart.line_of_sphere(config.sphere(k))
 
 
-def clearance_objective(t: float) -> float:
+def clearance_objective(t: float, config: Optional[DirichletConfig] = None) -> float:
     """Squared chart distance of sphere 5's line from the alpha4 chart origin.
 
     Greater than 1 means the sphere misses the whole alpha4 circle.  The
     closed-form alpha4 polar keeps this well-defined arbitrarily close to
-    the parabolic endpoint of the family.
+    the parabolic endpoint of the family.  ``config`` is the configuration
+    at ``t`` when the caller has it already.
     """
-    config = DirichletConfig.build(t)
+    if config is None:
+        config = DirichletConfig.build(t)
     line = chart_line_coeffs(config, 5, alpha4_chart(t))
     return line.clearance2()
 
@@ -681,7 +699,7 @@ def blocking_side_quartic(config: DirichletConfig) -> np.ndarray:
     return np.polyfit(xs, vals, 4)
 
 
-def blocking_minimum_at(t: float) -> float:
+def blocking_minimum_at(t: float, config: Optional[DirichletConfig] = None) -> float:
     """Minimum over the shared segment of the halved side value vs sphere 3.
 
     Positive means the whole segment sits strictly inside the blocking
@@ -689,9 +707,11 @@ def blocking_minimum_at(t: float) -> float:
     sphere's interior - cannot meet along it.  The halving reports the
     value in the normalization where the domain center's lift has Lorentz
     square -1; the raw side function doubles it because the standard
-    center lift [-1, 0, 1] has square -2.
+    center lift [-1, 0, 1] has square -2.  ``config`` is the configuration
+    at ``t`` when the caller has it already.
     """
-    config = DirichletConfig.build(t)
+    if config is None:
+        config = DirichletConfig.build(t)
     lo, hi = chord_bounds(t)
     if lo > hi + 1e-12:
         raise GeometryError("the disks share no affine segment below the tangency")
@@ -715,15 +735,18 @@ def minimize_blocking(lo: float = 0.4, hi: float = PARAM_MAX,
     return golden_minimize(blocking_minimum_at, lo, hi, grid=grid)
 
 
-def honest_chord_blocking(t: float, n: int = 513) -> Optional[float]:
+def honest_chord_blocking(t: float, n: int = 513,
+                          config: Optional[DirichletConfig] = None) -> Optional[float]:
     """Cross-check: sample the true 3D chord and test it against sphere 3.
 
     Independent of the closed forms above: the chord comes from
     :func:`disk_intersection_segment` on the two affine disks, and the
     returned minimum is the raw (unhalved) side value, so it should land
     on twice :func:`blocking_minimum_at`.  ``None`` when there is no chord.
+    ``config`` is the configuration at ``t`` when the caller has it already.
     """
-    config = DirichletConfig.build(t)
+    if config is None:
+        config = DirichletConfig.build(t)
     c1 = ccircle_from_polar(Vector3C(alpha1_polar(t)))
     c2 = ccircle_from_polar(Vector3C(alpha2_polar(t)))
     seg = disk_intersection_segment(AffineDisk(c1), AffineDisk(c2))
@@ -774,7 +797,7 @@ def visible_component(config: DirichletConfig, hat: HatArc,
 
     Cells are seeded at the outermost free ring under each angle the hat
     passes through (the hat itself lies on the circle), then grown through
-    the 4-neighborhood of sphere-free cells.
+    the 4-neighborhood of sphere-free cells by :func:`seeded_components`.
     """
     circle = hat.arc.circle
     plane = AffineDisk(circle).plane
@@ -798,17 +821,52 @@ def visible_component(config: DirichletConfig, hat: HatArc,
                 seeds.add((i, j))
                 break
 
-    reach = np.zeros_like(free)
-    queue = deque(seeds)
+    return VisibleComponent(center, radius, seeded_components(free, seeds))
+
+
+def seeded_components(free: np.ndarray, seeds: Iterable[Tuple[int, int]]) -> np.ndarray:
+    """Cells of ``free`` 4-connected to a seed cell; columns wrap, rows do not.
+
+    ``free[i, j]`` is radius row ``i`` and angle column ``j``, so column
+    ``nth - 1`` neighbours column 0.  A run-length fill: every row splits
+    into runs of free cells, runs sharing a column in adjacent rows are
+    joined, and so are a row's first and last runs when they meet across
+    the angular seam.  The components holding a seed are kept; seeds on
+    blocked cells are ignored.
+    """
+    free = np.asarray(free, dtype=bool)
+    starts = free.copy()
+    starts[:, 1:] &= ~free[:, :-1]
+    n_runs = int(np.count_nonzero(starts))
+    if n_runs == 0:
+        return np.zeros_like(free)
+    # run id of every free cell; a run never spans two rows
+    run = (np.cumsum(starts.ravel()) - 1).reshape(free.shape)
+    # vertical links, one per stretch of columns joining the same two runs
+    link = free[:-1] & free[1:]
+    link[:, 1:] &= ~(free[:-1, :-1] & free[1:, :-1])
+    seam = free[:, 0] & free[:, -1]
+    edges = np.concatenate([run[:-1][link] * n_runs + run[1:][link],
+                            run[seam, 0] * n_runs + run[seam, -1]])
+
+    parent = list(range(n_runs))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for edge in edges.tolist():
+        ra, rb = find(edge // n_runs), find(edge % n_runs)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    root = np.array([find(a) for a in range(n_runs)])
+    seeded = np.zeros(n_runs, dtype=bool)
     for i, j in seeds:
-        reach[i, j] = True
-    while queue:
-        i, j = queue.popleft()
-        for ii, jj in ((i - 1, j), (i + 1, j), (i, (j - 1) % nth), (i, (j + 1) % nth)):
-            if 0 <= ii < nr and free[ii, jj] and not reach[ii, jj]:
-                reach[ii, jj] = True
-                queue.append((ii, jj))
-    return VisibleComponent(center, radius, reach)
+        if free[i, j]:
+            seeded[root[run[i, j]]] = True
+    return free & seeded[root[run]]
 
 
 @dataclass(frozen=True)
@@ -849,7 +907,9 @@ class DiskPairCert:
 
 def disk_disjointness_certificates(config: DirichletConfig, n: int = 257,
                                    nr: int = 128, nth: int = 512,
-                                   visible_tol: float = 1e-8) -> List[DiskPairCert]:
+                                   visible_tol: float = 1e-8,
+                                   hats: Optional[Callable[[str], HatArc]] = None,
+                                   ) -> List[DiskPairCert]:
     """Per-pair disjointness ladder over all 28 cutting-disk pairs.
 
     Unlinked circles settle a pair outright (with the empty segment
@@ -858,8 +918,11 @@ def disk_disjointness_certificates(config: DirichletConfig, n: int = 257,
     whole segment inside one sphere, then inside the union pointwise, then
     a flood-fill check that no exposed segment point is visible from both
     hat arcs.  Pairs failing every rung are reported as overlapping with
-    an explicit witness point.
+    an explicit witness point.  ``hats`` looks up an arc's hat by name when
+    the caller holds them; otherwise hats are built here on demand.
     """
+    if hats is None:
+        hats = lambda name: arc_report(config, name).hat  # noqa: E731
     polars = crown_circle_polars(config)
     names = list(polars)
     links = {(r.first, r.second): r.value for r in linked_pair_report(config)}
@@ -868,8 +931,7 @@ def disk_disjointness_certificates(config: DirichletConfig, n: int = 257,
 
     def comp(name: str) -> VisibleComponent:
         if name not in comps:
-            hat = arc_report(config, name).hat
-            comps[name] = visible_component(config, hat, nr, nth)
+            comps[name] = visible_component(config, hats(name), nr, nth)
         return comps[name]
 
     out: List[DiskPairCert] = []
@@ -917,22 +979,27 @@ def disk_disjointness_certificates(config: DirichletConfig, n: int = 257,
 # fundamental interval of the crown circle
 
 
-def crown_fundamental_certificate(config: DirichletConfig) -> Dict[str, float]:
+def crown_fundamental_certificate(config: DirichletConfig,
+                                  hats: Optional[Callable[[str], HatArc]] = None,
+                                  ) -> Dict[str, float]:
     """g2 g1 carries the beta1 hat onto the alpha1 circle, abutting alpha1's hat.
 
     Certifies the word identity (g2 g1)(g2^-1 g3)(g2 g1)^-1 = g1, that the
     transported hat shares exactly one endpoint with the alpha1 hat, and
     that g1 translates the union's far ends onto each other, so the
-    translates tile the whole arc between the fixed points of g1.
+    translates tile the whole arc between the fixed points of g1.  ``hats``
+    looks up an arc's hat by name when the caller holds them.
     """
+    if hats is None:
+        hats = lambda name: arc_report(config, name).hat  # noqa: E731
     gens = config.gens
     g1, g2 = gens.g1, gens.g2
     carrier = g2 @ g1
     conj = carrier @ (g2.inverse() @ gens.g3) @ carrier.inverse()
     word_res = matrix_phase_distance(conj.matrix, g1.matrix)
 
-    alpha = arc_report(config, "alpha1").hat
-    beta = arc_report(config, "beta1").hat
+    alpha = hats("alpha1")
+    beta = hats("beta1")
     chart = alpha.arc.chart
 
     def angle_of(lift: np.ndarray) -> float:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -227,9 +227,22 @@ class DirichletConfig:
         return np.stack([s.v for s in self.spheres])
 
     def side_matrix(self, points: np.ndarray) -> np.ndarray:
-        """(n, 8) side values of lift points against all spheres."""
+        """(n, 8) side values of lift points against all spheres.
+
+        Every sphere is a bisector of the same center lift ``q0``, so the
+        ``|<p, q0>|^2`` term is evaluated once and shared by all eight
+        columns; each column is otherwise exactly ``side_of_lifts``.  The
+        result is column-major, so per-point reductions over the spheres
+        run down contiguous columns.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=complex))
-        return np.stack([s.side_of_lifts(pts) for s in self.spheres], axis=1)
+        pu = pts @ self.spheres[0]._ru
+        near = pu * np.conj(pu)
+        out = np.empty((len(self.spheres), pts.shape[0]))
+        for k, s in enumerate(self.spheres):
+            pv = pts @ s._rv
+            out[k] = (near - pv * np.conj(pv)).real
+        return out.T
 
     def in_boundary_domain(self, points: np.ndarray, tol: float = 0.0) -> np.ndarray:
         return np.max(self.side_matrix(points), axis=1) <= tol
@@ -325,20 +338,23 @@ class PairRelation:
 
 
 def pair_relation(config: DirichletConfig, j: int, k: int, n: int = 96,
-                  tangent_tol: float = EPS_TANGENT) -> PairRelation:
+                  tangent_tol: float = EPS_TANGENT,
+                  clouds: Optional[Mapping[int, np.ndarray]] = None) -> PairRelation:
     """Classify how spheres j and k sit relative to each other.
 
     Samples each sphere and reads off the sign of the other's side
     function; a sign change (or a value within ``tangent_tol`` of zero)
     in either direction means the spheres meet.  Running both directions
     makes the verdict independent of which window covers better.
+    ``clouds`` maps canonical indices to precomputed ``sample_points``
+    clouds; without it each sphere is sampled here with ``n`` points a side.
     """
     j = canonical_index(j)
     k = canonical_index(k)
     lo = math.inf
     hi = -math.inf
     for a, b in ((j, k), (k, j)):
-        pts = config.sphere(b).sample_points(n)
+        pts = clouds[b] if clouds is not None else config.sphere(b).sample_points(n)
         vals = config.sphere(a).side_of_lifts(pts)
         lo = min(lo, float(np.min(vals)))
         hi = max(hi, float(np.max(vals)))
@@ -349,11 +365,13 @@ def pair_relation(config: DirichletConfig, j: int, k: int, n: int = 96,
 
 
 def pairwise_relations(config: DirichletConfig, n: int = 48) -> List[PairRelation]:
+    """All 28 pair relations; each sphere is sampled once and probed seven times."""
+    clouds = {s.index: s.sample_points(n) for s in config.spheres}
     out = []
     for j in CANONICAL_INDICES:
         for k in CANONICAL_INDICES:
             if j < k:
-                out.append(pair_relation(config, j, k, n))
+                out.append(pair_relation(config, j, k, n, clouds=clouds))
     return out
 
 

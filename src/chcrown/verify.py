@@ -22,6 +22,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -121,15 +122,6 @@ class SweepConfig:
 # records and reports
 
 
-def _finite(x) -> float:
-    x = float(x)
-    if math.isnan(x):
-        return 0.0
-    if math.isinf(x):
-        return math.copysign(1e308, x)
-    return x
-
-
 @dataclass(frozen=True)
 class Record:
     """One checked (or logged) value at one parameter."""
@@ -143,16 +135,24 @@ class Record:
 
 
 def _rec(suite: str, t: float, key: str, value, margin, passed) -> Record:
-    return Record(suite, float(t), key, _finite(value), _finite(margin), bool(passed))
+    """A record that fails whenever its value or margin is NaN or infinite."""
+    value, margin = float(value), float(margin)
+    ok = bool(passed) and math.isfinite(value) and math.isfinite(margin)
+    return Record(suite, float(t), key, value, margin, ok)
 
 
 def _residual_rec(suite: str, t: float, key: str, value, tol: float) -> Record:
-    v = _finite(value)
+    v = float(value)
     return _rec(suite, t, key, v, tol - v, v < tol)
 
 
 def _f17(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _worst(margins: Sequence[float]) -> float:
+    """Smallest margin, where NaN counts as the smallest of all."""
+    return min(margins, key=lambda m: (not math.isnan(m), m))
 
 
 def _emit_json(obj, indent: int = 0) -> str:
@@ -175,7 +175,9 @@ def _emit_json(obj, indent: int = 0) -> str:
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, float):
-        return _f17(obj)
+        # JSON has no NaN or infinity: those go out as the strings "nan",
+        # "inf" and "-inf", which float() reads back
+        return _f17(obj) if math.isfinite(obj) else json.dumps(_f17(obj))
     if isinstance(obj, int):
         return str(obj)
     if obj is None:
@@ -201,15 +203,17 @@ class Report:
         return all(r.passed for r in self.records)
 
     def summary(self) -> Dict[str, object]:
-        suites: Dict[str, Dict[str, object]] = {}
+        by_suite: Dict[str, List[Record]] = {}
         for r in self.sorted_records():
-            cell = suites.setdefault(r.suite, {"failed": 0, "records": 0, "worst_margin": math.inf})
-            cell["records"] = int(cell["records"]) + 1
-            if not r.passed:
-                cell["failed"] = int(cell["failed"]) + 1
-            cell["worst_margin"] = min(float(cell["worst_margin"]), r.margin)
-        for cell in suites.values():
-            cell["worst_margin"] = _finite(cell["worst_margin"])
+            by_suite.setdefault(r.suite, []).append(r)
+        suites = {
+            name: {
+                "failed": sum(not r.passed for r in recs),
+                "records": len(recs),
+                "worst_margin": _worst([r.margin for r in recs]),
+            }
+            for name, recs in by_suite.items()
+        }
         return {
             "failed": sum(int(c["failed"]) for c in suites.values()),
             "records": len(self.records),
@@ -266,11 +270,39 @@ class Report:
 # ---------------------------------------------------------------------------
 # per-parameter suite cells
 
+
+class Scene:
+    """The pipeline of one parameter, shared by every suite cell at that ``t``.
+
+    The double-precision configuration and each crown arc's report are
+    computed on first use and at most once; a sweep builds one scene per
+    ``t`` and drops it when the point is done.
+    """
+
+    def __init__(self, t: float):
+        self.t = t
+        self._arcs: Dict[str, crown.ArcReport] = {}
+
+    @cached_property
+    def config(self) -> DirichletConfig:
+        return DirichletConfig.build(self.t)
+
+    def arc_report(self, name: str) -> crown.ArcReport:
+        if name not in self._arcs:
+            self._arcs[name] = crown.arc_report(self.config, name)
+        return self._arcs[name]
+
+    def hat(self, name: str) -> crown.HatArc:
+        return self.arc_report(name).hat
+
+
 EPS_REL = 1e-10
 EPS_TRACE = 1e-12
 
 
-def _relations_cell(t: float, precision: str) -> List[Record]:
+def _relations_cell(scene: Scene, precision: str) -> List[Record]:
+    # generators at the requested precision, not the scene's double ones
+    t = scene.t
     gens = build_generators(t, extended=(precision == "extended"))
     out = []
     rel = relation_certificate(gens)
@@ -301,8 +333,8 @@ def _relations_global(precision: str) -> List[Record]:
     return out
 
 
-def _dirichlet_cell(t: float, precision: str) -> List[Record]:
-    config = DirichletConfig.build(t)
+def _dirichlet_cell(scene: Scene, precision: str) -> List[Record]:
+    t, config = scene.t, scene.config
     out = []
     rels = pairwise_relations(config)
     for rel in rels:
@@ -336,14 +368,14 @@ def _dirichlet_global(cell_records: Sequence[Record]) -> List[Record]:
     return [_rec("dirichlet", seq[0][0], "sep3-margin-growth-log", worst_step, worst_step, True)]
 
 
-def _arcs_cell(t: float, precision: str) -> List[Record]:
-    config = DirichletConfig.build(t)
+def _arcs_cell(scene: Scene, precision: str) -> List[Record]:
+    t = scene.t
     out = []
     for name in crown.ARC_NAMES:
-        rep = crown.arc_report(config, name)
+        rep = scene.arc_report(name)
         m = rep.hat.interior_margin
         out.append(_rec("arcs", t, f"host-pattern:{name}", m, m, rep.pattern_ok))
-    cert = crown.crown_fundamental_certificate(config)
+    cert = crown.crown_fundamental_certificate(scene.config, scene.hat)
     out.append(_residual_rec("arcs", t, "crown-word", cert["word_residual"], EPS_REL))
     out.append(_residual_rec("arcs", t, "crown-abutment", cert["abutment_gap"], 1e-9))
     out.append(_residual_rec("arcs", t, "crown-translate", cert["translate_residual"], 1e-9))
@@ -415,9 +447,9 @@ def _arcs_global(precision: str) -> List[Record]:
     return out
 
 
-def _disks_cell(t: float, precision: str) -> List[Record]:
+def _disks_cell(scene: Scene, precision: str) -> List[Record]:
     out = []
-    config = DirichletConfig.build(t)
+    t, config = scene.t, scene.config
     va = crown.alpha1_polar(t)
     vb = crown.alpha2_polar(t)
     vbeta = crown.beta_polar_scaled(t)
@@ -439,21 +471,21 @@ def _disks_cell(t: float, precision: str) -> List[Record]:
         weakest = min(r.value for r in links)
         out.append(_rec("disks", t, "all-pairs-unlinked", weakest, weakest, weakest > 0.0))
     else:
-        blocked = crown.blocking_minimum_at(t)
+        blocked = crown.blocking_minimum_at(t, config)
         out.append(_rec("disks", t, "chord-blocking-minimum", blocked, blocked, blocked > 0.0))
-        honest = crown.honest_chord_blocking(t)
+        honest = crown.honest_chord_blocking(t, config=config)
         if honest is not None:
             res = abs(honest - 2.0 * blocked)
             out.append(_residual_rec("disks", t, "chord-blocking-dual-route", res, 1e-8))
-    for cert in crown.disk_disjointness_certificates(config):
+    for cert in crown.disk_disjointness_certificates(config, hats=scene.hat):
         out.append(_rec("disks", t, f"disk-pair:{cert.first}|{cert.second}",
                         cert.linking, cert.margin, cert.disjoint))
     return out
 
 
-def _minima_cell(t: float, precision: str) -> List[Record]:
-    v = crown.clearance_objective(t)
-    return [_rec("minima", t, "clearance", v, v - 1.0, v > 1.0)]
+def _minima_cell(scene: Scene, precision: str) -> List[Record]:
+    v = crown.clearance_objective(scene.t, scene.config)
+    return [_rec("minima", scene.t, "clearance", v, v - 1.0, v > 1.0)]
 
 
 def _minima_global(precision: str) -> List[Record]:
@@ -483,9 +515,22 @@ _CELLS = {
 }
 
 
-def _run_cell(task: Tuple[str, float, str]) -> List[Record]:
-    suite, t, precision = task
-    return _CELLS[suite](t, precision)
+def _run_point(t: float, suites: Tuple[str, ...], precision: str) -> Dict[str, List[Record]]:
+    """Every requested suite cell at one parameter, reading one shared scene."""
+    scene = Scene(t)
+    return {suite: _CELLS[suite](scene, precision) for suite in suites}
+
+
+def _run_globals(suites: Tuple[str, ...], precision: str) -> Dict[str, List[Record]]:
+    """The global checks that need no per-point records, by suite."""
+    out = {}
+    if "relations" in suites:
+        out["relations"] = _relations_global(precision)
+    if "arcs" in suites:
+        out["arcs"] = _arcs_global(precision)
+    if "minima" in suites:
+        out["minima"] = _minima_global(precision)
+    return out
 
 
 def _expand_suites(name: str) -> Tuple[str, ...]:
@@ -505,31 +550,34 @@ def run_suite(
     """Run one certificate suite (or ``all``) over a sweep.
 
     ``points`` overrides the sweep grid (single-parameter runs pass a
-    one-element list).  With ``jobs > 1`` the per-parameter cells are
-    dispatched to a process pool; records are sorted before writing, so
-    parallelism never changes the output bytes.
+    one-element list).  Each parameter is one task covering every requested
+    suite.  With ``jobs > 1`` those tasks go to a process pool one at a
+    time, linked parameters (``t > 2/5``, where the disk ladder does most
+    of its work) first, while this process runs the global checks; records
+    are sorted before writing, so parallelism never changes the output
+    bytes.
     """
     suites = _expand_suites(name)
     cfg = config or SweepConfig()
     pts = [validate_param(float(t)) for t in points] if points is not None else cfg.points()
-    tasks = [(suite, t, cfg.precision) for suite in suites for t in pts]
-    if jobs > 1 and len(tasks) > 1:
+    # linked points carry the disk ladder, the costliest cells: start them first
+    order = sorted(range(len(pts)), key=lambda i: pts[i] <= 0.4)
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            piles = list(pool.map(_run_cell, tasks, chunksize=max(1, len(tasks) // (8 * jobs) or 1)))
+            futures = [pool.submit(_run_point, pts[i], suites, cfg.precision) for i in order]
+            # the global checks run here while the workers take the points
+            globs = _run_globals(suites, cfg.precision)
+            cells = {i: fut.result() for i, fut in zip(order, futures)}
     else:
-        piles = [_run_cell(task) for task in tasks]
-    records: List[Record] = [r for pile in piles for r in pile]
-    by_suite: Dict[str, List[Record]] = {}
-    for r in records:
-        by_suite.setdefault(r.suite, []).append(r)
-    if "relations" in suites:
-        records.extend(_relations_global(cfg.precision))
+        globs = _run_globals(suites, cfg.precision)
+        cells = {i: _run_point(pts[i], suites, cfg.precision) for i in order}
+    records: List[Record] = [r for suite in suites for i in range(len(pts))
+                             for r in cells[i][suite]]
+    records.extend(globs.get("relations", []))
     if "dirichlet" in suites:
-        records.extend(_dirichlet_global(by_suite.get("dirichlet", [])))
-    if "arcs" in suites:
-        records.extend(_arcs_global(cfg.precision))
-    if "minima" in suites:
-        records.extend(_minima_global(cfg.precision))
+        records.extend(_dirichlet_global([r for r in records if r.suite == "dirichlet"]))
+    records.extend(globs.get("arcs", []))
+    records.extend(globs.get("minima", []))
     report_cfg = dict(cfg.as_dict())
     report_cfg["suite"] = name
     if points is not None:

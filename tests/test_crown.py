@@ -1,7 +1,7 @@
 """Crown circles, arcs, hats, cutting disks, and the two extremal minima."""
 
 import math
-from collections import Counter
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -349,3 +349,55 @@ def test_alpha_neighbors_are_blocked(config_041, config_real):
         cert = certs[("alpha1", "alpha2")]
         assert cert.mode == "blocked"
         assert cert.margin > 0.0
+
+
+# ---------------------------------------------------------------------------
+# run-length flood fill of the visible disk regions
+
+
+def _bfs_components(free, seeds):
+    """Reference fill: 4-neighbour BFS, columns wrap, rows do not."""
+    nr, nth = free.shape
+    reach = np.zeros_like(free)
+    queue = deque((i, j) for i, j in seeds if free[i, j])
+    for i, j in queue:
+        reach[i, j] = True
+    while queue:
+        i, j = queue.popleft()
+        for ii, jj in ((i - 1, j), (i + 1, j), (i, (j - 1) % nth), (i, (j + 1) % nth)):
+            if 0 <= ii < nr and free[ii, jj] and not reach[ii, jj]:
+                reach[ii, jj] = True
+                queue.append((ii, jj))
+    return reach
+
+
+@st.composite
+def _masks_and_seeds(draw):
+    nr = draw(st.integers(1, 9))
+    nth = draw(st.integers(1, 12))
+    density = draw(st.sampled_from([0.3, 0.55, 0.8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    free = rng.random((nr, nth)) < density
+    cells = st.tuples(st.integers(0, nr - 1), st.integers(0, nth - 1))
+    return free, draw(st.lists(cells, max_size=5))
+
+
+@given(_masks_and_seeds())
+@settings(max_examples=300, deadline=None)
+def test_run_length_fill_matches_bfs(case):
+    free, seeds = case
+    got = crown.seeded_components(free, seeds)
+    assert got.dtype == bool and got.shape == free.shape
+    assert np.array_equal(got, _bfs_components(free, seeds))
+
+
+def test_run_length_fill_joins_across_the_angular_seam():
+    free = np.array([[1, 0, 0, 1],
+                     [0, 0, 0, 1],
+                     [1, 1, 0, 0]], dtype=bool)
+    reach = crown.seeded_components(free, [(1, 3)])
+    # (0, 3) wraps to (0, 0); row 2 is cut off, since rows do not wrap
+    assert reach.tolist() == [[True, False, False, True],
+                              [False, False, False, True],
+                              [False, False, False, False]]
+    assert not crown.seeded_components(free, [(1, 0)]).any()

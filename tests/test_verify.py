@@ -1,5 +1,6 @@
 """Sweep plumbing: configs, records, deterministic serialization, exports."""
 
+import hashlib
 import json
 import math
 
@@ -20,7 +21,7 @@ from chcrown import (
     limit_set_points,
     run_suite,
 )
-from chcrown.verify import _emit_json, _f17
+from chcrown.verify import _emit_json, _f17, _rec, _residual_rec
 
 
 def test_sweep_config_defaults_and_points():
@@ -81,6 +82,30 @@ def test_report_roundtrip_and_sorting():
     back = Report.from_json(rep.to_json())
     assert back.records == rep.sorted_records()
     assert Report(back.config, back.records).to_json() == rep.to_json()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_values_fail_closed(bad):
+    recs = [
+        _residual_rec("relations", 0.39, "residual", bad, 1e-10),
+        _rec("disks", 0.39, "value", bad, 1.0, True),
+        _rec("disks", 0.39, "margin", 1.0, bad, True),
+    ]
+    assert not any(r.passed for r in recs)
+    rep = Report({}, recs)
+    assert rep.summary()["failed"] == 3
+    text = rep.to_json()
+    def no_constants(token):
+        raise AssertionError(f"{token} is not JSON")
+
+    parsed = json.loads(text, parse_constant=no_constants)
+    assert [r["pass"] for r in parsed["records"]] == [False, False, False]
+    back = Report.from_json(text)
+    for got, want in zip(back.records, rep.sorted_records()):
+        assert (got.suite, got.key, got.passed) == (want.suite, want.key, want.passed)
+        for a, b in ((got.value, want.value), (got.margin, want.margin)):
+            assert a == b or (math.isnan(a) and math.isnan(b))
+    assert f",{_f17(bad)},1,false" in rep.to_csv()
 
 
 def test_report_merge_prefers_later_shards():
@@ -173,3 +198,15 @@ def test_limit_set_points_are_deduplicated_and_sorted():
     as_tuples = [tuple(row) for row in pts]
     assert as_tuples == sorted(as_tuples)
     assert len({tuple(np.round(row, 9)) for row in pts}) == len(pts)
+
+
+def test_small_all_sweep_report_is_pinned():
+    # regression oracle for refactors of the sweep pipeline: these bytes must
+    # not move unless a change of records is announced
+    cfg = SweepConfig(t_min=0.39, t_max=0.41, steps=5)
+    serial = run_suite("all", cfg).to_json()
+    assert hashlib.sha256(serial.encode()).hexdigest() == (
+        "ab9be994191bb41222704b437f85580826b9ff07a6d8a1af554b3f3b6f6143cf")
+    summary = json.loads(serial)["summary"]
+    assert (summary["records"], summary["failed"]) == (466, 6)
+    assert run_suite("all", cfg, jobs=2).to_json() == serial
