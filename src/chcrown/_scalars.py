@@ -45,6 +45,15 @@ def promote(x, extended: bool):
     return x
 
 
+def working_precision(extended: bool):
+    """Context that runs extended-mode arithmetic at ``EXTENDED_DPS`` digits.
+
+    ``promote`` raises the global ``mpmath.mp.dps``; inside this context the
+    caller's precision comes back on exit.  In double mode it changes nothing.
+    """
+    return mpmath.workdps(EXTENDED_DPS if extended else mpmath.mp.dps)
+
+
 def sqrt(x):
     """Square root, staying real for nonnegative real input."""
     if is_mp(x):

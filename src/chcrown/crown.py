@@ -31,7 +31,7 @@ from .core import (
     hermitian_product,
     matrix_phase_distance,
 )
-from .dirichlet import DirichletConfig, SpinalSphere, canonical_index
+from .dirichlet import DirichletConfig, SpinalSphere, canonical_index, sphere_at
 from .heisenberg import (
     AffineDisk,
     CCircle,
@@ -203,9 +203,6 @@ class ChartedCircle:
         img = self.backward.apply(standard_chart_lift(self.t, x, y))
         return img / img[2]
 
-    def boundary_point(self, theta: float) -> HeisenbergPoint:
-        return HeisenbergPoint.from_lift(self.from_chart(math.cos(theta), math.sin(theta)))
-
     def line_of_sphere(self, sphere: SpinalSphere) -> "ChartLine":
         f = lambda x, y: float(sphere.side_of_lifts(self.from_chart(x, y))[0])
         f10, fm10, f01 = f(1.0, 0.0), f(-1.0, 0.0), f(0.0, 1.0)
@@ -305,10 +302,6 @@ class CrownArc:
         if s < 0.0:
             s = (delta + math.copysign(2.0 * math.pi, self.sweep)) / self.sweep
         return s
-
-    def contains_angle(self, theta: float, pad: float = 0.0) -> bool:
-        s = self.param_of_angle(theta)
-        return -pad <= s <= 1.0 + pad
 
 
 def _axis_circle(t: float, polar: np.ndarray) -> Tuple[CCircle, ChartedCircle]:
@@ -536,14 +529,6 @@ def table1(config: DirichletConfig) -> Dict[str, Tuple[int, int]]:
     return {name: arc_report(config, name).hosts for name in ARC_NAMES}
 
 
-def endpoint_stability_certificate(config: DirichletConfig) -> Dict[str, bool]:
-    """Pattern check for every arc, plus a deliberately swapped negative control."""
-    out = {}
-    for name in ARC_NAMES:
-        out[name] = arc_report(config, name).pattern_ok
-    return out
-
-
 # ---------------------------------------------------------------------------
 # clearance of the never-touched sphere and line parallelism
 
@@ -566,12 +551,11 @@ def clearance_objective(t: float, config: Optional[DirichletConfig] = None) -> f
     Greater than 1 means the sphere misses the whole alpha4 circle.  The
     closed-form alpha4 polar keeps this well-defined arbitrarily close to
     the parabolic endpoint of the family.  ``config`` is the configuration
-    at ``t`` when the caller has it already.
+    at ``t`` when the caller has it already; without it only sphere 5 is
+    built.
     """
-    if config is None:
-        config = DirichletConfig.build(t)
-    line = chart_line_coeffs(config, 5, alpha4_chart(t))
-    return line.clearance2()
+    sphere = config.sphere(5) if config is not None else sphere_at(t, 5)
+    return alpha4_chart(t).line_of_sphere(sphere).clearance2()
 
 
 def golden_minimize(f, lo: float, hi: float, tol: float = 1e-10,
@@ -679,15 +663,14 @@ def chord_bounds(t: float) -> Tuple[float, float]:
     return max(lo1, lo2), min(up1, up2)
 
 
-def blocking_side_quartic(config: DirichletConfig) -> np.ndarray:
-    """Coefficients (degree 4 down to 0) of x -> side_3 along the chord line.
+def blocking_side_quartic(t: float, blocker: SpinalSphere) -> np.ndarray:
+    """Coefficients (degree 4 down to 0) of x -> ``blocker``'s side along the chord line.
 
     The probe point rides the contact-plane line of the alpha1/alpha2
     disks, z = x + i(k1 x + k2) with the height read off the alpha1 plane,
-    so the side function against sphere 3 (the blocker separating those
-    two cutting disks) is an exact quartic in x and five samples pin it.
+    so the side function against sphere 3 at ``t`` (the blocker separating
+    those two cutting disks) is an exact quartic in x and five samples pin it.
     """
-    t = config.gens.t
     k1, k2 = chord_line(t)
     plane = AffineDisk(ccircle_from_polar(Vector3C(alpha1_polar(t)))).plane
     xs = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
@@ -695,7 +678,7 @@ def blocking_side_quartic(config: DirichletConfig) -> np.ndarray:
     for x in xs:
         z = complex(x, k1 * x + k2)
         pts.append(HeisenbergPoint(z, plane.height_at(z)).lift().data)
-    vals = config.sphere(3).side_of_lifts(np.stack(pts))
+    vals = blocker.side_of_lifts(np.stack(pts))
     return np.polyfit(xs, vals, 4)
 
 
@@ -708,15 +691,15 @@ def blocking_minimum_at(t: float, config: Optional[DirichletConfig] = None) -> f
     value in the normalization where the domain center's lift has Lorentz
     square -1; the raw side function doubles it because the standard
     center lift [-1, 0, 1] has square -2.  ``config`` is the configuration
-    at ``t`` when the caller has it already.
+    at ``t`` when the caller has it already; without it only sphere 3 is
+    built.
     """
-    if config is None:
-        config = DirichletConfig.build(t)
     lo, hi = chord_bounds(t)
     if lo > hi + 1e-12:
         raise GeometryError("the disks share no affine segment below the tangency")
     hi = max(hi, lo)
-    poly = blocking_side_quartic(config)
+    blocker = config.sphere(3) if config is not None else sphere_at(t, 3)
+    poly = blocking_side_quartic(t, blocker)
     deriv = np.polyder(poly)
     cand = [lo, hi]
     for r in np.roots(deriv):
@@ -743,18 +726,16 @@ def honest_chord_blocking(t: float, n: int = 513,
     :func:`disk_intersection_segment` on the two affine disks, and the
     returned minimum is the raw (unhalved) side value, so it should land
     on twice :func:`blocking_minimum_at`.  ``None`` when there is no chord.
-    ``config`` is the configuration at ``t`` when the caller has it already.
+    ``config`` is the configuration at ``t`` when the caller has it already;
+    without it only sphere 3 is built.
     """
-    if config is None:
-        config = DirichletConfig.build(t)
     c1 = ccircle_from_polar(Vector3C(alpha1_polar(t)))
     c2 = ccircle_from_polar(Vector3C(alpha2_polar(t)))
     seg = disk_intersection_segment(AffineDisk(c1), AffineDisk(c2))
     if seg is None:
         return None
-    pts = np.stack([p.lift().data for p in seg.sample(n)])
-    vals = config.sphere(3).side_of_lifts(pts)
-    return float(np.min(vals))
+    blocker = config.sphere(3) if config is not None else sphere_at(t, 3)
+    return float(np.min(blocker.side_of_lifts(seg.sample_lifts(n))))
 
 
 # ---------------------------------------------------------------------------
@@ -950,8 +931,7 @@ def disk_disjointness_certificates(config: DirichletConfig, n: int = 257,
                     mode = "parallel-planes" if parallel else "no-chord"
                 out.append(DiskPairCert(ni, nj, link, mode, link))
                 continue
-            pts = seg.sample(n)
-            lifts = np.stack([p.lift().data for p in pts])
+            lifts = seg.sample_lifts(n)
             side = config.side_matrix(lifts)
             per_sphere = np.min(side, axis=0)
             best = int(np.argmax(per_sphere))
@@ -965,11 +945,11 @@ def disk_disjointness_certificates(config: DirichletConfig, n: int = 257,
                 continue
             exposed = np.nonzero(cover < -visible_tol)[0]
             ci, cj = comp(ni), comp(nj)
-            shared = [int(k) for k in exposed
-                      if ci.reachable(complex(pts[k].z)) and cj.reachable(complex(pts[k].z))]
+            zs = lifts[:, 1].tolist()
+            shared = [int(k) for k in exposed if ci.reachable(zs[k]) and cj.reachable(zs[k])]
             pool = shared if shared else [int(k) for k in exposed]
             k = min(pool, key=lambda idx: float(cover[idx]))
-            witness = (float(pts[k].z.real), float(pts[k].z.imag), float(pts[k].v))
+            witness = (zs[k].real, zs[k].imag, float(2.0 * lifts[k, 0].imag))
             mode = "overlapping" if shared else "separated"
             out.append(DiskPairCert(ni, nj, link, mode, float(cover[k]), None, witness))
     return out

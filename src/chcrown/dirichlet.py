@@ -111,10 +111,6 @@ class SpinalSphere:
         C = (au * np.conj(au) - av * np.conj(av)).real
         return A, B, C
 
-    def side_at(self, z: complex, v: float) -> float:
-        A, B, C = self.vertical_quadratic(np.asarray([z], dtype=complex))
-        return float(A * v * v + B[0] * v + C[0])
-
     def spine_endpoints(self) -> Tuple[np.ndarray, np.ndarray]:
         """Null lifts of the sphere's two poles (ideal endpoints of the spine).
 
@@ -209,22 +205,11 @@ class DirichletConfig:
     def build(cls, t: float, extended: bool = False) -> "DirichletConfig":
         gens = build_generators(t, extended=extended)
         q0 = np.asarray(gens.q0.data, dtype=complex) if not extended else gens.q0.data
-        words = tuple(gens.evaluate_word(defining_word(k)) for k in CANONICAL_INDICES)
-        spheres = []
-        for k, w in zip(CANONICAL_INDICES, words):
-            u = np.asarray(q0, dtype=complex)
-            v = np.asarray(w.apply(q0), dtype=complex)
-            spheres.append(SpinalSphere(k, defining_word(k), u, v))
-        return cls(gens, np.asarray(q0, dtype=complex), words, tuple(spheres))
+        words, spheres = zip(*(_defining_sphere(gens, q0, k) for k in CANONICAL_INDICES))
+        return cls(gens, np.asarray(q0, dtype=complex), words, spheres)
 
     def sphere(self, k: int) -> SpinalSphere:
         return self.spheres[canonical_index(k) - 1]
-
-    def sphere_fig(self, j: int) -> SpinalSphere:
-        return self.sphere(CANONICAL_FROM_FIG[j])
-
-    def center_images(self) -> np.ndarray:
-        return np.stack([s.v for s in self.spheres])
 
     def side_matrix(self, points: np.ndarray) -> np.ndarray:
         """(n, 8) side values of lift points against all spheres.
@@ -246,6 +231,26 @@ class DirichletConfig:
 
     def in_boundary_domain(self, points: np.ndarray, tol: float = 0.0) -> np.ndarray:
         return np.max(self.side_matrix(points), axis=1) <= tol
+
+
+def _defining_sphere(gens: GeneratorSet, q0, k: int) -> Tuple[GroupElement, SpinalSphere]:
+    """The word ``w_k`` and the sphere of the bisector of ``q0`` and ``w_k q0``."""
+    word = defining_word(k)
+    w = gens.evaluate_word(word)
+    u = np.asarray(q0, dtype=complex)
+    v = np.asarray(w.apply(q0), dtype=complex)
+    return w, SpinalSphere(k, word, u, v)
+
+
+def sphere_at(t: float, k: int) -> SpinalSphere:
+    """The canonical sphere k at ``t``, built alone.
+
+    Equal to ``DirichletConfig.build(t).sphere(k)`` bit for bit, but evaluates
+    one defining word instead of eight, for objectives that read a single
+    sphere many times over ``t``.
+    """
+    gens = build_generators(t)
+    return _defining_sphere(gens, np.asarray(gens.q0.data, dtype=complex), canonical_index(k))[1]
 
 
 def symmetry_certificate(config: DirichletConfig) -> float:

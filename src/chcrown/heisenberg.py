@@ -289,6 +289,24 @@ class ChordSegment:
         xs = np.linspace(self.x_lo, self.x_hi, n)
         return [self.point_at(float(x)) for x in xs]
 
+    def sample_lifts(self, n: int) -> np.ndarray:
+        """(n, 3) standard lifts of ``sample(n)``, equal to theirs bit for bit.
+
+        ``|z|^2`` is Python's ``abs(z) ** 2`` per point, as in
+        :meth:`HeisenbergPoint.lift`; ``np.abs`` rounds differently.
+        """
+        if n < 2:
+            raise GeometryError("need at least two samples")
+        z = self.point + np.linspace(self.x_lo, self.x_hi, n) * self.direction
+        plane = self.plane
+        v = -(plane.coeff_const + plane.coeff_y * z.imag + plane.coeff_x * z.real)
+        lifts = np.empty((n, 3), dtype=complex)
+        lifts[:, 0].real = -np.fromiter((abs(w) ** 2 for w in z.tolist()), float, n) / 2.0
+        lifts[:, 0].imag = v / 2.0
+        lifts[:, 1] = z
+        lifts[:, 2] = 1.0
+        return lifts
+
 
 def _chord_interval(point: complex, direction: complex, center: complex, radius: float):
     """Parameter interval where ``point + x direction`` is inside the circle."""

@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import crown
+from ._scalars import working_precision
 from .core import (
     GeometryError,
     IsometryClass,
@@ -303,33 +304,35 @@ EPS_TRACE = 1e-12
 def _relations_cell(scene: Scene, precision: str) -> List[Record]:
     # generators at the requested precision, not the scene's double ones
     t = scene.t
-    gens = build_generators(t, extended=(precision == "extended"))
-    out = []
-    rel = relation_certificate(gens)
-    for word in sorted(rel.residuals):
-        out.append(_residual_rec("relations", t, f"relation:{word}", rel.residuals[word], EPS_REL))
-    out.append(_residual_rec("relations", t, "trace-identity", trace_identity_residual(gens), EPS_TRACE))
-    out.append(_residual_rec("relations", t, "conjugate-g3", conjugation_residual(gens), EPS_REL))
-    if t >= SWEEP_T_MIN - 1e-12:
-        cls = classify_isometry(gens.g1)
-        out.append(_rec("relations", t, "g1-loxodromic", cls.discriminant,
-                        cls.discriminant, cls.kind is IsometryClass.LOXODROMIC))
+    with working_precision(precision == "extended"):
+        gens = build_generators(t, extended=(precision == "extended"))
+        out = []
+        rel = relation_certificate(gens)
+        for word in sorted(rel.residuals):
+            out.append(_residual_rec("relations", t, f"relation:{word}", rel.residuals[word], EPS_REL))
+        out.append(_residual_rec("relations", t, "trace-identity", trace_identity_residual(gens), EPS_TRACE))
+        out.append(_residual_rec("relations", t, "conjugate-g3", conjugation_residual(gens), EPS_REL))
+        if t >= SWEEP_T_MIN - 1e-12:
+            cls = classify_isometry(gens.g1)
+            out.append(_rec("relations", t, "g1-loxodromic", cls.discriminant,
+                            cls.discriminant, cls.kind is IsometryClass.LOXODROMIC))
     return out
 
 
 def _relations_global(precision: str) -> List[Record]:
     out = []
-    left = build_generators(PARAM_MIN, extended=(precision == "extended"))
-    disc = abs(classify_isometry(left.g1).discriminant)
-    out.append(_residual_rec("relations", PARAM_MIN, "g1-parabolic-at-left", disc, 1e-8))
-    real = build_generators(T_REAL, extended=(precision == "extended"))
-    out.append(_residual_rec("relations", T_REAL, "real-point-max-imag",
-                             max_imag_entry(real), 1e-12))
-    reference = real_point_matrices()
-    for name in ("g1", "g2", "g3"):
-        got = np.asarray(getattr(real, name).matrix, dtype=complex)
-        dist = matrix_phase_distance(got, reference[name])
-        out.append(_residual_rec("relations", T_REAL, f"real-point-{name}", dist, 1e-12))
+    with working_precision(precision == "extended"):
+        left = build_generators(PARAM_MIN, extended=(precision == "extended"))
+        disc = abs(classify_isometry(left.g1).discriminant)
+        out.append(_residual_rec("relations", PARAM_MIN, "g1-parabolic-at-left", disc, 1e-8))
+        real = build_generators(T_REAL, extended=(precision == "extended"))
+        out.append(_residual_rec("relations", T_REAL, "real-point-max-imag",
+                                 max_imag_entry(real), 1e-12))
+        reference = real_point_matrices()
+        for name in ("g1", "g2", "g3"):
+            got = np.asarray(getattr(real, name).matrix, dtype=complex)
+            dist = matrix_phase_distance(got, reference[name])
+            out.append(_residual_rec("relations", T_REAL, f"real-point-{name}", dist, 1e-12))
     return out
 
 

@@ -257,6 +257,13 @@ def test_clearance_minimum_value():
     assert value > 1.0
 
 
+def test_golden_searches_are_pinned_bit_for_bit():
+    # the sweep's minima records read these pairs; the search must evaluate
+    # the same points to the last bit
+    assert minimize_clearance(grid=256) == (0.414213562331768, 6.590718977419501)
+    assert minimize_blocking(grid=256) == (0.40000000003921743, 0.36167528623312717)
+
+
 # ---------------------------------------------------------------------------
 # the chord and its blocking sphere
 

@@ -23,6 +23,7 @@ from chcrown.dirichlet import (
     mesh_equivariance_residual,
     pair_relation,
     side_pairing_certificate,
+    sphere_at,
     symmetry_certificate,
 )
 from chcrown.core import hermitian_product, projective_distance
@@ -55,6 +56,17 @@ def test_center_is_interior(t):
     config = DirichletConfig.build(t)
     sides = config.side_matrix(config.q0)[0]
     assert np.all(sides < 0.0)
+
+
+@given(params, st.integers(min_value=1, max_value=8))
+@settings(max_examples=40, deadline=None)
+def test_sphere_at_equals_the_configuration_sphere(t, k):
+    # the single-sphere path must be the configuration's sphere to the bit
+    alone = sphere_at(t, k)
+    full = DirichletConfig.build(t).sphere(k)
+    assert (alone.index, alone.word) == (full.index, full.word)
+    for attr in ("u", "v", "_ru", "_rv"):
+        assert np.array_equal(getattr(alone, attr), getattr(full, attr))
 
 
 def test_side_matrix_shape_and_domain_predicate(config_039):

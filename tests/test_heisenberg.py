@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chcrown import GeometryError, HeisenbergPoint, ccircle_from_polar
+from chcrown import GeometryError, HeisenbergPoint, T_REAL, ccircle_from_polar
 from chcrown.core import hermitian_product
 from chcrown.heisenberg import (
     AffineDisk,
@@ -146,6 +146,18 @@ def test_chord_segment_against_closed_form():
     for p in seg.sample(9):
         z = complex(p.z)
         assert z.imag == pytest.approx(k1 * z.real + k2, abs=1e-9)
+
+
+@pytest.mark.parametrize("t", [0.405, 0.41, T_REAL])
+def test_chord_sample_lifts_equal_the_point_lifts(t):
+    # the array lifts feed the disk ladder and the report; they must be the
+    # per-point lifts to the last bit, not merely close
+    d1 = AffineDisk(ccircle_from_polar(crown.alpha1_polar(t)))
+    d2 = AffineDisk(ccircle_from_polar(crown.alpha2_polar(t)))
+    seg = disk_intersection_segment(d1, d2)
+    for n in (2, 257, 513):
+        want = np.stack([p.lift().data for p in seg.sample(n)])
+        assert np.array_equal(seg.sample_lifts(n), want)
 
 
 def test_disjoint_disks_share_no_segment():

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -210,3 +211,16 @@ def test_small_all_sweep_report_is_pinned():
     summary = json.loads(serial)["summary"]
     assert (summary["records"], summary["failed"]) == (466, 6)
     assert run_suite("all", cfg, jobs=2).to_json() == serial
+
+
+def test_extended_relations_restore_mpmath_precision():
+    # the extended relations cells run at 40 digits and must hand the
+    # caller's working precision back unchanged
+    with mpmath.workdps(15):
+        report = run_suite("relations", SweepConfig(steps=3, precision="extended"))
+        assert mpmath.mp.dps == 15
+    body = report.to_json()
+    assert hashlib.sha256(body.encode()).hexdigest() == (
+        "7d0dca99e24d8c97fdb9c13b70f422e4c618671c27d6c85d4c5e803d9efb93b9")
+    summary = json.loads(body)["summary"]
+    assert (summary["records"], summary["failed"]) == (32, 0)
