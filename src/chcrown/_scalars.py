@@ -17,6 +17,7 @@ whole computation stays in mpmath.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 
 import mpmath
@@ -36,9 +37,12 @@ def is_mp(x) -> bool:
 
 
 def promote(x, extended: bool):
-    """Coerce a plain number to the requested scalar mode."""
+    """Coerce a plain number to the requested scalar mode.
+
+    The extended value carries the working precision in force, so extended
+    callers run inside :func:`working_precision`.
+    """
     if extended:
-        mpmath.mp.dps = max(mpmath.mp.dps, EXTENDED_DPS)
         return mpmath.mpf(x) if not isinstance(x, MP_TYPES) else x
     if isinstance(x, MP_TYPES):
         return complex(x) if isinstance(x, mpmath.mpc) else float(x)
@@ -48,10 +52,12 @@ def promote(x, extended: bool):
 def working_precision(extended: bool):
     """Context that runs extended-mode arithmetic at ``EXTENDED_DPS`` digits.
 
-    ``promote`` raises the global ``mpmath.mp.dps``; inside this context the
-    caller's precision comes back on exit.  In double mode it changes nothing.
+    A caller already working at more digits keeps them, and the caller's
+    precision comes back on exit.  In double mode it does nothing.
     """
-    return mpmath.workdps(EXTENDED_DPS if extended else mpmath.mp.dps)
+    if not extended:
+        return contextlib.nullcontext()
+    return mpmath.workdps(max(mpmath.mp.dps, EXTENDED_DPS))
 
 
 def sqrt(x):

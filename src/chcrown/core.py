@@ -1,20 +1,15 @@
 """Linear-algebra core for the complex hyperbolic plane.
 
 Points of the complex hyperbolic plane are negative lines in C^{2,1}; its
-ideal boundary consists of the null lines.  Two Hermitian forms of signature
-(2,1) are used throughout:
+ideal boundary consists of the null lines.  Everything is measured against
+the **Siegel** Hermitian form of signature (2,1), with anti-diagonal blocks,
+where the boundary minus a point at infinity carries Heisenberg coordinates
+(see :mod:`chcrown.heisenberg`).
 
-* the **ball** form  ``diag(1, 1, -1)``, where negative vectors project into
-  the unit ball of C^2, and
-* the **Siegel** form with anti-diagonal blocks, where the boundary minus a
-  point at infinity carries Heisenberg coordinates (see
-  :mod:`chcrown.heisenberg`).
-
-This module provides the forms, Hermitian/box products, the Cayley transfer
-between the two models, holomorphic isometries as 3x3 matrices, a closed-form
-eigensolver for 3x3 complex matrices, trace-based classification of
-isometries, boundary fixed points, complex reflections, and the distance
-function.  Everything here accepts either machine-precision scalars or
+This module provides the form, Hermitian/box products, holomorphic
+isometries as 3x3 matrices, a closed-form eigensolver for 3x3 complex
+matrices, trace-based classification of isometries, boundary fixed points,
+complex reflections, and the distance function.  Everything here accepts either machine-precision scalars or
 mpmath scalars (see :mod:`chcrown._scalars`).
 """
 
@@ -72,18 +67,9 @@ class HermitianForm:
         return (sc.conj_vec(w) * jv).sum()
 
 
-BALL_FORM = HermitianForm(np.diag([1.0, 1.0, -1.0]).astype(complex), Model.BALL)
 SIEGEL_FORM = HermitianForm(
     np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex), Model.SIEGEL
 )
-
-_FORMS = {Model.BALL: BALL_FORM, Model.SIEGEL: SIEGEL_FORM}
-
-#: Cayley transfer between the ball and Siegel models.  It is symmetric and
-#: involutive, and conjugates one form matrix into the other.
-CAYLEY = np.array(
-    [[1, 0, 1], [0, np.sqrt(2.0), 0], [1, 0, -1]], dtype=complex
-) / np.sqrt(2.0)
 
 
 def _data(v) -> np.ndarray:
@@ -110,19 +96,9 @@ class Vector3C:
     def __post_init__(self):
         object.__setattr__(self, "data", _data(self.data))
 
-    def self_product(self):
-        return self.form.product(self.data, self.data)
-
     @property
     def norm_type(self) -> NormType:
         return norm_type(self.data, self.form)
-
-    def normalized_last(self) -> "Vector3C":
-        """Scale so the last coordinate is 1 (raises if it is ~0)."""
-        z = self.data[2]
-        if abs(z) < 1e-14 * sc.max_abs(self.data):
-            raise GeometryError("last coordinate vanishes; cannot normalize")
-        return Vector3C(self.data / z, self.form)
 
     def __array__(self, dtype=None):
         return np.asarray(self.data, dtype=dtype)
@@ -200,11 +176,6 @@ class GroupElement:
     def det(self):
         return det3(self.matrix)
 
-    def unitarity_residual(self) -> float:
-        j = self.form.matrix
-        r = sc.conj_vec(self.matrix).T @ j @ self.matrix - j
-        return sc.max_abs(r)
-
     def __repr__(self):
         tag = self.word or "?"
         return f"GroupElement<{tag}, {self.form.model.value}>"
@@ -216,25 +187,6 @@ def _invert_word(word: str) -> str:
 
 def identity_element(form: HermitianForm = SIEGEL_FORM) -> GroupElement:
     return GroupElement(np.eye(3, dtype=complex), form, "")
-
-
-def cayley_convert(x):
-    """Transfer between the ball and Siegel models (involutive).
-
-    Vectors map by ``v -> C v``; isometries by ``M -> C M C``.  The model tag
-    of the result is flipped.
-    """
-    if isinstance(x, Vector3C):
-        target = _FORMS[_other_model(x.form.model)]
-        return Vector3C(CAYLEY @ x.data, target)
-    if isinstance(x, GroupElement):
-        target = _FORMS[_other_model(x.form.model)]
-        return GroupElement(CAYLEY @ x.matrix @ CAYLEY, target, x.word)
-    return CAYLEY @ _data(x)
-
-
-def _other_model(model: Model) -> Model:
-    return Model.SIEGEL if model is Model.BALL else Model.BALL
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +251,19 @@ def _cbrt(z):
 def eig3(m: np.ndarray):
     """Eigenvalues and eigenvectors of a 3x3 complex matrix.
 
-    Uses the cubic characteristic polynomial in closed form (Cardano),
-    takes eigenvectors from the adjugate of ``m - lam*I`` and applies one
-    step of shifted inverse iteration to polish them.  Returns
-    ``(eigenvalues, eigenvectors)`` as a list of 3 scalars and a list of 3
-    unit vectors (Euclidean norm).
+    The eigenvalues come from :func:`eigvals3`; each eigenvector is taken
+    from the adjugate of ``m - lam*I`` and polished by one step of shifted
+    inverse iteration.  Returns ``(eigenvalues, eigenvectors)`` as a list of
+    3 scalars and a list of 3 unit vectors (Euclidean norm).
+    """
+    lams = eigvals3(m)
+    return lams, [_eigvec(m, lam) for lam in lams]
+
+
+def eigvals3(m: np.ndarray):
+    """The three eigenvalues of a 3x3 complex matrix, as a list.
+
+    Solves the cubic characteristic polynomial in closed form (Cardano).
     """
     tr = m[0, 0] + m[1, 1] + m[2, 2]
     minors = (
@@ -332,16 +292,13 @@ def eig3(m: np.ndarray):
 
             w = mpmath.mpc(-0.5, mpmath.sqrt(3) / 2)
         mus = [u + v, w * u + w.conjugate() * v, w.conjugate() * u + w * v]
-    lams = [mu + s for mu in mus]
+    return [mu + s for mu in mus]
+
+
+def _eigvec(m: np.ndarray, lam) -> np.ndarray:
+    """Unit eigenvector of ``m`` for the eigenvalue ``lam``."""
     eps = sc.eps_for(m[0, 0] if m.dtype == object else 1.0)
     scale = sc.max_abs(m) + 1.0
-    vecs = []
-    for lam in lams:
-        vecs.append(_eigvec(m, lam, eps, scale))
-    return lams, vecs
-
-
-def _eigvec(m: np.ndarray, lam, eps: float, scale: float) -> np.ndarray:
     eye = np.eye(3, dtype=complex)
     a = m - lam * eye
     adj = adjugate3(a)
@@ -427,7 +384,7 @@ def classify_isometry(g: GroupElement, eps: float = EPS_CLASS) -> Classification
     if disc < -eps:
         return Classification(IsometryClass.ELLIPTIC, True, disc, sc.to_complex(tau))
 
-    lams, _ = eig3(g.matrix)
+    lams = eigvals3(g.matrix)
     scale = sc.max_abs(g.matrix) + 1.0
     gaps = [
         (abs(lams[0] - lams[1]), 2), (abs(lams[1] - lams[2]), 0), (abs(lams[0] - lams[2]), 1),
@@ -457,7 +414,7 @@ def fixed_points_boundary(g: GroupElement, min_separation: float = 1e-6):
     differ by less than ``min_separation``: so close to the parabolic locus
     the eigenvectors are too ill-conditioned to certify anything.
     """
-    lams, vecs = eig3(g.matrix)
+    lams = eigvals3(g.matrix)
     order = sorted(range(3), key=lambda i: -float(abs(lams[i])))
     hi, lo = order[0], order[2]
     sep = float(abs(lams[hi]) - abs(lams[lo]))
@@ -466,21 +423,12 @@ def fixed_points_boundary(g: GroupElement, min_separation: float = 1e-6):
             f"eigenvalue moduli differ by {sep:.3e} < {min_separation:.1e}; "
             "refusing fixed points this close to the parabolic locus"
         )
-    att = Vector3C(vecs[hi], g.form)
-    rep = Vector3C(vecs[lo], g.form)
+    att = Vector3C(_eigvec(g.matrix, lams[hi]), g.form)
+    rep = Vector3C(_eigvec(g.matrix, lams[lo]), g.form)
     for v in (att, rep):
         if v.norm_type is not NormType.NULL:
             raise GeometryError("loxodromic fixed point lift is not null")
     return att, rep
-
-
-def fixed_point_interior(g: GroupElement):
-    """The negative-type fixed point of an elliptic isometry."""
-    _, vecs = eig3(g.matrix)
-    for v in vecs:
-        if norm_type(v, g.form) is NormType.NEGATIVE:
-            return Vector3C(v, g.form)
-    raise GeometryError("no negative-type eigenvector: is the map elliptic?")
 
 
 def axis_polar(g: GroupElement):
@@ -570,6 +518,3 @@ def matrix_phase_distance(a: np.ndarray, b: np.ndarray) -> float:
     scale = max(sc.max_abs(a), sc.max_abs(b), 1e-300)
     return min(sc.max_abs(a - w * b) for w in _CUBE_ROOTS) / scale
 
-
-def matrices_equal_mod_phase(a, b, tol: float = EPS_ALG) -> bool:
-    return matrix_phase_distance(getattr(a, "matrix", a), getattr(b, "matrix", b)) < tol

@@ -27,6 +27,7 @@ from .core import (
     SIEGEL_FORM,
     Vector3C,
     axis_polar,
+    box_product,
     fixed_points_boundary,
     hermitian_product,
     matrix_phase_distance,
@@ -336,7 +337,7 @@ def _crown_arc(config: DirichletConfig, name: str) -> CrownArc:
     kind, idx = name[:-1], int(name[-1])
     base = gens.g1 if kind == "alpha" else gens.g2.inverse() @ gens.g3
     att, rep = fixed_points_boundary(base)
-    polar = axis_polar(base).data
+    polar = box_product(att.data, rep.data, base.form)
     word = base
     att_v, rep_v = att.data, rep.data
     for _ in range(idx - 1):

@@ -23,6 +23,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from ._scalars import working_precision
 from .core import (
     EPS_TANGENT,
     GeometryError,
@@ -205,7 +206,8 @@ class DirichletConfig:
     def build(cls, t: float, extended: bool = False) -> "DirichletConfig":
         gens = build_generators(t, extended=extended)
         q0 = np.asarray(gens.q0.data, dtype=complex) if not extended else gens.q0.data
-        words, spheres = zip(*(_defining_sphere(gens, q0, k) for k in CANONICAL_INDICES))
+        with working_precision(extended):
+            words, spheres = zip(*(_defining_sphere(gens, q0, k) for k in CANONICAL_INDICES))
         return cls(gens, np.asarray(q0, dtype=complex), words, spheres)
 
     def sphere(self, k: int) -> SpinalSphere:
@@ -422,8 +424,8 @@ def sphere_mesh(sphere: SpinalSphere, nx: int = 64, ny: int = 64):
     """Triangulated mesh of a spinal sphere for OBJ export.
 
     Builds both vertical sheets over the shadow and stitches the rim by
-    bisecting the discriminant to its zero crossing.  Returns
-    ``(vertices, faces)`` with vertices as (x, y, v) rows and 1-based
+    bisecting the discriminant to its zero crossing, all rim edges at once.
+    Returns ``(vertices, faces)`` with vertices as (x, y, v) rows and 1-based
     triangular faces.
     """
     cx, cy, half = sphere.shadow_window()
@@ -438,70 +440,58 @@ def sphere_mesh(sphere: SpinalSphere, nx: int = 64, ny: int = 64):
     if abs(A) < 1e-14:
         raise GeometryError("sphere through infinity is not meshable this way")
 
-    verts: List[Tuple[float, float, float]] = []
+    # Sheet vertices: each inside site in row-major order gives its top
+    # root, then its bottom root.
+    root = np.sqrt(disc[inside])
+    zin = z[inside]
+    sheets = np.empty((zin.size, 2, 3))
+    sheets[:, :, 0] = zin.real[:, None]
+    sheets[:, :, 1] = zin.imag[:, None]
+    sheets[:, 0, 2] = (-Bm[inside] + root) / (2 * A)
+    sheets[:, 1, 2] = (-Bm[inside] - root) / (2 * A)
     index_top = -np.ones(z.shape, dtype=int)
-    index_bot = -np.ones(z.shape, dtype=int)
-    root = np.sqrt(np.where(inside, disc, 0.0))
-    vtop = (-Bm + root) / (2 * A)
-    vbot = (-Bm - root) / (2 * A)
-    for i in range(ny):
-        for jj in range(nx):
-            if inside[i, jj]:
-                index_top[i, jj] = len(verts)
-                verts.append((float(z[i, jj].real), float(z[i, jj].imag), float(vtop[i, jj])))
-                index_bot[i, jj] = len(verts)
-                verts.append((float(z[i, jj].real), float(z[i, jj].imag), float(vbot[i, jj])))
+    index_top[inside] = 2 * np.arange(zin.size)
 
-    faces: List[Tuple[int, int, int]] = []
+    # Two quads per grid cell whose four corners are inside, top then bottom.
+    full = inside[:-1, :-1] & inside[:-1, 1:] & inside[1:, :-1] & inside[1:, 1:]
+    t00, t01 = index_top[:-1, :-1][full], index_top[:-1, 1:][full]
+    t10, t11 = index_top[1:, :-1][full], index_top[1:, 1:][full]
+    b00, b01, b10, b11 = t00 + 1, t01 + 1, t10 + 1, t11 + 1
+    quads = np.stack([
+        np.stack([t00, t01, t11], axis=1), np.stack([t00, t11, t10], axis=1),
+        np.stack([b00, b10, b11], axis=1), np.stack([b00, b11, b01], axis=1),
+    ], axis=1).reshape(-1, 3)
 
-    def quad(a, b, c, d):
-        faces.append((a + 1, b + 1, c + 1))
-        faces.append((a + 1, c + 1, d + 1))
+    # Rim edges: an inside site and an outside neighbour, per site in the
+    # direction order right, down, left, up.  Every edge is bisected along
+    # the segment to the discriminant's zero crossing and closed with one
+    # thin triangle between the two sheets.
+    pad = np.pad(inside, 1, constant_values=True)
+    outward = np.stack([
+        inside & ~pad[1:-1, 2:], inside & ~pad[2:, 1:-1],
+        inside & ~pad[1:-1, :-2], inside & ~pad[:-2, 1:-1],
+    ], axis=-1)
+    ei, ej, ed = np.nonzero(outward)
+    lo = z[ei, ej]
+    hi = z[ei + np.array([0, 1, 0, -1])[ed], ej + np.array([1, 0, -1, 0])[ed]]
+    for _ in range(60):
+        mid = (lo + hi) / 2.0
+        _, Bmid, Cmid = sphere.vertical_quadratic(mid)
+        met = Bmid * Bmid - 4.0 * A * Cmid >= 0.0
+        lo = np.where(met, mid, lo)
+        hi = np.where(met, hi, mid)
+    _, Brim, _ = sphere.vertical_quadratic(lo)
+    rim = np.stack([lo.real, lo.imag, -Brim / (2 * A)], axis=1)
+    ridx = 2 * zin.size + np.arange(lo.size)
+    # right and down edges wind top -> rim -> bottom, left and up the other way
+    top = index_top[ei, ej]
+    bot = top + 1
+    first, last = np.where(ed < 2, top, bot), np.where(ed < 2, bot, top)
+    stitches = np.stack([first, ridx, last], axis=1)
 
-    for i in range(ny - 1):
-        for jj in range(nx - 1):
-            ids = (index_top[i, jj], index_top[i, jj + 1], index_top[i + 1, jj + 1], index_top[i + 1, jj])
-            if all(v >= 0 for v in ids):
-                quad(*ids)
-            ids = (index_bot[i, jj], index_bot[i + 1, jj], index_bot[i + 1, jj + 1], index_bot[i, jj + 1])
-            if all(v >= 0 for v in ids):
-                quad(*ids)
-
-    def rim_point(zin: complex, zout: complex) -> Tuple[float, float, float]:
-        lo, hi = zin, zout
-        for _ in range(60):
-            mid = (lo + hi) / 2.0
-            _, Bmid, Cmid = sphere.vertical_quadratic(np.asarray([mid]))
-            if Bmid[0] * Bmid[0] - 4.0 * A * Cmid[0] >= 0.0:
-                lo = mid
-            else:
-                hi = mid
-        _, Bl, _Cl = sphere.vertical_quadratic(np.asarray([lo]))
-        return (float(lo.real), float(lo.imag), float(-Bl[0] / (2 * A)))
-
-    # Stitch the two sheets along the rim: for every interior cell edge that
-    # crosses the shadow boundary add a thin closing quad.
-    for i in range(ny):
-        for jj in range(nx):
-            if not inside[i, jj]:
-                continue
-            for di, dj in ((0, 1), (1, 0)):
-                ii, jk = i + di, jj + dj
-                if ii >= ny or jk >= nx or inside[ii, jk]:
-                    continue
-                rp = rim_point(z[i, jj], z[ii, jk])
-                ridx = len(verts)
-                verts.append(rp)
-                faces.append((index_top[i, jj] + 1, ridx + 1, index_bot[i, jj] + 1))
-            for di, dj in ((0, -1), (-1, 0)):
-                ii, jk = i + di, jj + dj
-                if ii < 0 or jk < 0 or inside[ii, jk]:
-                    continue
-                rp = rim_point(z[i, jj], z[ii, jk])
-                ridx = len(verts)
-                verts.append(rp)
-                faces.append((index_bot[i, jj] + 1, ridx + 1, index_top[i, jj] + 1))
-    return np.asarray(verts, dtype=float), faces
+    verts = np.concatenate([sheets.reshape(-1, 3), rim])
+    faces = np.concatenate([quads, stitches]) + 1
+    return verts, faces
 
 
 def mesh_equivariance_residual(config: DirichletConfig, k: int = 1, n: int = 24) -> float:

@@ -26,7 +26,6 @@ from .core import (
     NormType,
     SIEGEL_FORM,
     Vector3C,
-    hermitian_product,
     norm_type,
 )
 
@@ -366,13 +365,6 @@ def incidence_residual(circle: CCircle, p: HeisenbergPoint) -> float:
     r1 = abs(abs(dz) - circle.radius)
     r2 = abs(float(p.v) - float(circle.center.v) - 2.0 * (complex(p.z).conjugate() * z0).imag)
     return max(r1, r2)
-
-
-def polar_incidence_residual(circle: CCircle, p: HeisenbergPoint) -> float:
-    """|<polar, lift(p)>| scaled; zero iff the point lies on the circle."""
-    val = hermitian_product(p.lift().data, circle.polar.data, SIEGEL_FORM)
-    scale = float(np.max(np.abs(circle.polar.data))) * max(1.0, abs(complex(p.z)) ** 2 + abs(float(p.v)))
-    return abs(complex(val)) / scale
 
 
 def apply_to_point(g: GroupElement, p: HeisenbergPoint) -> HeisenbergPoint:

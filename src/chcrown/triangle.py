@@ -76,11 +76,12 @@ class Coefficients:
 
 def coefficients(t: float, extended: bool = False) -> Coefficients:
     validate_param(t)
-    tt = sc.promote(t, extended)
-    a = sc.sqrt_clamped(6 * tt - 2)
-    b = sc.sqrt_clamped(-tt * tt - 2 * tt + 1)
-    c = sc.sqrt_clamped((8 * tt - 3) / (4 * tt - 1 - 2 * tt * a))
-    ball_a = 1 / (2 * sc.sqrt(1 - 2 * tt))
+    with sc.working_precision(extended):
+        tt = sc.promote(t, extended)
+        a = sc.sqrt_clamped(6 * tt - 2)
+        b = sc.sqrt_clamped(-tt * tt - 2 * tt + 1)
+        c = sc.sqrt_clamped((8 * tt - 3) / (4 * tt - 1 - 2 * tt * a))
+        ball_a = 1 / (2 * sc.sqrt(1 - 2 * tt))
     return Coefficients(tt, a, b, c, ball_a)
 
 
@@ -92,18 +93,19 @@ def polar_vectors(t: float, extended: bool = False):
     """
     co = coefficients(t, extended)
     tt, a, b = co.t, co.a, co.b
-    one = tt * 0 + 1
-    r2 = sc.sqrt(one * 2)
-    s = 1 / (2 * sc.sqrt(1 - 2 * tt))
-    n1 = sc.as_vector([one * 0, one, one * 0])
-    n2 = sc.as_vector([one / 2, r2 / 2, one / 2])
-    n3 = sc.as_vector(
-        [
-            s * r2 / 2 * (a + 1),
-            s * sc.make_complex(-tt, b),
-            s * r2 / 2 * (1 - a),
-        ]
-    )
+    with sc.working_precision(extended):
+        one = tt * 0 + 1
+        r2 = sc.sqrt(one * 2)
+        s = 1 / (2 * sc.sqrt(1 - 2 * tt))
+        n1 = sc.as_vector([one * 0, one, one * 0])
+        n2 = sc.as_vector([one / 2, r2 / 2, one / 2])
+        n3 = sc.as_vector(
+            [
+                s * r2 / 2 * (a + 1),
+                s * sc.make_complex(-tt, b),
+                s * r2 / 2 * (1 - a),
+            ]
+        )
     return (
         Vector3C(n1, SIEGEL_FORM),
         Vector3C(n2, SIEGEL_FORM),
@@ -193,10 +195,6 @@ class GeneratorSet:
         word = ["I2", "I1"] * half + core + ["I1", "I2"] * half
         return self.evaluate_word(word)
 
-    def is_real(self, tol: float = 1e-12) -> bool:
-        """True when every generator matrix entry is real to ``tol``."""
-        return max_imag_entry(self) < tol
-
 
 def _parse_token(token: str):
     token = token.strip()
@@ -216,15 +214,20 @@ def _renormalize_det(g: GroupElement) -> GroupElement:
 
 
 def build_generators(t: float, extended: bool = False) -> GeneratorSet:
-    """Construct the full generator set at parameter ``t``."""
+    """Construct the full generator set at parameter ``t``.
+
+    Extended mode computes at ``_scalars.EXTENDED_DPS`` digits and leaves the
+    caller's mpmath precision as it found it.
+    """
     co = coefficients(t, extended)
     n1, n2, n3 = polar_vectors(t, extended)
-    i1 = complex_reflection_from_polar(n1, SIEGEL_FORM, "I1")
-    i2 = complex_reflection_from_polar(n2, SIEGEL_FORM, "I2")
-    i3 = complex_reflection_from_polar(n3, SIEGEL_FORM, "I3")
-    g1 = GroupElement((i3 @ i2 @ i1 @ i2).matrix, SIEGEL_FORM, "g1")
-    g2 = GroupElement((i2 @ i1).matrix, SIEGEL_FORM, "g2")
-    g3 = GroupElement((i1 @ i2 @ i3 @ i2).matrix, SIEGEL_FORM, "g3")
+    with sc.working_precision(extended):
+        i1 = complex_reflection_from_polar(n1, SIEGEL_FORM, "I1")
+        i2 = complex_reflection_from_polar(n2, SIEGEL_FORM, "I2")
+        i3 = complex_reflection_from_polar(n3, SIEGEL_FORM, "I3")
+        g1 = GroupElement((i3 @ i2 @ i1 @ i2).matrix, SIEGEL_FORM, "g1")
+        g2 = GroupElement((i2 @ i1).matrix, SIEGEL_FORM, "g2")
+        g3 = GroupElement((i1 @ i2 @ i3 @ i2).matrix, SIEGEL_FORM, "g3")
     return GeneratorSet(sc.to_float(t), co, n1, n2, n3, i1, i2, i3, g1, g2, g3)
 
 

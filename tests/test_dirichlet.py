@@ -156,3 +156,63 @@ def test_sphere_mesh_lies_on_the_sphere(config_041):
 
 def test_mesh_equivariance(config_041):
     assert mesh_equivariance_residual(config_041, k=1, n=16) < 1e-8
+
+
+def _loop_sphere_mesh(sphere, nx, ny):
+    """Reference mesh: cell-by-cell sheets, one scalar bisection per rim edge."""
+    cx, cy, half = sphere.shadow_window()
+    X, Y = np.meshgrid(np.linspace(cx - half, cx + half, nx), np.linspace(cy - half, cy + half, ny))
+    z = X + 1j * Y
+    A, B, C = sphere.vertical_quadratic(z.ravel())
+    disc = (B * B - 4.0 * A * C).reshape(z.shape)
+    Bm = B.reshape(z.shape)
+    inside = disc >= 0.0
+    root = np.sqrt(np.where(inside, disc, 0.0))
+    verts, faces = [], []
+    top = -np.ones(z.shape, dtype=int)
+    for i in range(ny):
+        for j in range(nx):
+            if inside[i, j]:
+                top[i, j] = len(verts)
+                for r in (root[i, j], -root[i, j]):
+                    verts.append((z[i, j].real, z[i, j].imag, (-Bm[i, j] + r) / (2 * A)))
+    for i in range(ny - 1):
+        for j in range(nx - 1):
+            a, b, c, d = top[i, j], top[i, j + 1], top[i + 1, j + 1], top[i + 1, j]
+            if min(a, b, c, d) >= 0:
+                faces += [(a, b, c), (a, c, d), (a + 1, d + 1, c + 1), (a + 1, c + 1, b + 1)]
+
+    def rim_point(lo, hi):
+        for _ in range(60):
+            mid = (lo + hi) / 2.0
+            _, Bmid, Cmid = sphere.vertical_quadratic(np.asarray([mid]))
+            if Bmid[0] * Bmid[0] - 4.0 * A * Cmid[0] >= 0.0:
+                lo = mid
+            else:
+                hi = mid
+        _, Bl, _ = sphere.vertical_quadratic(np.asarray([lo]))
+        return (lo.real, lo.imag, -Bl[0] / (2 * A))
+
+    for i in range(ny):
+        for j in range(nx):
+            if not inside[i, j]:
+                continue
+            for n, (di, dj) in enumerate(((0, 1), (1, 0), (0, -1), (-1, 0))):
+                ii, jj = i + di, j + dj
+                if 0 <= ii < ny and 0 <= jj < nx and not inside[ii, jj]:
+                    verts.append(rim_point(z[i, j], z[ii, jj]))
+                    ends = (top[i, j], top[i, j] + 1)[::1 if n < 2 else -1]
+                    faces.append((ends[0], len(verts) - 1, ends[1]))
+    return np.asarray(verts, dtype=float), np.asarray(faces, dtype=int) + 1
+
+
+@given(st.floats(min_value=PARAM_MIN + 1e-3, max_value=PARAM_MAX),
+       st.integers(min_value=1, max_value=8),
+       st.integers(min_value=2, max_value=14), st.integers(min_value=2, max_value=14))
+@settings(max_examples=25, deadline=None)
+def test_sphere_mesh_equals_the_loop_reference(t, k, nx, ny):
+    sphere = sphere_at(t, k)
+    verts, faces = sphere_mesh(sphere, nx=nx, ny=ny)
+    want_verts, want_faces = _loop_sphere_mesh(sphere, nx, ny)
+    assert np.array_equal(verts, want_verts.reshape(-1, 3))
+    assert np.array_equal(faces, want_faces.reshape(-1, 3))

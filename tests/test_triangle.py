@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -145,3 +146,12 @@ def test_extended_precision_path():
     gens = build_generators(0.39, extended=True)
     report = relation_certificate(gens)
     assert report.max_residual < 1e-10
+
+
+def test_extended_build_restores_mpmath_precision():
+    # the 40-digit work happens inside the call; the caller's precision stays
+    with mpmath.workdps(15):
+        gens = build_generators(0.39, extended=True)
+        assert mpmath.mp.dps == 15
+    # the square-root coefficients still carry about 40 digits of mantissa
+    assert gens.coeffs.a._mpf_[3] > 120

@@ -224,3 +224,28 @@ def test_extended_relations_restore_mpmath_precision():
         "7d0dca99e24d8c97fdb9c13b70f422e4c618671c27d6c85d4c5e803d9efb93b9")
     summary = json.loads(body)["summary"]
     assert (summary["records"], summary["failed"]) == (32, 0)
+
+
+_PINNED_EXPORTS = {
+    ("spheres", 0.39): {
+        "spheres.obj": "f611930ce3a214e34f8365e28bbe8e2151f07513a320b73aae55412fff629f78",
+        "spheres_manifest.json": "2f71230bc0ac87fb208efc63aec263216e56b4308f4a646ae2e489c0386bc6d2",
+    },
+    ("spheres", 0.41): {
+        "spheres.obj": "84a4ff8996def9267cfa620aaa463ad8f32854e0de1aa961dbe3d83e37f2f274",
+        "spheres_manifest.json": "aafd30b2b9b693918ba34bd058c11415caac88e43dd5ab67471bc65b8322788f",
+    },
+    ("limitset", 0.41): {
+        "limitset.obj": "c24f495c48f5df1e14e70cb6dacacc11fcd7fe1d370a98b2568638cb155e837a",
+        "limitset_manifest.json": "7721c1d5dd6010a6163a8bf1b13da8c83cb23819de928a5a42a31ba769e21ba2",
+    },
+}
+
+
+@pytest.mark.parametrize("kind,t", sorted(_PINNED_EXPORTS))
+def test_export_bytes_are_pinned(kind, t, tmp_path):
+    # regression oracle for the mesh and limit-set kernels at their default
+    # sizes (64x64 sphere grid, depth-5 words)
+    paths = export_geometry(kind, t, str(tmp_path))
+    got = {p.split("/")[-1]: hashlib.sha256(open(p, "rb").read()).hexdigest() for p in paths}
+    assert got == _PINNED_EXPORTS[(kind, t)]
