@@ -442,6 +442,10 @@ class HatArc:
         ss = np.linspace(self.s_minus, self.s_plus, n)
         return np.stack([self.arc.lift_at(float(s)) for s in ss])
 
+    def sample_angles(self, n: int = 33) -> np.ndarray:
+        """Chart angles of the points of :meth:`sample_lifts`, without lifting."""
+        return self.arc.angle_at(np.linspace(self.s_minus, self.s_plus, n))
+
 
 def hat_arc(arc: CrownArc, config: DirichletConfig,
             hits: Optional[List[Tuple[float, int]]] = None) -> HatArc:
@@ -777,9 +781,13 @@ def visible_component(config: DirichletConfig, hat: HatArc,
                       hat_samples: int = 400) -> VisibleComponent:
     """Flood-fill the affine disk of ``hat``'s circle from the hat arc.
 
-    Cells are seeded at the outermost free ring under each angle the hat
-    passes through (the hat itself lies on the circle), then grown through
-    the 4-neighborhood of sphere-free cells by :func:`seeded_components`.
+    Cells are seeded at the outermost free ring (of the last five) under
+    each angle column the hat passes through (the hat itself lies on the
+    circle), then grown through the 4-neighborhood of sphere-free cells by
+    :func:`seeded_components`.  The chart's backward map is a Heisenberg
+    translation by the circle centre and a positive dilation, so a hat
+    point's angle about the centre is its chart angle, read off the arc
+    without lifting the point.
     """
     circle = hat.arc.circle
     plane = AffineDisk(circle).plane
@@ -789,21 +797,22 @@ def visible_component(config: DirichletConfig, hat: HatArc,
     ang = (np.arange(nth) + 0.5) / nth * _TWO_PI
     z = center + rho[:, None] * np.exp(1j * ang)[None, :]
     v = -(plane.coeff_const + plane.coeff_x * z.real + plane.coeff_y * z.imag)
-    lifts = np.stack([((-np.abs(z) ** 2 + 1j * v) / 2.0).ravel(),
-                      z.ravel(),
-                      np.ones(nr * nth, dtype=complex)], axis=-1)
-    free = (np.max(config.side_matrix(lifts), axis=1) <= 0.0).reshape(nr, nth)
+    lifts = np.empty((nr, nth, 3), dtype=complex)
+    lifts[..., 0] = (-np.abs(z) ** 2 + 1j * v) / 2.0
+    lifts[..., 1] = z
+    lifts[..., 2] = 1.0
+    free = config.in_boundary_domain(lifts.reshape(-1, 3)).reshape(nr, nth)
 
-    seeds = set()
-    for lift in hat.sample_lifts(hat_samples):
-        w = complex(lift[1] / lift[2]) - center
-        j = int((math.atan2(w.imag, w.real) % _TWO_PI) / _TWO_PI * nth) % nth
-        for i in range(nr - 1, max(nr - 6, -1), -1):
-            if free[i, j]:
-                seeds.add((i, j))
-                break
+    cols = np.unique(_angle_columns(hat.sample_angles(hat_samples), nth))
+    rings = free[max(nr - 5, 0):, cols][::-1]
+    rows = nr - 1 - np.argmax(rings, axis=0)
+    hit = rings.any(axis=0)
+    return VisibleComponent(center, radius, seeded_components(free, zip(rows[hit], cols[hit])))
 
-    return VisibleComponent(center, radius, seeded_components(free, seeds))
+
+def _angle_columns(theta: np.ndarray, nth: int) -> np.ndarray:
+    """Column of each angle on a polar grid of ``nth`` equal angle columns."""
+    return (np.mod(theta, _TWO_PI) / _TWO_PI * nth).astype(int) % nth
 
 
 def seeded_components(free: np.ndarray, seeds: Iterable[Tuple[int, int]]) -> np.ndarray:

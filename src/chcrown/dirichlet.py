@@ -223,16 +223,36 @@ class DirichletConfig:
         run down contiguous columns.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=complex))
-        pu = pts @ self.spheres[0]._ru
-        near = pu * np.conj(pu)
+        near = _norm2(pts @ self.spheres[0]._ru)
         out = np.empty((len(self.spheres), pts.shape[0]))
         for k, s in enumerate(self.spheres):
-            pv = pts @ s._rv
-            out[k] = (near - pv * np.conj(pv)).real
+            out[k] = near - _norm2(pts @ s._rv)
         return out.T
 
     def in_boundary_domain(self, points: np.ndarray, tol: float = 0.0) -> np.ndarray:
-        return np.max(self.side_matrix(points), axis=1) <= tol
+        """Lift points outside or on every sphere: ``max(side_matrix) <= tol``.
+
+        Every side value is ``near - |<p, v_k>|^2``, and rounding of a
+        difference is monotone in what is subtracted, so the largest side
+        value is ``near`` minus the smallest ``|<p, v_k>|^2``: one difference
+        per point instead of the (n, 8) matrix, equal bit for bit.
+        ``np.minimum`` propagates NaN, so a non-finite row is never free.
+        """
+        pts = np.atleast_2d(np.asarray(points, dtype=complex))
+        near = _norm2(pts @ self.spheres[0]._ru)
+        far = _norm2(pts @ self.spheres[0]._rv)
+        for s in self.spheres[1:]:
+            np.minimum(far, _norm2(pts @ s._rv), out=far)
+        return near - far <= tol
+
+
+def _norm2(w: np.ndarray) -> np.ndarray:
+    """``|w|^2`` rounded as ``side_of_lifts`` rounds it.
+
+    numpy's complex product may fuse its multiply-add, so
+    ``w.real**2 + w.imag**2`` differs from it in the last bit.
+    """
+    return (w * np.conj(w)).real
 
 
 def _defining_sphere(gens: GeneratorSet, q0, k: int) -> Tuple[GroupElement, SpinalSphere]:

@@ -712,15 +712,20 @@ def limit_set_points(t: float, depth: int = 5) -> np.ndarray:
     Loxodromic fixed points accumulate on the limit set, so this cloud is
     a cheap, fully deterministic sketch of it.  Points at infinity and
     near-parabolic words are skipped; duplicates are collapsed on a 1e-9
-    grid.  Rows are ``(x, y, v)`` Heisenberg coordinates, sorted.
+    grid.  A word and its inverse share their fixed pair (swapped), so only
+    the first of the two to be visited is solved.  Rows are ``(x, y, v)``
+    Heisenberg coordinates, sorted.
     """
     gens = build_generators(t)
+    elements = {token: gens.element(token) for token in _LIMITSET_TOKENS}
+    solved = set()
     seen = set()
     rows = []
 
-    def visit(element, last_token: str, remaining: int):
-        cls = classify_isometry(element)
-        if cls.kind is IsometryClass.LOXODROMIC:
+    def visit(element, word: Tuple[str, ...], remaining: int):
+        inverse = tuple(_INVERSE_TOKEN[token] for token in reversed(word))
+        if inverse not in solved and classify_isometry(element).kind is IsometryClass.LOXODROMIC:
+            solved.add(word)
             try:
                 for vec in fixed_points_boundary(element):
                     u = np.asarray(vec.data, dtype=complex)
@@ -735,12 +740,12 @@ def limit_set_points(t: float, depth: int = 5) -> np.ndarray:
         if remaining == 0:
             return
         for token in _LIMITSET_TOKENS:
-            if last_token and token == _INVERSE_TOKEN[last_token]:
+            if token == _INVERSE_TOKEN[word[-1]]:
                 continue
-            visit(element @ gens.element(token), token, remaining - 1)
+            visit(element @ elements[token], word + (token,), remaining - 1)
 
     for token in _LIMITSET_TOKENS:
-        visit(gens.element(token), token, depth - 1)
+        visit(elements[token], (token,), depth - 1)
     return np.array(sorted(rows), dtype=float).reshape(-1, 3)
 
 

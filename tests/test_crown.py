@@ -408,3 +408,69 @@ def test_run_length_fill_joins_across_the_angular_seam():
                               [False, False, False, True],
                               [False, False, False, False]]
     assert not crown.seeded_components(free, [(1, 0)]).any()
+
+
+def _visible_component_reference(config, hat, nr, nth, hat_samples=400):
+    """Reference flood fill: the stacked (n, 8) side matrix and scalar hat lifts."""
+    circle = hat.arc.circle
+    plane = crown.AffineDisk(circle).plane
+    center = complex(circle.center.z)
+    radius = float(circle.radius)
+    rho = (np.arange(nr) + 0.5) / nr * radius
+    ang = (np.arange(nth) + 0.5) / nth * 2.0 * math.pi
+    z = center + rho[:, None] * np.exp(1j * ang)[None, :]
+    v = -(plane.coeff_const + plane.coeff_x * z.real + plane.coeff_y * z.imag)
+    lifts = np.stack([((-np.abs(z) ** 2 + 1j * v) / 2.0).ravel(),
+                      z.ravel(),
+                      np.ones(nr * nth, dtype=complex)], axis=-1)
+    free = (np.max(config.side_matrix(lifts), axis=1) <= 0.0).reshape(nr, nth)
+    seeds = set()
+    for lift in hat.sample_lifts(hat_samples):
+        j = _lifted_column(lift, center, nth)
+        for i in range(nr - 1, max(nr - 6, -1), -1):
+            if free[i, j]:
+                seeds.add((i, j))
+                break
+    return crown.seeded_components(free, seeds)
+
+
+def _lifted_column(lift, center, nth):
+    """Angle column of a lifted boundary point about the circle centre."""
+    w = complex(lift[1] / lift[2]) - center
+    return int((math.atan2(w.imag, w.real) % (2.0 * math.pi)) / (2.0 * math.pi) * nth) % nth
+
+
+linked_params = st.floats(min_value=0.4005, max_value=PARAM_MAX,
+                          allow_nan=False, allow_infinity=False)
+
+
+@given(linked_params, st.sampled_from(ARC_NAMES), st.integers(4, 64), st.integers(8, 256))
+@settings(max_examples=30, deadline=None)
+def test_visible_component_equals_the_reference(t, name, nr, nth):
+    config = DirichletConfig.build(t)
+    hat = arc_report(config, name).hat
+    got = crown.visible_component(config, hat, nr, nth).reach
+    assert np.array_equal(got, _visible_component_reference(config, hat, nr, nth))
+
+
+def test_visible_component_equals_the_reference_at_default_size(config_041):
+    for name in ARC_NAMES:
+        hat = arc_report(config_041, name).hat
+        got = crown.visible_component(config_041, hat).reach
+        assert got.shape == (128, 512) and got.any()
+        assert np.array_equal(got, _visible_component_reference(config_041, hat, 128, 512))
+
+
+@pytest.mark.parametrize("t", [0.3751, 0.39, 0.4005, 0.41, T_REAL])
+def test_seed_columns_from_arc_angles_equal_the_lifted_ones(t):
+    # the flood fill reads its seed columns off the chart angles; they must
+    # be the columns of the lifted hat points about the circle centre
+    config = DirichletConfig.build(t)
+    for name in ARC_NAMES:
+        hat = arc_report(config, name).hat
+        center = complex(hat.arc.circle.center.z)
+        lifts = hat.sample_lifts(400)
+        for nth in (8, 256, 512):
+            want = [_lifted_column(lift, center, nth) for lift in lifts]
+            got = crown._angle_columns(hat.sample_angles(400), nth)
+            assert got.tolist() == want

@@ -78,6 +78,34 @@ def test_side_matrix_shape_and_domain_predicate(config_039):
 
 
 @pytest.mark.parametrize("t", [0.3751, 0.39, 0.41, PARAM_MAX])
+def test_in_boundary_domain_is_the_side_matrix_maximum(t):
+    # sphere samples sit on a sphere, so their largest side value is a few
+    # ulps from zero and the predicate's rounding decides them
+    config = DirichletConfig.build(t)
+    rng = np.random.default_rng(7)
+    z = rng.normal(scale=2.0, size=512) + 1j * rng.normal(scale=2.0, size=512)
+    v = rng.normal(scale=4.0, size=512)
+    cloud = np.stack([(-np.abs(z) ** 2 + 1j * v) / 2.0, z, np.ones_like(z)], axis=-1)
+    pts = np.concatenate([s.sample_points(24) for s in config.spheres] + [cloud])
+    for tol in (0.0, 1e-8, -1e-8):
+        want = np.max(config.side_matrix(pts), axis=1) <= tol
+        assert np.array_equal(config.in_boundary_domain(pts, tol), want)
+
+
+def test_in_boundary_domain_fails_closed_on_non_finite_rows(config_041):
+    rows = []
+    for col in range(3):
+        for bad in (np.nan, np.inf, -np.inf, 1j * np.inf, complex(np.nan, 1.0)):
+            row = config_041.q0.copy()
+            row[col] = bad
+            rows.append(row)
+    with np.errstate(invalid="ignore", over="ignore"):
+        free = config_041.in_boundary_domain(np.array(rows))
+    assert config_041.in_boundary_domain(config_041.q0).tolist() == [True]
+    assert not free.any()
+
+
+@pytest.mark.parametrize("t", [0.3751, 0.39, 0.41, PARAM_MAX])
 def test_equivariance_certificates(t):
     config = DirichletConfig.build(t)
     assert symmetry_certificate(config) < 1e-10

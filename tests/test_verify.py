@@ -12,17 +12,31 @@ from hypothesis import given, settings, strategies as st
 from chcrown import (
     EXPORT_KINDS,
     GeometryError,
+    IsometryClass,
+    NearParabolicError,
     PARAM_MAX,
     PARAM_MIN,
     Record,
     Report,
     SUITE_NAMES,
     SweepConfig,
+    build_generators,
+    classify_isometry,
     export_geometry,
+    fixed_points_boundary,
     limit_set_points,
     run_suite,
 )
-from chcrown.verify import _emit_json, _f17, _rec, _residual_rec
+from chcrown import verify
+from chcrown.verify import (
+    _INVERSE_TOKEN,
+    _LIMITSET_TOKENS,
+    _emit_json,
+    _f17,
+    _heisenberg_xyz,
+    _rec,
+    _residual_rec,
+)
 
 
 def test_sweep_config_defaults_and_points():
@@ -201,6 +215,64 @@ def test_limit_set_points_are_deduplicated_and_sorted():
     assert len({tuple(np.round(row, 9)) for row in pts}) == len(pts)
 
 
+def _limit_set_points_every_word(t, depth):
+    """Reference limit set: solves every loxodromic word, inverses included.
+
+    Returns the rows and the number of fixed-point solves.
+    """
+    gens = build_generators(t)
+    seen, rows, solves = set(), [], [0]
+
+    def visit(element, last, remaining):
+        if classify_isometry(element).kind is IsometryClass.LOXODROMIC:
+            solves[0] += 1
+            try:
+                for vec in fixed_points_boundary(element):
+                    u = np.asarray(vec.data, dtype=complex)
+                    if abs(u[2]) > 1e-9 * float(np.max(np.abs(u))):
+                        x, y, v = _heisenberg_xyz(u)
+                        key = (round(x, 9), round(y, 9), round(v, 9))
+                        if key not in seen:
+                            seen.add(key)
+                            rows.append((x, y, v))
+            except (NearParabolicError, GeometryError):
+                pass
+        if remaining:
+            for token in _LIMITSET_TOKENS:
+                if token != _INVERSE_TOKEN[last]:
+                    visit(element @ gens.element(token), token, remaining - 1)
+
+    for token in _LIMITSET_TOKENS:
+        visit(gens.element(token), token, depth - 1)
+    return np.array(sorted(rows), dtype=float).reshape(-1, 3), solves[0]
+
+
+def test_limit_set_solves_each_inverse_pair_once(monkeypatch):
+    solves = []
+
+    def counted(element):
+        solves.append(element)
+        return fixed_points_boundary(element)
+
+    monkeypatch.setattr(verify, "fixed_points_boundary", counted)
+    got = limit_set_points(0.41, depth=4)
+    want, want_solves = _limit_set_points_every_word(0.41, 4)
+    assert 2 * len(solves) == want_solves
+    assert np.array_equal(got, want)
+
+
+def test_limit_set_only_drops_near_duplicate_rows():
+    # at this t the inverse words put near-duplicate fixed points across the
+    # 1e-9 dedupe grid; skipping them drops those rows and nothing else
+    got = limit_set_points(0.37517)
+    want, _ = _limit_set_points_every_word(0.37517, 5)
+    assert len(got) < len(want)
+    kept = {tuple(row) for row in want}
+    assert all(tuple(row) in kept for row in got)
+    gap = np.min(np.linalg.norm(want[:, None, :] - got[None, :, :], axis=-1), axis=1)
+    assert float(gap.max()) < 1e-7
+
+
 def test_small_all_sweep_report_is_pinned():
     # regression oracle for refactors of the sweep pipeline: these bytes must
     # not move unless a change of records is announced
@@ -227,6 +299,15 @@ def test_extended_relations_restore_mpmath_precision():
 
 
 _PINNED_EXPORTS = {
+    ("disks", 0.41): {
+        "disk_certificates.jsonl": "4a93b457eaddbf26f7c7cf4ac436dc0c1aa18c7d9f8bce03bba893d9c3506a32",
+        "disks.obj": "44e7069e9d2cf4b8b463307d27b0bbdcce3098ddf169d79a340c2397792460ef",
+        "disks_manifest.json": "f0a2c9f0be02e82a990aea86e3975e7253f1fbe652579f41729a45c2e08278ba",
+    },
+    ("limitset", 0.39): {
+        "limitset.obj": "dbf28a1be88e7a59f53161cf1cf90a89e792541a7572c6066483cab38ff079bd",
+        "limitset_manifest.json": "ddab713cc2ffbc8ae71e6c5b0c10318dfaeac60d63e5f96225bd30c69d8d4859",
+    },
     ("spheres", 0.39): {
         "spheres.obj": "f611930ce3a214e34f8365e28bbe8e2151f07513a320b73aae55412fff629f78",
         "spheres_manifest.json": "2f71230bc0ac87fb208efc63aec263216e56b4308f4a646ae2e489c0386bc6d2",
@@ -244,8 +325,8 @@ _PINNED_EXPORTS = {
 
 @pytest.mark.parametrize("kind,t", sorted(_PINNED_EXPORTS))
 def test_export_bytes_are_pinned(kind, t, tmp_path):
-    # regression oracle for the mesh and limit-set kernels at their default
-    # sizes (64x64 sphere grid, depth-5 words)
+    # regression oracle for the mesh, limit-set and disk-ladder kernels at
+    # their default sizes (64x64 sphere grid, depth-5 words, 128x512 fills)
     paths = export_geometry(kind, t, str(tmp_path))
     got = {p.split("/")[-1]: hashlib.sha256(open(p, "rb").read()).hexdigest() for p in paths}
     assert got == _PINNED_EXPORTS[(kind, t)]
