@@ -37,7 +37,7 @@ def _sweep_options(fn):
         click.option("--precision", type=click.Choice(["double", "extended"]),
                      default="double", show_default=True,
                      help="extended evaluates the relations suite's generator matrices in "
-                          "40-digit mpmath arithmetic; the other suites always run in double."),
+                          "40-digit mpmath arithmetic; other suites run in double and reject it."),
         click.option("--jobs", type=int, default=1, show_default=True,
                      help="Worker processes; each takes one parameter (all suites) at a time."),
     ]

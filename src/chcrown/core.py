@@ -9,18 +9,25 @@ where the boundary minus a point at infinity carries Heisenberg coordinates
 This module provides the form, Hermitian/box products, holomorphic
 isometries as 3x3 matrices, a closed-form eigensolver for 3x3 complex
 matrices, trace-based classification of isometries, boundary fixed points,
-complex reflections, and the distance function.  Everything here accepts either machine-precision scalars or
-mpmath scalars (see :mod:`chcrown._scalars`).
+complex reflections, and the distance function.  Everything here works in
+double precision: ``complex128`` arrays and ``float``/``complex`` scalars.
+The form, group products, inverses, ``det3``, complex reflections and the
+trace discriminant use plain arithmetic only, so they also run on object
+arrays of extended-precision scalars; the extended path of
+:mod:`chcrown.triangle` relies on that.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _scalars as sc
+#: unit roundoff of double precision
+_EPS = 2.220446049250313e-16
 
 # Tolerance policy (shared across the package):
 #   EPS_ALG     algebraic identities that hold exactly in exact arithmetic
@@ -64,7 +71,7 @@ class HermitianForm:
         v = _data(v)
         w = _data(w)
         jv = self.matrix @ v
-        return (sc.conj_vec(w) * jv).sum()
+        return (np.conj(w) * jv).sum()
 
 
 SIEGEL_FORM = HermitianForm(
@@ -111,13 +118,23 @@ def hermitian_product(v, w, form: HermitianForm = SIEGEL_FORM):
     return form.product(v, w)
 
 
+def _abs2(x):
+    """|x|^2 without the square root, rounded as ``re*re + im*im``."""
+    return x.real * x.real + x.imag * x.imag
+
+
+def _max_abs(a: np.ndarray) -> float:
+    """Largest modulus of the entries, one scalar ``abs`` each."""
+    return max(float(abs(x)) for x in np.asarray(a).ravel())
+
+
 def norm_type(v, form: HermitianForm = SIEGEL_FORM, tol: float = EPS_ALG) -> NormType:
     v = _data(v)
     s = form.product(v, v)
-    scale = sum(sc.abs2(x) for x in v)
+    scale = sum(_abs2(x) for x in v)
     if scale == 0:
         raise GeometryError("zero vector has no norm type")
-    rel = sc.to_float(sc.re(s)) / sc.to_float(scale)
+    rel = float(s.real) / float(scale)
     if rel > tol:
         return NormType.POSITIVE
     if rel < -tol:
@@ -139,9 +156,9 @@ def box_product(v, w, form: HermitianForm = SIEGEL_FORM):
             v[2] * w[0] - v[0] * w[2],
             v[0] * w[1] - v[1] * w[0],
         ],
-        dtype=v.dtype if v.dtype == object else complex,
+        dtype=complex,
     )
-    return form.matrix @ sc.conj_vec(cross)
+    return form.matrix @ np.conj(cross)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,7 +178,7 @@ class GroupElement:
     def inverse(self) -> "GroupElement":
         # M^H J M = J  gives  M^{-1} = J^{-1} M^H J; both forms are involutive.
         j = self.form.matrix
-        mh = sc.conj_vec(self.matrix).T
+        mh = np.conj(self.matrix).T
         return GroupElement(j @ mh @ j, self.form, _invert_word(self.word))
 
     def apply(self, v):
@@ -219,11 +236,11 @@ def adjugate3(m: np.ndarray) -> np.ndarray:
             m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0],
         ],
     ]
-    return sc.as_matrix(c) if m.dtype == object else np.array(c, dtype=complex)
+    return np.array(c, dtype=complex)
 
 
 def solve3(m: np.ndarray, b: np.ndarray):
-    """Cramer solve of a 3x3 system (works for object arrays)."""
+    """Cramer solve of a 3x3 system."""
     d = det3(m)
     if abs(d) == 0:
         raise ZeroDivisionError("singular 3x3 system")
@@ -232,17 +249,11 @@ def solve3(m: np.ndarray, b: np.ndarray):
         mj = m.copy()
         mj[:, j] = b
         cols.append(det3(mj) / d)
-    return sc.as_vector(cols)
+    return np.array(cols, dtype=complex)
 
 
 def _cbrt(z):
     """Principal complex cube root."""
-    if sc.is_mp(z):
-        import mpmath
-
-        return mpmath.cbrt(z)
-    import cmath
-
     if z == 0:
         return 0.0 + 0.0j
     return cmath.exp(cmath.log(z) / 3.0)
@@ -278,7 +289,7 @@ def eigvals3(m: np.ndarray):
     p = minors - 3 * s * s
     q = minors * s - 2 * s**3 - det
     disc = (q / 2) ** 2 + (p / 3) ** 3
-    sq = sc.sqrt(disc) if sc.is_mp(disc) or isinstance(disc, complex) else sc.sqrt(complex(disc))
+    sq = cmath.sqrt(disc)
     u = _cbrt(-q / 2 + sq)
     if abs(u) < 1e-30:
         u = _cbrt(-q / 2 - sq)
@@ -286,45 +297,41 @@ def eigvals3(m: np.ndarray):
         mus = [0 * s, 0 * s, 0 * s]
     else:
         v = -p / (3 * u)
-        w = sc.make_complex(-0.5, sc.sqrt(3.0) / 2) if not sc.is_mp(u) else None
-        if w is None:
-            import mpmath
-
-            w = mpmath.mpc(-0.5, mpmath.sqrt(3) / 2)
+        w = complex(-0.5, math.sqrt(3.0) / 2)
         mus = [u + v, w * u + w.conjugate() * v, w.conjugate() * u + w * v]
     return [mu + s for mu in mus]
 
 
 def _eigvec(m: np.ndarray, lam) -> np.ndarray:
     """Unit eigenvector of ``m`` for the eigenvalue ``lam``."""
-    eps = sc.eps_for(m[0, 0] if m.dtype == object else 1.0)
-    scale = sc.max_abs(m) + 1.0
+    eps = _EPS
+    scale = _max_abs(m) + 1.0
     eye = np.eye(3, dtype=complex)
     a = m - lam * eye
     adj = adjugate3(a)
-    norms = [float(sum(sc.abs2(adj[i, j]) for i in range(3))) for j in range(3)]
+    norms = [float(sum(_abs2(adj[i, j]) for i in range(3))) for j in range(3)]
     jbest = int(np.argmax(norms))
     if norms[jbest] > (eps * scale * scale) ** 2:
         v = adj[:, jbest].copy()
     else:
         # Adjugate vanished: the eigenvalue has a 2-dim eigenspace. Take any
         # vector annihilated by the largest row of a.
-        rn = [float(sum(sc.abs2(a[i, j]) for j in range(3))) for i in range(3)]
+        rn = [float(sum(_abs2(a[i, j]) for j in range(3))) for i in range(3)]
         i = int(np.argmax(rn))
         r = a[i]
         if rn[i] <= (eps * scale) ** 2:
             return np.array([1, 0, 0], dtype=complex)  # a ~ 0: anything works
-        k = int(np.argmax([sc.abs2(x) for x in r]))
-        v = np.zeros(3, dtype=m.dtype if m.dtype == object else complex)
+        k = int(np.argmax([_abs2(x) for x in r]))
+        v = np.zeros(3, dtype=complex)
         k2 = (k + 1) % 3
         v[k] = -r[k2]
         v[k2] = r[k]
-    v = v / sc.sqrt(sum(sc.abs2(x) for x in v))
+    v = v / math.sqrt(sum(_abs2(x) for x in v))
     # One step of shifted inverse iteration to polish.
     shift = lam + (64 * eps * scale) * (1 if abs(lam) == 0 else lam / abs(lam))
     try:
         y = solve3(m - shift * eye, v)
-        v = y / sc.sqrt(sum(sc.abs2(x) for x in y))
+        v = y / math.sqrt(sum(_abs2(x) for x in y))
     except ZeroDivisionError:
         pass
     return v
@@ -363,9 +370,9 @@ def trace_discriminant(tau) -> float:
     ``tau`` by a cube root of unity multiple, so it does not depend on the
     choice of matrix lift.
     """
-    a2 = sc.abs2(tau)
+    a2 = _abs2(tau)
     t3 = tau * tau * tau
-    return sc.to_float(a2 * a2 - 8 * sc.re(t3) + 18 * a2 - 27)
+    return float(a2 * a2 - 8 * t3.real + 18 * a2 - 27)
 
 
 def classify_isometry(g: GroupElement, eps: float = EPS_CLASS) -> Classification:
@@ -380,12 +387,12 @@ def classify_isometry(g: GroupElement, eps: float = EPS_CLASS) -> Classification
     tau = g.trace
     disc = trace_discriminant(tau)
     if disc > eps:
-        return Classification(IsometryClass.LOXODROMIC, True, disc, sc.to_complex(tau))
+        return Classification(IsometryClass.LOXODROMIC, True, disc, complex(tau))
     if disc < -eps:
-        return Classification(IsometryClass.ELLIPTIC, True, disc, sc.to_complex(tau))
+        return Classification(IsometryClass.ELLIPTIC, True, disc, complex(tau))
 
     lams = eigvals3(g.matrix)
-    scale = sc.max_abs(g.matrix) + 1.0
+    scale = _max_abs(g.matrix) + 1.0
     gaps = [
         (abs(lams[0] - lams[1]), 2), (abs(lams[1] - lams[2]), 0), (abs(lams[0] - lams[2]), 1),
     ]
@@ -394,16 +401,16 @@ def classify_isometry(g: GroupElement, eps: float = EPS_CLASS) -> Classification
     eye = np.eye(3, dtype=complex)
     if spread < 1e-5 * scale:
         lam = (lams[0] + lams[1] + lams[2]) / 3
-        defect = sc.max_abs(g.matrix - lam * eye)
+        defect = _max_abs(g.matrix - lam * eye)
         kind = IsometryClass.ELLIPTIC if defect < 1e-8 * scale else IsometryClass.PARABOLIC
-        return Classification(kind, False, disc, sc.to_complex(tau))
+        return Classification(kind, False, disc, complex(tau))
     # double root: the two closest eigenvalues
     _, odd = gaps[0]
     lam = sum(lams[i] for i in range(3) if i != odd) / 2
     adj = adjugate3(g.matrix - lam * eye)
-    diagonalizable = sc.max_abs(adj) < 1e-6 * scale * scale
+    diagonalizable = _max_abs(adj) < 1e-6 * scale * scale
     kind = IsometryClass.ELLIPTIC if diagonalizable else IsometryClass.PARABOLIC
-    return Classification(kind, False, disc, sc.to_complex(tau))
+    return Classification(kind, False, disc, complex(tau))
 
 
 def fixed_points_boundary(g: GroupElement, min_separation: float = 1e-6):
@@ -445,15 +452,11 @@ def complex_reflection_from_polar(c, form: HermitianForm = SIEGEL_FORM,
     """
     c = _data(c)
     cc = form.product(c, c)
-    if sc.to_float(sc.re(cc)) <= 0:
+    if cc.real <= 0:
         raise GeometryError("polar vector of a complex reflection must be positive type")
     j = form.matrix
-    outer = np.outer(c, sc.conj_vec(c) @ j)
-    if c.dtype == object:
-        eye = sc.as_matrix([[1 if i == k else 0 for k in range(3)] for i in range(3)])
-    else:
-        eye = np.eye(3, dtype=complex)
-    return GroupElement(-eye + (2 / cc) * outer, form, word)
+    outer = np.outer(c, np.conj(c) @ j)
+    return GroupElement(-np.eye(3, dtype=complex) + (2 / cc) * outer, form, word)
 
 
 # ---------------------------------------------------------------------------
@@ -469,22 +472,15 @@ def distance(p, q, form: HermitianForm = SIEGEL_FORM):
     """
     p = _data(p)
     q = _data(q)
-    pp = sc.re(form.product(p, p))
-    qq = sc.re(form.product(q, q))
-    if sc.to_float(pp) >= 0 or sc.to_float(qq) >= 0:
+    pp = form.product(p, p).real
+    qq = form.product(q, q).real
+    if pp >= 0 or qq >= 0:
         raise GeometryError("distance needs negative-type lifts")
     pq = form.product(p, q)
-    ratio = sc.abs2(pq) / (pp * qq)
-    one = ratio * 0 + 1
-    if ratio < one:
-        ratio = one
-    if sc.is_mp(ratio):
-        import mpmath
-
-        return 2 * mpmath.acosh(mpmath.sqrt(ratio))
-    import math
-
-    return 2.0 * math.acosh(math.sqrt(sc.to_float(ratio)))
+    ratio = _abs2(pq) / (pp * qq)
+    if ratio < 1.0:
+        ratio = 1.0
+    return 2.0 * math.acosh(math.sqrt(float(ratio)))
 
 
 def projective_distance(v, w) -> float:
@@ -498,10 +494,10 @@ def projective_distance(v, w) -> float:
             v[0] * w[1] - v[1] * w[0],
         ]
     )
-    nv = sc.sqrt(sum(sc.abs2(x) for x in v))
-    nw = sc.sqrt(sum(sc.abs2(x) for x in w))
-    nc = sc.sqrt(sum(sc.abs2(x) for x in cross))
-    return sc.to_float(nc / (nv * nw))
+    nv = math.sqrt(sum(_abs2(x) for x in v))
+    nw = math.sqrt(sum(_abs2(x) for x in w))
+    nc = math.sqrt(sum(_abs2(x) for x in cross))
+    return float(nc / (nv * nw))
 
 
 def projectively_equal(v, w, tol: float = EPS_ALG) -> bool:
@@ -515,6 +511,6 @@ def matrix_phase_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Distance between SU(2,1) matrices up to a cube-root-of-unity phase."""
     a = np.asarray(a)
     b = np.asarray(b)
-    scale = max(sc.max_abs(a), sc.max_abs(b), 1e-300)
-    return min(sc.max_abs(a - w * b) for w in _CUBE_ROOTS) / scale
+    scale = max(_max_abs(a), _max_abs(b), 1e-300)
+    return min(_max_abs(a - w * b) for w in _CUBE_ROOTS) / scale
 

@@ -23,7 +23,6 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ._scalars import working_precision
 from .core import (
     EPS_TANGENT,
     GeometryError,
@@ -203,12 +202,11 @@ class DirichletConfig:
     spheres: Tuple[SpinalSphere, ...]
 
     @classmethod
-    def build(cls, t: float, extended: bool = False) -> "DirichletConfig":
-        gens = build_generators(t, extended=extended)
-        q0 = np.asarray(gens.q0.data, dtype=complex) if not extended else gens.q0.data
-        with working_precision(extended):
-            words, spheres = zip(*(_defining_sphere(gens, q0, k) for k in CANONICAL_INDICES))
-        return cls(gens, np.asarray(q0, dtype=complex), words, spheres)
+    def build(cls, t: float) -> "DirichletConfig":
+        gens = build_generators(t)
+        q0 = gens.q0.data
+        words, spheres = zip(*(_defining_sphere(gens, q0, k) for k in CANONICAL_INDICES))
+        return cls(gens, q0, words, spheres)
 
     def sphere(self, k: int) -> SpinalSphere:
         return self.spheres[canonical_index(k) - 1]
@@ -259,9 +257,7 @@ def _defining_sphere(gens: GeneratorSet, q0, k: int) -> Tuple[GroupElement, Spin
     """The word ``w_k`` and the sphere of the bisector of ``q0`` and ``w_k q0``."""
     word = defining_word(k)
     w = gens.evaluate_word(word)
-    u = np.asarray(q0, dtype=complex)
-    v = np.asarray(w.apply(q0), dtype=complex)
-    return w, SpinalSphere(k, word, u, v)
+    return w, SpinalSphere(k, word, q0, w.apply(q0))
 
 
 def sphere_at(t: float, k: int) -> SpinalSphere:
@@ -272,7 +268,7 @@ def sphere_at(t: float, k: int) -> SpinalSphere:
     sphere many times over ``t``.
     """
     gens = build_generators(t)
-    return _defining_sphere(gens, np.asarray(gens.q0.data, dtype=complex), canonical_index(k))[1]
+    return _defining_sphere(gens, gens.q0.data, canonical_index(k))[1]
 
 
 def symmetry_certificate(config: DirichletConfig) -> float:

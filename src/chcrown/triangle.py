@@ -9,27 +9,38 @@ Three positive polar vectors ``n1, n2, n3`` determine complex reflections
 At the right endpoint of the interval every matrix entry is real and the
 group sits inside SO(2,1); at the left endpoint ``g1`` degenerates from
 loxodromic to parabolic.
+
+Everything runs in double precision except one cross-check: with
+``extended=True`` the generators and the residuals the ``relations`` suite
+records are computed in ``EXTENDED_DPS``-digit mpmath arithmetic, in object
+arrays of mpmath scalars.  This is the only module that imports mpmath, and
+only when that path runs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
-from . import _scalars as sc
 from .core import (
     EPS_ALG,
+    EPS_CLASS,
     GeometryError,
     GroupElement,
+    IsometryClass,
     SIEGEL_FORM,
     Vector3C,
+    _cbrt,
+    classify_isometry,
     complex_reflection_from_polar,
     det3,
     identity_element,
     matrix_phase_distance,
+    trace_discriminant,
 )
 
 PARAM_MIN = 0.375
@@ -39,6 +50,9 @@ T_REAL = PARAM_MAX
 
 _RANGE_SLACK = 1e-12
 
+#: decimal digits of the extended mode (roughly double-double)
+EXTENDED_DPS = 40
+
 
 def validate_param(t: float, strict_interior: bool = False) -> float:
     """Check ``t`` against the closed parameter interval and return it.
@@ -46,7 +60,7 @@ def validate_param(t: float, strict_interior: bool = False) -> float:
     ``strict_interior`` additionally rejects the left endpoint, where the
     word ``g1`` is parabolic and axis-based constructions degenerate.
     """
-    tf = sc.to_float(t)
+    tf = float(t)
     if not (PARAM_MIN - _RANGE_SLACK <= tf <= PARAM_MAX + _RANGE_SLACK):
         raise GeometryError(
             f"parameter t={tf!r} outside [{PARAM_MIN}, {PARAM_MAX:.17g}]"
@@ -74,43 +88,82 @@ class Coefficients:
     ball_a: object
 
 
-def coefficients(t: float, extended: bool = False) -> Coefficients:
-    validate_param(t)
-    with sc.working_precision(extended):
-        tt = sc.promote(t, extended)
-        a = sc.sqrt_clamped(6 * tt - 2)
-        b = sc.sqrt_clamped(-tt * tt - 2 * tt + 1)
-        c = sc.sqrt_clamped((8 * tt - 3) / (4 * tt - 1 - 2 * tt * a))
-        ball_a = 1 / (2 * sc.sqrt(1 - 2 * tt))
+@contextlib.contextmanager
+def _arithmetic(extended: bool):
+    """Yield ``mpmath`` at ``EXTENDED_DPS`` digits, or ``None`` in double mode.
+
+    A caller already working at more digits keeps them, and the caller's
+    precision comes back on exit.
+    """
+    if not extended:
+        yield None
+        return
+    import mpmath
+
+    with mpmath.workdps(max(mpmath.mp.dps, EXTENDED_DPS)):
+        yield mpmath
+
+
+def _sqrt_clamped(x, sqrt):
+    """Real square root of ``x`` where tiny negative dust is clamped to 0.
+
+    Raises ``ValueError`` when ``x`` is below -1e-12; this guards radicands
+    that are nonnegative in exact arithmetic but can round just below zero
+    at the ends of the parameter interval.
+    """
+    if x < -1e-12:
+        raise ValueError(f"radicand {x!r} is negative beyond roundoff")
+    return sqrt(x if x > 0 else x * 0)
+
+
+def _coefficients(t, mp) -> Coefficients:
+    """Coefficients in mpmath scalars when ``mp`` is the module, else in floats."""
+    tt = mp.mpf(t) if mp else t
+    sqrt = mp.sqrt if mp else math.sqrt
+    a = _sqrt_clamped(6 * tt - 2, sqrt)
+    b = _sqrt_clamped(-tt * tt - 2 * tt + 1, sqrt)
+    c = _sqrt_clamped((8 * tt - 3) / (4 * tt - 1 - 2 * tt * a), sqrt)
+    ball_a = 1 / (2 * sqrt(1 - 2 * tt))
     return Coefficients(tt, a, b, c, ball_a)
 
 
-def polar_vectors(t: float, extended: bool = False):
-    """Polar vectors of the three mirrors, in the Siegel model.
+def coefficients(t: float) -> Coefficients:
+    validate_param(t)
+    return _coefficients(t, None)
 
-    All three are unit vectors: <n_i, n_i> = 1.  ``n1`` and ``n2`` do not
-    depend on ``t``; ``n3`` carries the deformation.
-    """
-    co = coefficients(t, extended)
+
+def _polar_vectors(co: Coefficients, mp):
+    """Polar vectors as object arrays when ``mp`` is mpmath, else ``complex128``."""
     tt, a, b = co.t, co.a, co.b
-    with sc.working_precision(extended):
-        one = tt * 0 + 1
-        r2 = sc.sqrt(one * 2)
-        s = 1 / (2 * sc.sqrt(1 - 2 * tt))
-        n1 = sc.as_vector([one * 0, one, one * 0])
-        n2 = sc.as_vector([one / 2, r2 / 2, one / 2])
-        n3 = sc.as_vector(
-            [
-                s * r2 / 2 * (a + 1),
-                s * sc.make_complex(-tt, b),
-                s * r2 / 2 * (1 - a),
-            ]
-        )
+    sqrt = mp.sqrt if mp else math.sqrt
+    dtype = object if mp else complex
+    one = tt * 0 + 1
+    r2 = sqrt(one * 2)
+    s = 1 / (2 * sqrt(1 - 2 * tt))
+    n1 = np.array([one * 0, one, one * 0], dtype=dtype)
+    n2 = np.array([one / 2, r2 / 2, one / 2], dtype=dtype)
+    n3 = np.array(
+        [
+            s * r2 / 2 * (a + 1),
+            s * (mp.mpc if mp else complex)(-tt, b),
+            s * r2 / 2 * (1 - a),
+        ],
+        dtype=dtype,
+    )
     return (
         Vector3C(n1, SIEGEL_FORM),
         Vector3C(n2, SIEGEL_FORM),
         Vector3C(n3, SIEGEL_FORM),
     )
+
+
+def polar_vectors(t: float):
+    """Polar vectors of the three mirrors, in the Siegel model.
+
+    All three are unit vectors: <n_i, n_i> = 1.  ``n1`` and ``n2`` do not
+    depend on ``t``; ``n3`` carries the deformation.
+    """
+    return _polar_vectors(coefficients(t), None)
 
 
 # Lift of the common fixed point of I1 and I2 (the rotation center of g2).
@@ -144,13 +197,12 @@ class GeneratorSet:
     g1: GroupElement
     g2: GroupElement
     g3: GroupElement
+    #: matrices hold mpmath scalars (see :func:`build_generators`)
+    extended: bool = False
 
     @property
     def q0(self) -> Vector3C:
         """Negative lift of the Dirichlet center (fixed point of g2)."""
-        if sc.is_mp(self.coeffs.t):
-            one = self.coeffs.t * 0 + 1
-            return Vector3C(sc.as_vector([-one, one * 0, one]), SIEGEL_FORM)
         return Q0
 
     def element(self, token: str) -> GroupElement:
@@ -176,7 +228,7 @@ class GeneratorSet:
         out = identity_element(SIEGEL_FORM)
         for tok in tokens:
             out = out @ self.element(tok)
-        return _renormalize_det(out)
+        return _renormalize_det(out, self.extended)
 
     def involution_a(self, k: int) -> GroupElement:
         """The k-th of the eight involutions bounding the Dirichlet domain.
@@ -203,32 +255,42 @@ def _parse_token(token: str):
     return token, False
 
 
-def _renormalize_det(g: GroupElement) -> GroupElement:
+def _renormalize_det(g: GroupElement, extended: bool) -> GroupElement:
     d = det3(g.matrix)
     # d is a unit-modulus complex number for exact group elements; divide by
     # its cube root to pin det = 1 without disturbing the projective class.
-    from .core import _cbrt
+    if extended:
+        import mpmath
 
-    r = _cbrt(d)
+        r = mpmath.cbrt(d)
+    else:
+        r = _cbrt(d)
     return GroupElement(g.matrix / r, g.form, g.word)
+
+
+def _generator_set(t: float, mp) -> GeneratorSet:
+    co = _coefficients(t, mp)
+    n1, n2, n3 = _polar_vectors(co, mp)
+    i1 = complex_reflection_from_polar(n1, SIEGEL_FORM, "I1")
+    i2 = complex_reflection_from_polar(n2, SIEGEL_FORM, "I2")
+    i3 = complex_reflection_from_polar(n3, SIEGEL_FORM, "I3")
+    g1 = GroupElement((i3 @ i2 @ i1 @ i2).matrix, SIEGEL_FORM, "g1")
+    g2 = GroupElement((i2 @ i1).matrix, SIEGEL_FORM, "g2")
+    g3 = GroupElement((i1 @ i2 @ i3 @ i2).matrix, SIEGEL_FORM, "g3")
+    return GeneratorSet(float(t), co, n1, n2, n3, i1, i2, i3, g1, g2, g3, mp is not None)
 
 
 def build_generators(t: float, extended: bool = False) -> GeneratorSet:
     """Construct the full generator set at parameter ``t``.
 
-    Extended mode computes at ``_scalars.EXTENDED_DPS`` digits and leaves the
-    caller's mpmath precision as it found it.
+    Extended mode computes at ``EXTENDED_DPS`` digits and leaves the
+    caller's mpmath precision as it found it.  Words evaluated later run at
+    the caller's precision; :func:`relation_values` keeps them at
+    ``EXTENDED_DPS`` digits too.
     """
-    co = coefficients(t, extended)
-    n1, n2, n3 = polar_vectors(t, extended)
-    with sc.working_precision(extended):
-        i1 = complex_reflection_from_polar(n1, SIEGEL_FORM, "I1")
-        i2 = complex_reflection_from_polar(n2, SIEGEL_FORM, "I2")
-        i3 = complex_reflection_from_polar(n3, SIEGEL_FORM, "I3")
-        g1 = GroupElement((i3 @ i2 @ i1 @ i2).matrix, SIEGEL_FORM, "g1")
-        g2 = GroupElement((i2 @ i1).matrix, SIEGEL_FORM, "g2")
-        g3 = GroupElement((i1 @ i2 @ i3 @ i2).matrix, SIEGEL_FORM, "g3")
-    return GeneratorSet(sc.to_float(t), co, n1, n2, n3, i1, i2, i3, g1, g2, g3)
+    validate_param(t)
+    with _arithmetic(extended) as mp:
+        return _generator_set(t, mp)
 
 
 @dataclass(frozen=True)
@@ -255,7 +317,7 @@ def max_imag_entry(gens: GeneratorSet) -> float:
     worst = 0.0
     for el in (gens.i1, gens.i2, gens.i3, gens.g1, gens.g2, gens.g3):
         for x in np.asarray(el.matrix).ravel():
-            worst = max(worst, abs(sc.to_float(sc.im(x))))
+            worst = max(worst, abs(float(x.imag)))
     return worst
 
 
@@ -270,7 +332,43 @@ def trace_identity_residual(gens: GeneratorSet) -> float:
     """|tr(I1 I3 I2 I3) - (4 ball_a^2 - 1)|, an exact identity of the family."""
     w = gens.evaluate_word("I1 I3 I2 I3")
     expected = 4 * gens.coeffs.ball_a ** 2 - 1
-    return sc.to_float(abs(w.trace - expected))
+    return float(abs(w.trace - expected))
+
+
+@dataclass(frozen=True)
+class RelationValues:
+    """Everything the ``relations`` suite records at one parameter."""
+
+    relations: Dict[str, float]
+    trace_identity: float
+    conjugation: float
+    g1_discriminant: float
+    g1_loxodromic: bool
+
+
+def relation_values(t: float, extended: bool = False) -> RelationValues:
+    """Relation, trace-identity and conjugation residuals and the class of
+    ``g1`` at ``t``.
+
+    In extended mode the generators and every value are computed inside one
+    ``EXTENDED_DPS``-digit context, and the caller's precision comes back.
+    """
+    validate_param(t)
+    with _arithmetic(extended) as mp:
+        gens = _generator_set(t, mp)
+        if mp:
+            # classify_isometry calls g1 loxodromic exactly when the
+            # discriminant exceeds EPS_CLASS; reading that alone keeps its
+            # double-precision eigensolver away from mpmath scalars
+            disc = trace_discriminant(gens.g1.trace)
+            loxodromic = disc > EPS_CLASS
+        else:
+            cls = classify_isometry(gens.g1)
+            disc, loxodromic = cls.discriminant, cls.kind is IsometryClass.LOXODROMIC
+        return RelationValues(relation_certificate(gens).residuals,
+                              trace_identity_residual(gens),
+                              conjugation_residual(gens),
+                              disc, loxodromic)
 
 
 def real_point_matrices() -> dict:

@@ -28,7 +28,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import crown
-from ._scalars import working_precision
 from .core import (
     GeometryError,
     IsometryClass,
@@ -56,11 +55,9 @@ from .triangle import (
     PARAM_MIN,
     T_REAL,
     build_generators,
-    conjugation_residual,
     max_imag_entry,
     real_point_matrices,
-    relation_certificate,
-    trace_identity_residual,
+    relation_values,
     validate_param,
 )
 
@@ -277,11 +274,13 @@ class Scene:
 
     The double-precision configuration and each crown arc's report are
     computed on first use and at most once; a sweep builds one scene per
-    ``t`` and drops it when the point is done.
+    ``t`` and drops it when the point is done.  ``extended`` asks the
+    ``relations`` cell for its 40-digit cross-check.
     """
 
-    def __init__(self, t: float):
+    def __init__(self, t: float, extended: bool = False):
         self.t = t
+        self.extended = extended
         self._arcs: Dict[str, crown.ArcReport] = {}
 
     @cached_property
@@ -301,42 +300,38 @@ EPS_REL = 1e-10
 EPS_TRACE = 1e-12
 
 
-def _relations_cell(scene: Scene, precision: str) -> List[Record]:
+def _relations_cell(scene: Scene) -> List[Record]:
     # generators at the requested precision, not the scene's double ones
     t = scene.t
-    with working_precision(precision == "extended"):
-        gens = build_generators(t, extended=(precision == "extended"))
-        out = []
-        rel = relation_certificate(gens)
-        for word in sorted(rel.residuals):
-            out.append(_residual_rec("relations", t, f"relation:{word}", rel.residuals[word], EPS_REL))
-        out.append(_residual_rec("relations", t, "trace-identity", trace_identity_residual(gens), EPS_TRACE))
-        out.append(_residual_rec("relations", t, "conjugate-g3", conjugation_residual(gens), EPS_REL))
-        if t >= SWEEP_T_MIN - 1e-12:
-            cls = classify_isometry(gens.g1)
-            out.append(_rec("relations", t, "g1-loxodromic", cls.discriminant,
-                            cls.discriminant, cls.kind is IsometryClass.LOXODROMIC))
-    return out
-
-
-def _relations_global(precision: str) -> List[Record]:
+    rel = relation_values(t, scene.extended)
     out = []
-    with working_precision(precision == "extended"):
-        left = build_generators(PARAM_MIN, extended=(precision == "extended"))
-        disc = abs(classify_isometry(left.g1).discriminant)
-        out.append(_residual_rec("relations", PARAM_MIN, "g1-parabolic-at-left", disc, 1e-8))
-        real = build_generators(T_REAL, extended=(precision == "extended"))
-        out.append(_residual_rec("relations", T_REAL, "real-point-max-imag",
-                                 max_imag_entry(real), 1e-12))
-        reference = real_point_matrices()
-        for name in ("g1", "g2", "g3"):
-            got = np.asarray(getattr(real, name).matrix, dtype=complex)
-            dist = matrix_phase_distance(got, reference[name])
-            out.append(_residual_rec("relations", T_REAL, f"real-point-{name}", dist, 1e-12))
+    for word in sorted(rel.relations):
+        out.append(_residual_rec("relations", t, f"relation:{word}", rel.relations[word], EPS_REL))
+    out.append(_residual_rec("relations", t, "trace-identity", rel.trace_identity, EPS_TRACE))
+    out.append(_residual_rec("relations", t, "conjugate-g3", rel.conjugation, EPS_REL))
+    if t >= SWEEP_T_MIN - 1e-12:
+        out.append(_rec("relations", t, "g1-loxodromic", rel.g1_discriminant,
+                        rel.g1_discriminant, rel.g1_loxodromic))
     return out
 
 
-def _dirichlet_cell(scene: Scene, precision: str) -> List[Record]:
+def _relations_global(extended: bool) -> List[Record]:
+    out = []
+    disc = abs(relation_values(PARAM_MIN, extended).g1_discriminant)
+    out.append(_residual_rec("relations", PARAM_MIN, "g1-parabolic-at-left", disc, 1e-8))
+    # reading entries and converting them to complex128 needs no 40-digit context
+    real = build_generators(T_REAL, extended)
+    out.append(_residual_rec("relations", T_REAL, "real-point-max-imag",
+                             max_imag_entry(real), 1e-12))
+    reference = real_point_matrices()
+    for name in ("g1", "g2", "g3"):
+        got = np.asarray(getattr(real, name).matrix, dtype=complex)
+        dist = matrix_phase_distance(got, reference[name])
+        out.append(_residual_rec("relations", T_REAL, f"real-point-{name}", dist, 1e-12))
+    return out
+
+
+def _dirichlet_cell(scene: Scene) -> List[Record]:
     t, config = scene.t, scene.config
     out = []
     rels = pairwise_relations(config)
@@ -371,7 +366,7 @@ def _dirichlet_global(cell_records: Sequence[Record]) -> List[Record]:
     return [_rec("dirichlet", seq[0][0], "sep3-margin-growth-log", worst_step, worst_step, True)]
 
 
-def _arcs_cell(scene: Scene, precision: str) -> List[Record]:
+def _arcs_cell(scene: Scene) -> List[Record]:
     t = scene.t
     out = []
     for name in crown.ARC_NAMES:
@@ -385,7 +380,7 @@ def _arcs_cell(scene: Scene, precision: str) -> List[Record]:
     return out
 
 
-def _arcs_global(precision: str) -> List[Record]:
+def _arcs_global() -> List[Record]:
     t0 = T_REAL
     config = DirichletConfig.build(t0)
     chart = crown.alpha4_chart(t0)
@@ -450,7 +445,7 @@ def _arcs_global(precision: str) -> List[Record]:
     return out
 
 
-def _disks_cell(scene: Scene, precision: str) -> List[Record]:
+def _disks_cell(scene: Scene) -> List[Record]:
     out = []
     t, config = scene.t, scene.config
     va = crown.alpha1_polar(t)
@@ -486,12 +481,12 @@ def _disks_cell(scene: Scene, precision: str) -> List[Record]:
     return out
 
 
-def _minima_cell(scene: Scene, precision: str) -> List[Record]:
+def _minima_cell(scene: Scene) -> List[Record]:
     v = crown.clearance_objective(scene.t, scene.config)
     return [_rec("minima", scene.t, "clearance", v, v - 1.0, v > 1.0)]
 
 
-def _minima_global(precision: str) -> List[Record]:
+def _minima_global() -> List[Record]:
     out = []
     _t_star, v = crown.minimize_clearance(grid=256)
     out.append(_residual_rec("minima", PARAM_MIN, "clearance-minimum",
@@ -518,21 +513,21 @@ _CELLS = {
 }
 
 
-def _run_point(t: float, suites: Tuple[str, ...], precision: str) -> Dict[str, List[Record]]:
+def _run_point(t: float, suites: Tuple[str, ...], extended: bool) -> Dict[str, List[Record]]:
     """Every requested suite cell at one parameter, reading one shared scene."""
-    scene = Scene(t)
-    return {suite: _CELLS[suite](scene, precision) for suite in suites}
+    scene = Scene(t, extended)
+    return {suite: _CELLS[suite](scene) for suite in suites}
 
 
-def _run_globals(suites: Tuple[str, ...], precision: str) -> Dict[str, List[Record]]:
+def _run_globals(suites: Tuple[str, ...], extended: bool) -> Dict[str, List[Record]]:
     """The global checks that need no per-point records, by suite."""
     out = {}
     if "relations" in suites:
-        out["relations"] = _relations_global(precision)
+        out["relations"] = _relations_global(extended)
     if "arcs" in suites:
-        out["arcs"] = _arcs_global(precision)
+        out["arcs"] = _arcs_global()
     if "minima" in suites:
-        out["minima"] = _minima_global(precision)
+        out["minima"] = _minima_global()
     return out
 
 
@@ -558,22 +553,27 @@ def run_suite(
     time, linked parameters (``t > 2/5``, where the disk ladder does most
     of its work) first, while this process runs the global checks; records
     are sorted before writing, so parallelism never changes the output
-    bytes.
+    bytes.  Extended precision is a cross-check of the ``relations`` suite
+    alone; asking for it with any other suite raises ``GeometryError``.
     """
     suites = _expand_suites(name)
     cfg = config or SweepConfig()
+    extended = cfg.precision == "extended"
+    if extended and name != "relations":
+        raise GeometryError(
+            f"extended precision applies to the relations suite only, not {name!r}")
     pts = [validate_param(float(t)) for t in points] if points is not None else cfg.points()
     # linked points carry the disk ladder, the costliest cells: start them first
     order = sorted(range(len(pts)), key=lambda i: pts[i] <= 0.4)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_point, pts[i], suites, cfg.precision) for i in order]
+            futures = [pool.submit(_run_point, pts[i], suites, extended) for i in order]
             # the global checks run here while the workers take the points
-            globs = _run_globals(suites, cfg.precision)
+            globs = _run_globals(suites, extended)
             cells = {i: fut.result() for i, fut in zip(order, futures)}
     else:
-        globs = _run_globals(suites, cfg.precision)
-        cells = {i: _run_point(pts[i], suites, cfg.precision) for i in order}
+        globs = _run_globals(suites, extended)
+        cells = {i: _run_point(pts[i], suites, extended) for i in order}
     records: List[Record] = [r for suite in suites for i in range(len(pts))
                              for r in cells[i][suite]]
     records.extend(globs.get("relations", []))

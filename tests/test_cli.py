@@ -77,3 +77,17 @@ def test_report_merge(runner, tmp_path):
     data = json.loads(merged.read_text())
     ts = {round(r["t"], 4) for r in data["records"]}
     assert {0.39, 0.41} <= ts
+
+
+def test_extended_precision_is_rejected_outside_relations(runner, tmp_path):
+    # only the relations suite reads 40-digit arithmetic; any other suite,
+    # `all` included, is an unusable invocation
+    for suite in ("dirichlet", "all"):
+        result = runner.invoke(main, ["verify", suite, "--t", "0.39", "--precision", "extended"])
+        assert result.exit_code == 2, suite
+        assert "relations" in result.output
+    out = tmp_path / "rel.json"
+    result = runner.invoke(main, ["verify", "relations", "--steps", "3",
+                                  "--precision", "extended", "--out", str(out)])
+    assert result.exit_code == 0
+    assert json.loads(out.read_text())["config"]["precision"] == "extended"

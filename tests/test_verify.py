@@ -3,6 +3,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -330,3 +333,23 @@ def test_export_bytes_are_pinned(kind, t, tmp_path):
     paths = export_geometry(kind, t, str(tmp_path))
     got = {p.split("/")[-1]: hashlib.sha256(open(p, "rb").read()).hexdigest() for p in paths}
     assert got == _PINNED_EXPORTS[(kind, t)]
+
+
+def _mpmath_loaded_after(code):
+    # a fresh interpreter that imports this same checkout of the package
+    src = os.path.dirname(os.path.dirname(verify.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = code + "\nimport sys\nprint('mpmath' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, env=env)
+    return done.stdout.split()[-1] == "True"
+
+
+def test_double_runs_never_load_mpmath():
+    # the double path is plain complex128; only the extended relations
+    # cross-check imports mpmath
+    assert not _mpmath_loaded_after(
+        "from chcrown import run_suite\nrun_suite('relations', points=[0.41])")
+    assert _mpmath_loaded_after(
+        "from chcrown import SweepConfig, run_suite\n"
+        "run_suite('relations', SweepConfig(precision='extended'), points=[0.41])")
