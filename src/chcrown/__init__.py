@@ -13,7 +13,6 @@ from .core import (
     GroupElement,
     IsometryClass,
     NearParabolicError,
-    Vector3C,
     classify_isometry,
     fixed_points_boundary,
     hermitian_product,
@@ -27,7 +26,6 @@ from .crown import (
     HatArc,
     arc_report,
     blocking_minimum_at,
-    build_crown_arc,
     clearance_objective,
     crown_fundamental_certificate,
     disk_disjointness_certificates,
@@ -103,10 +101,8 @@ __all__ = [
     "SpinalSphere",
     "SweepConfig",
     "T_REAL",
-    "Vector3C",
     "arc_report",
     "blocking_minimum_at",
-    "build_crown_arc",
     "build_generators",
     "ccircle_from_polar",
     "classify_isometry",

@@ -2,9 +2,10 @@
 
 Points of the complex hyperbolic plane are negative lines in C^{2,1}; its
 ideal boundary consists of the null lines.  Everything is measured against
-the **Siegel** Hermitian form of signature (2,1), with anti-diagonal blocks,
-where the boundary minus a point at infinity carries Heisenberg coordinates
-(see :mod:`chcrown.heisenberg`).
+one Hermitian form, the **Siegel** form ``SIEGEL`` of signature (2,1) with
+anti-diagonal blocks, where the boundary minus a point at infinity carries
+Heisenberg coordinates (see :mod:`chcrown.heisenberg`).  Vectors of C^3 are
+plain ``(3,)`` arrays.
 
 This module provides the form, Hermitian/box products, holomorphic
 isometries as 3x3 matrices, a closed-form eigensolver for 3x3 complex
@@ -41,16 +42,11 @@ EPS_TANGENT = 1e-5
 
 
 class GeometryError(ValueError):
-    """A geometric precondition failed (wrong norm type, bad model, ...)."""
+    """A geometric precondition failed (wrong norm type, degenerate input, ...)."""
 
 
 class NearParabolicError(GeometryError):
     """Fixed-point extraction refused because eigenvalue moduli nearly tie."""
-
-
-class Model(enum.Enum):
-    BALL = "ball"
-    SIEGEL = "siegel"
 
 
 class NormType(enum.Enum):
@@ -59,63 +55,22 @@ class NormType(enum.Enum):
     POSITIVE = 1
 
 
-@dataclass(frozen=True)
-class HermitianForm:
-    """A Hermitian form of signature (2,1) on C^3, tagged with its model."""
-
-    matrix: np.ndarray
-    model: Model
-
-    def product(self, v, w):
-        """<v, w> = w^H J v (linear in v, conjugate-linear in w)."""
-        v = _data(v)
-        w = _data(w)
-        jv = self.matrix @ v
-        return (np.conj(w) * jv).sum()
-
-
-SIEGEL_FORM = HermitianForm(
-    np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex), Model.SIEGEL
-)
+#: the Siegel Hermitian form J: <v, w> = w^H J v
+SIEGEL = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex)
 
 
 def _data(v) -> np.ndarray:
-    if isinstance(v, Vector3C):
-        return v.data
     a = np.asarray(v)
     if a.shape != (3,):
         raise GeometryError(f"expected a 3-vector, got shape {a.shape}")
     return a
 
 
-@dataclass(frozen=True, eq=False)
-class Vector3C:
-    """A vector in C^3 together with the form it should be measured against.
-
-    The projective class of a negative vector is a point of the complex
-    hyperbolic plane, a null vector is an ideal boundary point, and a
-    positive vector is the polar of a complex geodesic.
-    """
-
-    data: np.ndarray
-    form: HermitianForm = SIEGEL_FORM
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", _data(self.data))
-
-    @property
-    def norm_type(self) -> NormType:
-        return norm_type(self.data, self.form)
-
-    def __array__(self, dtype=None):
-        return np.asarray(self.data, dtype=dtype)
-
-    def __repr__(self):
-        return f"Vector3C({list(self.data)}, {self.form.model.value})"
-
-
-def hermitian_product(v, w, form: HermitianForm = SIEGEL_FORM):
-    return form.product(v, w)
+def hermitian_product(v, w):
+    """<v, w> = w^H J v (linear in v, conjugate-linear in w)."""
+    v = _data(v)
+    w = _data(w)
+    return (np.conj(w) * (SIEGEL @ v)).sum()
 
 
 def _abs2(x):
@@ -128,9 +83,10 @@ def _max_abs(a: np.ndarray) -> float:
     return max(float(abs(x)) for x in np.asarray(a).ravel())
 
 
-def norm_type(v, form: HermitianForm = SIEGEL_FORM, tol: float = EPS_ALG) -> NormType:
+def norm_type(v, tol: float = EPS_ALG) -> NormType:
+    """Sign of <v, v> relative to |v|^2: a point, a boundary point or a polar."""
     v = _data(v)
-    s = form.product(v, v)
+    s = hermitian_product(v, v)
     scale = sum(_abs2(x) for x in v)
     if scale == 0:
         raise GeometryError("zero vector has no norm type")
@@ -142,7 +98,7 @@ def norm_type(v, form: HermitianForm = SIEGEL_FORM, tol: float = EPS_ALG) -> Nor
     return NormType.NULL
 
 
-def box_product(v, w, form: HermitianForm = SIEGEL_FORM):
+def box_product(v, w):
     """Hermitian cross product: a vector orthogonal to both v and w.
 
     For distinct null vectors v, w it is the polar vector of the unique
@@ -158,52 +114,33 @@ def box_product(v, w, form: HermitianForm = SIEGEL_FORM):
         ],
         dtype=complex,
     )
-    return form.matrix @ np.conj(cross)
+    return SIEGEL @ np.conj(cross)
 
 
 @dataclass(frozen=True, eq=False)
 class GroupElement:
-    """A holomorphic isometry: a matrix preserving the given Hermitian form."""
+    """A holomorphic isometry: a matrix preserving the Siegel form."""
 
     matrix: np.ndarray
-    form: HermitianForm = SIEGEL_FORM
-    word: str = ""
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        if other.form.model is not self.form.model:
-            raise GeometryError("cannot compose isometries of different models")
-        return GroupElement(self.matrix @ other.matrix, self.form,
-                            f"{self.word}{other.word}")
+        return GroupElement(self.matrix @ other.matrix)
 
     def inverse(self) -> "GroupElement":
-        # M^H J M = J  gives  M^{-1} = J^{-1} M^H J; both forms are involutive.
-        j = self.form.matrix
+        # M^H J M = J  gives  M^{-1} = J^{-1} M^H J, and J is involutive.
         mh = np.conj(self.matrix).T
-        return GroupElement(j @ mh @ j, self.form, _invert_word(self.word))
+        return GroupElement(SIEGEL @ mh @ SIEGEL)
 
     def apply(self, v):
-        if isinstance(v, Vector3C):
-            return Vector3C(self.matrix @ v.data, self.form)
         return self.matrix @ _data(v)
 
     @property
     def trace(self):
         return self.matrix[0, 0] + self.matrix[1, 1] + self.matrix[2, 2]
 
-    def det(self):
-        return det3(self.matrix)
 
-    def __repr__(self):
-        tag = self.word or "?"
-        return f"GroupElement<{tag}, {self.form.model.value}>"
-
-
-def _invert_word(word: str) -> str:
-    return f"({word})^-1" if word else ""
-
-
-def identity_element(form: HermitianForm = SIEGEL_FORM) -> GroupElement:
-    return GroupElement(np.eye(3, dtype=complex), form, "")
+def identity_element() -> GroupElement:
+    return GroupElement(np.eye(3, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +353,7 @@ def classify_isometry(g: GroupElement, eps: float = EPS_CLASS) -> Classification
 def fixed_points_boundary(g: GroupElement, min_separation: float = 1e-6):
     """Attractive and repulsive boundary fixed points of a loxodromic map.
 
-    Returns ``(attractive, repulsive)`` as null :class:`Vector3C` lifts.
+    Returns ``(attractive, repulsive)`` as null lifts, unit ``(3,)`` arrays.
     Raises :class:`NearParabolicError` when the extreme eigenvalue moduli
     differ by less than ``min_separation``: so close to the parabolic locus
     the eigenvectors are too ill-conditioned to certify anything.
@@ -430,10 +367,10 @@ def fixed_points_boundary(g: GroupElement, min_separation: float = 1e-6):
             f"eigenvalue moduli differ by {sep:.3e} < {min_separation:.1e}; "
             "refusing fixed points this close to the parabolic locus"
         )
-    att = Vector3C(_eigvec(g.matrix, lams[hi]), g.form)
-    rep = Vector3C(_eigvec(g.matrix, lams[lo]), g.form)
+    att = _eigvec(g.matrix, lams[hi])
+    rep = _eigvec(g.matrix, lams[lo])
     for v in (att, rep):
-        if v.norm_type is not NormType.NULL:
+        if norm_type(v) is not NormType.NULL:
             raise GeometryError("loxodromic fixed point lift is not null")
     return att, rep
 
@@ -441,29 +378,27 @@ def fixed_points_boundary(g: GroupElement, min_separation: float = 1e-6):
 def axis_polar(g: GroupElement):
     """Polar vector of the complex geodesic spanned by a loxodromic axis."""
     att, rep = fixed_points_boundary(g)
-    return Vector3C(box_product(att.data, rep.data, g.form), g.form)
+    return box_product(att, rep)
 
 
-def complex_reflection_from_polar(c, form: HermitianForm = SIEGEL_FORM,
-                                  word: str = "") -> GroupElement:
+def complex_reflection_from_polar(c) -> GroupElement:
     """Complex reflection (order 2) fixing the geodesic polar to ``c``.
 
     ``M = -I + 2 c c^H J / <c,c>``; requires a positive-type polar vector.
     """
     c = _data(c)
-    cc = form.product(c, c)
+    cc = hermitian_product(c, c)
     if cc.real <= 0:
         raise GeometryError("polar vector of a complex reflection must be positive type")
-    j = form.matrix
-    outer = np.outer(c, np.conj(c) @ j)
-    return GroupElement(-np.eye(3, dtype=complex) + (2 / cc) * outer, form, word)
+    outer = np.outer(c, np.conj(c) @ SIEGEL)
+    return GroupElement(-np.eye(3, dtype=complex) + (2 / cc) * outer)
 
 
 # ---------------------------------------------------------------------------
 # Distance and projective comparison
 
 
-def distance(p, q, form: HermitianForm = SIEGEL_FORM):
+def distance(p, q):
     """Distance between two points, via cosh^2(d/2) = |<p,q>|^2/(<p,p><q,q>).
 
     Both arguments must be negative-type lifts.  The squared-cosh form is
@@ -472,11 +407,11 @@ def distance(p, q, form: HermitianForm = SIEGEL_FORM):
     """
     p = _data(p)
     q = _data(q)
-    pp = form.product(p, p).real
-    qq = form.product(q, q).real
+    pp = hermitian_product(p, p).real
+    qq = hermitian_product(q, q).real
     if pp >= 0 or qq >= 0:
         raise GeometryError("distance needs negative-type lifts")
-    pq = form.product(p, q)
+    pq = hermitian_product(p, q)
     ratio = _abs2(pq) / (pp * qq)
     if ratio < 1.0:
         ratio = 1.0

@@ -24,8 +24,6 @@ import numpy as np
 from .core import (
     GeometryError,
     GroupElement,
-    SIEGEL_FORM,
-    Vector3C,
     axis_polar,
     box_product,
     fixed_points_boundary,
@@ -94,9 +92,9 @@ def linking_value(v: np.ndarray, w: np.ndarray) -> float:
     Scales with |c|^2 in either lift, so only the sign is scale-free; the
     closed-form regressions pin specific lifts.
     """
-    vw = complex(hermitian_product(v, w, SIEGEL_FORM))
-    vv = complex(hermitian_product(v, v, SIEGEL_FORM)).real
-    ww = complex(hermitian_product(w, w, SIEGEL_FORM)).real
+    vw = complex(hermitian_product(v, w))
+    vv = complex(hermitian_product(v, v)).real
+    ww = complex(hermitian_product(w, w)).real
     return abs(vw) ** 2 - vv * ww
 
 
@@ -112,7 +110,7 @@ def crown_circle_polars(config: DirichletConfig) -> Dict[str, np.ndarray]:
     """Polar lifts of the eight crown circles, g2-orbits of alpha1/beta1."""
     g2 = config.gens.g2
     va = alpha1_polar(config.gens.t)
-    vb = axis_polar(config.gens.g2.inverse() @ config.gens.g3).data
+    vb = axis_polar(config.gens.g2.inverse() @ config.gens.g3)
     out: Dict[str, np.ndarray] = {}
     for i in range(4):
         out[f"alpha{i + 1}"] = va
@@ -183,7 +181,7 @@ class ChartedCircle:
         return cls(t, circle, move, move.inverse())
 
     def to_chart(self, p) -> Tuple[float, float]:
-        lift = p.lift().data if isinstance(p, HeisenbergPoint) else np.asarray(p, dtype=complex)
+        lift = p.lift() if isinstance(p, HeisenbergPoint) else np.asarray(p, dtype=complex)
         img = self.forward.apply(lift)
         if abs(img[2]) < 1e-13 * float(np.max(np.abs(img))):
             raise GeometryError("point maps to infinity; not on the chart")
@@ -306,12 +304,12 @@ class CrownArc:
 
 
 def _axis_circle(t: float, polar: np.ndarray) -> Tuple[CCircle, ChartedCircle]:
-    circle = ccircle_from_polar(Vector3C(np.asarray(polar, dtype=complex)))
+    circle = ccircle_from_polar(polar)
     return circle, ChartedCircle.build(t, circle)
 
 
-def build_crown_arc(config: DirichletConfig, name: str) -> CrownArc:
-    """Construct the named arc: counterclockwise from the attracting end.
+def _crown_arc(config: DirichletConfig, name: str) -> CrownArc:
+    """The named arc: counterclockwise from the attracting end.
 
     The two fixed points sit antipodally on the chart circle, and every
     sphere's chart line is perpendicular to that diameter, so the side
@@ -319,35 +317,25 @@ def build_crown_arc(config: DirichletConfig, name: str) -> CrownArc:
     to the spheres identically, and picking one is a normalization, not a
     finding.  The counterclockwise half is the one the symmetry transports
     consistently (``g2`` images match, and the carried beta hat abuts the
-    alpha hat); the constructor certifies it holds a single in-domain
+    alpha hat); :func:`hat_arc` certifies it holds a single in-domain
     segment.
     """
-    arc = _crown_arc(config, name)
-    segs = _in_domain_segments(arc, config, _sphere_crossing_params(arc, config))
-    if len(segs) != 1:
-        raise GeometryError(f"{name}: expected one in-domain segment, got {len(segs)}")
-    return arc
-
-
-def _crown_arc(config: DirichletConfig, name: str) -> CrownArc:
-    """The named arc, before its in-domain segment is certified."""
     if name not in ARC_NAMES:
         raise GeometryError(f"unknown arc name {name!r}")
     gens = config.gens
     kind, idx = name[:-1], int(name[-1])
     base = gens.g1 if kind == "alpha" else gens.g2.inverse() @ gens.g3
     att, rep = fixed_points_boundary(base)
-    polar = box_product(att.data, rep.data, base.form)
+    polar = box_product(att, rep)
     word = base
-    att_v, rep_v = att.data, rep.data
     for _ in range(idx - 1):
-        att_v = gens.g2.apply(att_v)
-        rep_v = gens.g2.apply(rep_v)
+        att = gens.g2.apply(att)
+        rep = gens.g2.apply(rep)
         polar = gens.g2.apply(polar)
         word = gens.g2 @ word @ gens.g2.inverse()
     circle, chart = _axis_circle(gens.t, polar)
-    theta_att = chart.chart_angle(att_v)
-    theta_rep = chart.chart_angle(rep_v)
+    theta_att = chart.chart_angle(att)
+    theta_rep = chart.chart_angle(rep)
     ccw = (theta_rep - theta_att) % (2.0 * math.pi)
     return CrownArc(name, word, circle, chart, theta_att, theta_rep, ccw)
 
@@ -448,16 +436,14 @@ class HatArc:
 
 
 def hat_arc(arc: CrownArc, config: DirichletConfig,
-            hits: Optional[List[Tuple[float, int]]] = None) -> HatArc:
+            hits: List[Tuple[float, int]]) -> HatArc:
     """Cut the arc by all spheres and keep the unique in-domain segment.
 
     The endpoints are sphere crossings; their spheres are the hosts.  The
     minus end is the one hosted by the odd-indexed sphere of the pair
     (canonical 2i+1 for both arc families).  ``hits`` are the arc's sphere
-    crossings when the caller has them already.
+    crossings from ``_sphere_crossing_params``.
     """
-    if hits is None:
-        hits = _sphere_crossing_params(arc, config)
     segs = _in_domain_segments(arc, config, hits)
     if len(segs) != 1:
         raise GeometryError(f"{arc.name}: expected one in-domain segment, got {len(segs)}")
@@ -517,8 +503,7 @@ class ArcReport:
 def arc_report(config: DirichletConfig, name: str) -> ArcReport:
     """Hat, hosts and crossing counts of one arc from a single crossing list.
 
-    :func:`hat_arc` certifies the one in-domain segment, as
-    :func:`build_crown_arc` would.
+    :func:`hat_arc` certifies the one in-domain segment.
     """
     arc = _crown_arc(config, name)
     hits = _sphere_crossing_params(arc, config)
@@ -539,7 +524,7 @@ def table1(config: DirichletConfig) -> Dict[str, Tuple[int, int]]:
 
 
 def alpha4_chart(t: float) -> ChartedCircle:
-    circle = ccircle_from_polar(Vector3C(alpha4_polar(t)))
+    circle = ccircle_from_polar(alpha4_polar(t))
     return ChartedCircle.build(t, circle)
 
 
@@ -677,12 +662,12 @@ def blocking_side_quartic(t: float, blocker: SpinalSphere) -> np.ndarray:
     those two cutting disks) is an exact quartic in x and five samples pin it.
     """
     k1, k2 = chord_line(t)
-    plane = AffineDisk(ccircle_from_polar(Vector3C(alpha1_polar(t)))).plane
+    plane = AffineDisk(ccircle_from_polar(alpha1_polar(t))).plane
     xs = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     pts = []
     for x in xs:
         z = complex(x, k1 * x + k2)
-        pts.append(HeisenbergPoint(z, plane.height_at(z)).lift().data)
+        pts.append(HeisenbergPoint(z, plane.height_at(z)).lift())
     vals = blocker.side_of_lifts(np.stack(pts))
     return np.polyfit(xs, vals, 4)
 
@@ -734,8 +719,8 @@ def honest_chord_blocking(t: float, n: int = 513,
     ``config`` is the configuration at ``t`` when the caller has it already;
     without it only sphere 3 is built.
     """
-    c1 = ccircle_from_polar(Vector3C(alpha1_polar(t)))
-    c2 = ccircle_from_polar(Vector3C(alpha2_polar(t)))
+    c1 = ccircle_from_polar(alpha1_polar(t))
+    c2 = ccircle_from_polar(alpha2_polar(t))
     seg = disk_intersection_segment(AffineDisk(c1), AffineDisk(c2))
     if seg is None:
         return None
@@ -917,7 +902,7 @@ def disk_disjointness_certificates(config: DirichletConfig, n: int = 257,
     polars = crown_circle_polars(config)
     names = list(polars)
     links = {(r.first, r.second): r.value for r in linked_pair_report(config)}
-    disks = {name: AffineDisk(ccircle_from_polar(Vector3C(polars[name]))) for name in names}
+    disks = {name: AffineDisk(ccircle_from_polar(polars[name])) for name in names}
     comps: Dict[str, VisibleComponent] = {}
 
     def comp(name: str) -> VisibleComponent:

@@ -27,7 +27,7 @@ from .core import (
     EPS_TANGENT,
     GeometryError,
     GroupElement,
-    SIEGEL_FORM,
+    SIEGEL,
     hermitian_product,
     matrix_phase_distance,
     projective_distance,
@@ -57,7 +57,7 @@ def defining_word(k: int) -> str:
 
 def _row_form(u: np.ndarray) -> np.ndarray:
     """Row r with <p, u> = r @ p for the Siegel form."""
-    return np.conj(u) @ SIEGEL_FORM.matrix
+    return np.conj(u) @ SIEGEL
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,8 @@ class SpinalSphere:
     _rv: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
-        nu = complex(hermitian_product(self.u, self.u, SIEGEL_FORM)).real
-        nv = complex(hermitian_product(self.v, self.v, SIEGEL_FORM)).real
+        nu = complex(hermitian_product(self.u, self.u)).real
+        nv = complex(hermitian_product(self.v, self.v)).real
         if not (nu < 0 and nv < 0):
             raise GeometryError("bisector lifts must be negative type")
         if abs(nu - nv) > 1e-9 * abs(nu):
@@ -119,7 +119,7 @@ class SpinalSphere:
         lie on the sphere itself, unlike the endpoints of the geodesic
         through the two defining points.
         """
-        pairing = complex(hermitian_product(self.v, self.u, SIEGEL_FORM))
+        pairing = complex(hermitian_product(self.v, self.u))
         rho = abs(pairing)
         if rho <= 2.0 + 1e-12:
             raise GeometryError("bisector points coincide or are too close")
@@ -204,7 +204,7 @@ class DirichletConfig:
     @classmethod
     def build(cls, t: float) -> "DirichletConfig":
         gens = build_generators(t)
-        q0 = gens.q0.data
+        q0 = gens.q0
         words, spheres = zip(*(_defining_sphere(gens, q0, k) for k in CANONICAL_INDICES))
         return cls(gens, q0, words, spheres)
 
@@ -268,7 +268,7 @@ def sphere_at(t: float, k: int) -> SpinalSphere:
     sphere many times over ``t``.
     """
     gens = build_generators(t)
-    return _defining_sphere(gens, gens.q0.data, canonical_index(k))[1]
+    return _defining_sphere(gens, gens.q0, canonical_index(k))[1]
 
 
 def symmetry_certificate(config: DirichletConfig) -> float:

@@ -24,8 +24,6 @@ from .core import (
     GeometryError,
     GroupElement,
     NormType,
-    SIEGEL_FORM,
-    Vector3C,
     norm_type,
 )
 
@@ -42,18 +40,18 @@ class HeisenbergPoint:
     def infinity() -> "HeisenbergPoint":
         return HeisenbergPoint(0j, 0.0, True)
 
-    def lift(self) -> Vector3C:
+    def lift(self) -> np.ndarray:
         """Standard null lift (zero horospherical height)."""
         if self.at_infinity:
-            return Vector3C(np.array([1.0, 0.0, 0.0], dtype=complex), SIEGEL_FORM)
+            return np.array([1.0, 0.0, 0.0], dtype=complex)
         z = complex(self.z)
         first = complex(-(abs(z) ** 2), self.v) / 2.0
-        return Vector3C(np.array([first, z, 1.0], dtype=complex), SIEGEL_FORM)
+        return np.array([first, z, 1.0], dtype=complex)
 
     @staticmethod
-    def from_lift(vec, tol: float = 1e-9) -> "HeisenbergPoint":
+    def from_lift(vec) -> "HeisenbergPoint":
         """Recover ``[z, v]`` from any null lift (projectively)."""
-        data = np.asarray(vec, dtype=complex) if not isinstance(vec, Vector3C) else np.asarray(vec.data, dtype=complex)
+        data = np.asarray(vec, dtype=complex)
         scale = float(np.max(np.abs(data)))
         if scale == 0.0:
             raise GeometryError("zero vector is not a lift")
@@ -93,7 +91,7 @@ def translation_element(w: complex, s: float) -> GroupElement:
         ],
         dtype=complex,
     )
-    return GroupElement(m, SIEGEL_FORM, word=f"T({w:.3g},{s:.3g})")
+    return GroupElement(m)
 
 
 def dilation_element(lam: float) -> GroupElement:
@@ -101,16 +99,16 @@ def dilation_element(lam: float) -> GroupElement:
     if not lam > 0:
         raise GeometryError("dilation factor must be positive")
     m = np.diag([lam, 1.0, 1.0 / lam]).astype(complex)
-    return GroupElement(m, SIEGEL_FORM, word=f"D({lam:.3g})")
+    return GroupElement(m)
 
 
 def rotation_element(phi: float) -> GroupElement:
     """Rotation ``(z, v) -> (e^{i phi} z, v)`` about the vertical axis."""
     m = np.diag([1.0, np.exp(1j * phi), 1.0]).astype(complex)
-    return GroupElement(m, SIEGEL_FORM, word=f"R({phi:.3g})")
+    return GroupElement(m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CCircle:
     """A C-circle: a finite one (center + radius) or a vertical line.
 
@@ -119,7 +117,7 @@ class CCircle:
     v = v0 + 2 Im(conj(z) z0); vertical circles are lines {z = z_axis}.
     """
 
-    polar: Vector3C
+    polar: np.ndarray
     center: Optional[HeisenbergPoint]
     radius: float
     vertical: bool = False
@@ -162,33 +160,32 @@ def ccircle_from_polar(c) -> CCircle:
     ``R^2 = 2 Re(c1) + |c2|^2``; when the last coordinate (essentially)
     vanishes the circle is the vertical line through ``-conj(c1)/conj(c2)``.
     """
-    vec = c if isinstance(c, Vector3C) else Vector3C(np.asarray(c, dtype=complex), SIEGEL_FORM)
-    data = np.asarray(vec.data, dtype=complex)
-    if norm_type(data, SIEGEL_FORM) is not NormType.POSITIVE:
+    data = np.asarray(c, dtype=complex)
+    if norm_type(data) is not NormType.POSITIVE:
         raise GeometryError("polar vector of a C-circle must be positive type")
     scale = float(np.max(np.abs(data)))
     if abs(data[2]) < 1e-12 * scale:
         if abs(data[1]) < 1e-12 * scale:
             raise GeometryError("degenerate polar vector")
         z_axis = -data[0].conjugate() / data[1].conjugate()
-        return CCircle(vec, None, math.inf, vertical=True, z_axis=complex(z_axis))
+        return CCircle(data, None, math.inf, vertical=True, z_axis=complex(z_axis))
     w = data / data[2]
     z0 = complex(w[1])
     v0 = 2.0 * float(w[0].imag)
     r2 = 2.0 * float(w[0].real) + abs(z0) ** 2
     if r2 <= 0.0:
         raise GeometryError(f"polar vector encodes no real circle (R^2 = {r2:.3e})")
-    return CCircle(vec, HeisenbergPoint(z0, v0), math.sqrt(r2))
+    return CCircle(data, HeisenbergPoint(z0, v0), math.sqrt(r2))
 
 
-def polar_from_center_radius(center: HeisenbergPoint, radius: float) -> Vector3C:
+def polar_from_center_radius(center: HeisenbergPoint, radius: float) -> np.ndarray:
     if center.at_infinity:
         raise GeometryError("center must be finite")
     if not radius > 0:
         raise GeometryError("radius must be positive")
     z0, v0 = complex(center.z), float(center.v)
     first = complex(radius ** 2 - abs(z0) ** 2, v0) / 2.0
-    return Vector3C(np.array([first, z0, 1.0], dtype=complex), SIEGEL_FORM)
+    return np.array([first, z0, 1.0], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -369,9 +366,9 @@ def incidence_residual(circle: CCircle, p: HeisenbergPoint) -> float:
 
 def apply_to_point(g: GroupElement, p: HeisenbergPoint) -> HeisenbergPoint:
     """Push a boundary point through an isometry (boundary action)."""
-    return HeisenbergPoint.from_lift(g.apply(p.lift().data))
+    return HeisenbergPoint.from_lift(g.apply(p.lift()))
 
 
 def apply_to_circle(g: GroupElement, circle: CCircle) -> CCircle:
     """Image of a C-circle: transport the polar vector."""
-    return ccircle_from_polar(Vector3C(g.apply(circle.polar.data), SIEGEL_FORM))
+    return ccircle_from_polar(g.apply(circle.polar))

@@ -32,8 +32,6 @@ from .core import (
     GeometryError,
     GroupElement,
     IsometryClass,
-    SIEGEL_FORM,
-    Vector3C,
     _cbrt,
     classify_isometry,
     complex_reflection_from_polar,
@@ -55,7 +53,10 @@ EXTENDED_DPS = 40
 
 
 def validate_param(t: float, strict_interior: bool = False) -> float:
-    """Check ``t`` against the closed parameter interval and return it.
+    """Check ``t`` against the closed parameter interval; return it as a float.
+
+    Every builder computes with the returned ``float``, so a narrower input
+    type (``np.float32``, say) cannot leak into the arithmetic.
 
     ``strict_interior`` additionally rejects the left endpoint, where the
     word ``g1`` is parabolic and axis-based constructions degenerate.
@@ -69,7 +70,7 @@ def validate_param(t: float, strict_interior: bool = False) -> float:
         raise GeometryError(
             "t = 3/8 is the parabolic degeneration; this operation needs t > 3/8"
         )
-    return t
+    return tf
 
 
 @dataclass(frozen=True)
@@ -128,8 +129,7 @@ def _coefficients(t, mp) -> Coefficients:
 
 
 def coefficients(t: float) -> Coefficients:
-    validate_param(t)
-    return _coefficients(t, None)
+    return _coefficients(validate_param(t), None)
 
 
 def _polar_vectors(co: Coefficients, mp):
@@ -150,11 +150,7 @@ def _polar_vectors(co: Coefficients, mp):
         ],
         dtype=dtype,
     )
-    return (
-        Vector3C(n1, SIEGEL_FORM),
-        Vector3C(n2, SIEGEL_FORM),
-        Vector3C(n3, SIEGEL_FORM),
-    )
+    return n1, n2, n3
 
 
 def polar_vectors(t: float):
@@ -169,7 +165,7 @@ def polar_vectors(t: float):
 # Lift of the common fixed point of I1 and I2 (the rotation center of g2).
 # It is orthogonal to both n1 and n2, hence box_product(n1, n2) up to scale,
 # and does not depend on t.  <q0, q0> = -2.
-Q0 = Vector3C(np.array([-1.0, 0.0, 1.0], dtype=complex), SIEGEL_FORM)
+Q0 = np.array([-1.0, 0.0, 1.0], dtype=complex)
 
 #: the six defining relations of the reflection presentation
 RELATION_WORDS = (
@@ -188,9 +184,9 @@ class GeneratorSet:
 
     t: float
     coeffs: Coefficients
-    n1: Vector3C
-    n2: Vector3C
-    n3: Vector3C
+    n1: np.ndarray
+    n2: np.ndarray
+    n3: np.ndarray
     i1: GroupElement
     i2: GroupElement
     i3: GroupElement
@@ -201,7 +197,7 @@ class GeneratorSet:
     extended: bool = False
 
     @property
-    def q0(self) -> Vector3C:
+    def q0(self) -> np.ndarray:
         """Negative lift of the Dirichlet center (fixed point of g2)."""
         return Q0
 
@@ -225,7 +221,7 @@ class GeneratorSet:
         is renormalized to determinant 1, which can matter for long words.
         """
         tokens = word.split() if isinstance(word, str) else list(word)
-        out = identity_element(SIEGEL_FORM)
+        out = identity_element()
         for tok in tokens:
             out = out @ self.element(tok)
         return _renormalize_det(out, self.extended)
@@ -265,19 +261,19 @@ def _renormalize_det(g: GroupElement, extended: bool) -> GroupElement:
         r = mpmath.cbrt(d)
     else:
         r = _cbrt(d)
-    return GroupElement(g.matrix / r, g.form, g.word)
+    return GroupElement(g.matrix / r)
 
 
 def _generator_set(t: float, mp) -> GeneratorSet:
     co = _coefficients(t, mp)
     n1, n2, n3 = _polar_vectors(co, mp)
-    i1 = complex_reflection_from_polar(n1, SIEGEL_FORM, "I1")
-    i2 = complex_reflection_from_polar(n2, SIEGEL_FORM, "I2")
-    i3 = complex_reflection_from_polar(n3, SIEGEL_FORM, "I3")
-    g1 = GroupElement((i3 @ i2 @ i1 @ i2).matrix, SIEGEL_FORM, "g1")
-    g2 = GroupElement((i2 @ i1).matrix, SIEGEL_FORM, "g2")
-    g3 = GroupElement((i1 @ i2 @ i3 @ i2).matrix, SIEGEL_FORM, "g3")
-    return GeneratorSet(float(t), co, n1, n2, n3, i1, i2, i3, g1, g2, g3, mp is not None)
+    i1 = complex_reflection_from_polar(n1)
+    i2 = complex_reflection_from_polar(n2)
+    i3 = complex_reflection_from_polar(n3)
+    g1 = i3 @ i2 @ i1 @ i2
+    g2 = i2 @ i1
+    g3 = i1 @ i2 @ i3 @ i2
+    return GeneratorSet(t, co, n1, n2, n3, i1, i2, i3, g1, g2, g3, mp is not None)
 
 
 def build_generators(t: float, extended: bool = False) -> GeneratorSet:
@@ -288,7 +284,7 @@ def build_generators(t: float, extended: bool = False) -> GeneratorSet:
     the caller's precision; :func:`relation_values` keeps them at
     ``EXTENDED_DPS`` digits too.
     """
-    validate_param(t)
+    t = validate_param(t)
     with _arithmetic(extended) as mp:
         return _generator_set(t, mp)
 
@@ -353,7 +349,7 @@ def relation_values(t: float, extended: bool = False) -> RelationValues:
     In extended mode the generators and every value are computed inside one
     ``EXTENDED_DPS``-digit context, and the caller's precision comes back.
     """
-    validate_param(t)
+    t = validate_param(t)
     with _arithmetic(extended) as mp:
         gens = _generator_set(t, mp)
         if mp:

@@ -32,7 +32,6 @@ from .core import (
     GeometryError,
     IsometryClass,
     NearParabolicError,
-    Vector3C,
     classify_isometry,
     fixed_points_boundary,
     matrix_phase_distance,
@@ -457,8 +456,8 @@ def _disks_cell(scene: Scene) -> List[Record]:
     out.append(_residual_rec("disks", t, "linking-closed-alpha-alpha", res, 1e-11))
     res = abs(crown.linking_value(va, vbeta) - crown.linking_alpha_beta_closed(t))
     out.append(_residual_rec("disks", t, "linking-closed-alpha-beta", res, 1e-11))
-    r1 = ccircle_from_polar(Vector3C(va)).radius
-    r2 = ccircle_from_polar(Vector3C(vb)).radius
+    r1 = ccircle_from_polar(va).radius
+    r2 = ccircle_from_polar(vb).radius
     den = 2.0 * t * math.sqrt(6.0 * t - 2.0) + 4.0 * t - 1.0
     out.append(_residual_rec("disks", t, "radius-form-alpha1",
                              abs(r1 - math.sqrt((6.0 - 16.0 * t) / (2.0 * t - 1.0))), 1e-9))
@@ -549,24 +548,28 @@ def run_suite(
 
     ``points`` overrides the sweep grid (single-parameter runs pass a
     one-element list).  Each parameter is one task covering every requested
-    suite.  With ``jobs > 1`` those tasks go to a process pool one at a
-    time, linked parameters (``t > 2/5``, where the disk ladder does most
-    of its work) first, while this process runs the global checks; records
-    are sorted before writing, so parallelism never changes the output
-    bytes.  Extended precision is a cross-check of the ``relations`` suite
-    alone; asking for it with any other suite raises ``GeometryError``.
+    suite.  With ``jobs > 1`` those tasks go to a pool of
+    ``min(jobs, len(points))`` processes one at a time, linked parameters
+    (``t > 2/5``, where the disk ladder does most of its work) first, while
+    this process runs the global checks; records are sorted before writing,
+    so parallelism never changes the output bytes.  Extended precision is a
+    cross-check of the ``relations`` suite alone; asking for it with any
+    other suite raises ``GeometryError``, as does ``jobs < 1``.
     """
+    if jobs < 1:
+        raise GeometryError(f"jobs must be at least 1, got {jobs}")
     suites = _expand_suites(name)
     cfg = config or SweepConfig()
     extended = cfg.precision == "extended"
     if extended and name != "relations":
         raise GeometryError(
             f"extended precision applies to the relations suite only, not {name!r}")
-    pts = [validate_param(float(t)) for t in points] if points is not None else cfg.points()
+    pts = [validate_param(t) for t in points] if points is not None else cfg.points()
     # linked points carry the disk ladder, the costliest cells: start them first
     order = sorted(range(len(pts)), key=lambda i: pts[i] <= 0.4)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if jobs > 1 and pts:
+        # the pool forks all its workers up front: no more than there are tasks
+        with ProcessPoolExecutor(max_workers=min(jobs, len(pts))) as pool:
             futures = [pool.submit(_run_point, pts[i], suites, extended) for i in order]
             # the global checks run here while the workers take the points
             globs = _run_globals(suites, extended)
@@ -668,7 +671,7 @@ def export_disks(t: float, out_dir: str, rim: int = 96) -> List[str]:
     lines = []
     offset = 0
     for name in crown.ARC_NAMES:
-        disk = AffineDisk(ccircle_from_polar(Vector3C(polars[name])))
+        disk = AffineDisk(ccircle_from_polar(polars[name]))
         c = complex(disk.circle.center.z)
         r = disk.circle.radius
         plane = disk.plane
@@ -727,8 +730,7 @@ def limit_set_points(t: float, depth: int = 5) -> np.ndarray:
         if inverse not in solved and classify_isometry(element).kind is IsometryClass.LOXODROMIC:
             solved.add(word)
             try:
-                for vec in fixed_points_boundary(element):
-                    u = np.asarray(vec.data, dtype=complex)
+                for u in fixed_points_boundary(element):
                     if abs(u[2]) > 1e-9 * float(np.max(np.abs(u))):
                         x, y, v = _heisenberg_xyz(u)
                         key = (round(x, 9), round(y, 9), round(v, 9))

@@ -50,6 +50,12 @@ def test_usage_errors_exit_two(runner):
     assert runner.invoke(main, ["export", "arcs", "--t", "0.375"]).exit_code == 2
 
 
+def test_jobs_below_one_exit_two(runner):
+    result = runner.invoke(main, ["verify", "relations", "--t", "0.39", "--jobs", "0"])
+    assert result.exit_code == 2
+    assert "jobs" in result.output
+
+
 def test_export_writes_geometry(runner, tmp_path):
     result = runner.invoke(main, ["export", "arcs", "--t", "0.41",
                                   "--out", str(tmp_path), "--samples", "9"])

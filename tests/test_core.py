@@ -18,7 +18,7 @@ from chcrown import (
 )
 from chcrown.core import (
     NormType,
-    SIEGEL_FORM,
+    SIEGEL,
     adjugate3,
     axis_polar,
     box_product,
@@ -45,7 +45,7 @@ def test_hermitian_product_is_sesquilinear(a, b, c, d, e, f):
 
 
 def test_siegel_form_signature():
-    j = np.asarray(SIEGEL_FORM.matrix, dtype=complex)
+    j = np.asarray(SIEGEL, dtype=complex)
     eigs = sorted(np.linalg.eigvalsh(j).real)
     assert eigs[0] < 0 < eigs[1] <= eigs[2]
 
@@ -102,11 +102,11 @@ def test_fixed_points_are_fixed_and_null():
     gens = build_generators(0.41)
     att, rep = fixed_points_boundary(gens.g1)
     for vec in (att, rep):
-        u = np.asarray(vec.data, dtype=complex)
+        u = np.asarray(vec, dtype=complex)
         assert abs(complex(hermitian_product(u, u))) < 1e-8
         moved = gens.g1.apply(u)
         assert projective_distance(moved, u) < 1e-8
-    assert projective_distance(att.data, rep.data) > 1e-3
+    assert projective_distance(att, rep) > 1e-3
 
 
 def test_fixed_points_near_parabolic_raises():
@@ -119,8 +119,8 @@ def test_axis_polar_is_orthogonal_to_fixed_points():
     gens = build_generators(0.41)
     att, rep = fixed_points_boundary(gens.g1)
     pol = axis_polar(gens.g1)
-    assert abs(complex(hermitian_product(pol.data, att.data))) < 1e-8
-    assert abs(complex(hermitian_product(pol.data, rep.data))) < 1e-8
+    assert abs(complex(hermitian_product(pol, att))) < 1e-8
+    assert abs(complex(hermitian_product(pol, rep))) < 1e-8
 
 
 def test_matrix_phase_distance_ignores_cube_root_phases():

@@ -26,7 +26,7 @@ from chcrown import (
     table1,
 )
 from chcrown import crown
-from chcrown.core import SIEGEL_FORM, Vector3C, hermitian_product
+from chcrown.core import hermitian_product
 from chcrown.triangle import coefficients
 
 R2 = math.sqrt(2.0)
@@ -44,10 +44,10 @@ params = st.floats(min_value=0.3751, max_value=PARAM_MAX,
 @given(params)
 @settings(max_examples=25, deadline=None)
 def test_polar_radius_closed_forms(t):
-    r1 = ccircle_from_polar(Vector3C(crown.alpha1_polar(t))).radius
+    r1 = ccircle_from_polar(crown.alpha1_polar(t)).radius
     assert r1 == pytest.approx(math.sqrt((6.0 - 16.0 * t) / (2.0 * t - 1.0)), abs=1e-10)
     den = 2.0 * t * math.sqrt(6.0 * t - 2.0) + 4.0 * t - 1.0
-    r2 = ccircle_from_polar(Vector3C(crown.alpha2_polar(t))).radius
+    r2 = ccircle_from_polar(crown.alpha2_polar(t)).radius
     assert r2 == pytest.approx(math.sqrt((16.0 * t - 6.0) / den), abs=1e-10)
 
 
@@ -105,7 +105,7 @@ def test_chart_roundtrip_and_incidence(t):
     pol = crown.alpha4_polar(t)
     for th in np.linspace(0.0, 2.0 * math.pi, 7, endpoint=False):
         lift = chart.from_chart(math.cos(th), math.sin(th))
-        assert abs(complex(hermitian_product(lift, pol, SIEGEL_FORM))) < 1e-10
+        assert abs(complex(hermitian_product(lift, pol))) < 1e-10
         x, y = chart.to_chart(lift)
         assert x == pytest.approx(math.cos(th), abs=1e-10)
         assert y == pytest.approx(math.sin(th), abs=1e-10)
@@ -128,8 +128,8 @@ def test_g3_fixed_points_on_chart_closed_form():
         att, rep = fixed_points_boundary(build_generators(t).g3)
         s = math.sqrt(4.0 * t - 1.0 - 2.0 * t * co.a)
         xf, yf = (t - co.a) / s, co.b / s
-        xa, ya = chart.to_chart(att.data)
-        xr, yr = chart.to_chart(rep.data)
+        xa, ya = chart.to_chart(att)
+        xr, yr = chart.to_chart(rep)
         assert math.hypot(xa - xf, ya - yf) < 1e-8
         assert math.hypot(xr + xf, yr + yf) < 1e-8
 
@@ -174,7 +174,7 @@ def test_mirror_symmetry_of_alpha_arcs(config_041):
     # exactly; beta circles realize the symmetry only after relabeling,
     # so they are not checked here
     for name in ("alpha1", "alpha3"):
-        arc = crown.build_crown_arc(config_041, name)
+        arc = arc_report(config_041, name).hat.arc
         assert crown.mirror_symmetry_residual(arc, config_041) < 1e-9
 
 
@@ -273,8 +273,8 @@ def test_chord_bounds_are_honest(t):
     # closed-form bounds must agree with the raw circle-clipping route
     from chcrown import AffineDisk, disk_intersection_segment
 
-    d1 = AffineDisk(ccircle_from_polar(Vector3C(crown.alpha1_polar(t))))
-    d2 = AffineDisk(ccircle_from_polar(Vector3C(crown.alpha2_polar(t))))
+    d1 = AffineDisk(ccircle_from_polar(crown.alpha1_polar(t)))
+    d2 = AffineDisk(ccircle_from_polar(crown.alpha2_polar(t)))
     seg = disk_intersection_segment(d1, d2)
     lo, hi = crown.chord_bounds(t)
     got = sorted(complex(p.z).real for p in seg.endpoints())

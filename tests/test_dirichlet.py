@@ -177,7 +177,7 @@ def test_sphere_mesh_lies_on_the_sphere(config_041):
     # mesh vertices are boundary points with vanishing side value
     from chcrown import HeisenbergPoint
 
-    lifts = np.stack([HeisenbergPoint(complex(x, y), v).lift().data for x, y, v in verts])
+    lifts = np.stack([HeisenbergPoint(complex(x, y), v).lift() for x, y, v in verts])
     sides = config_041.sphere(3).side_of_lifts(lifts)
     assert float(np.max(np.abs(sides))) < 1e-8
 

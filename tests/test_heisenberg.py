@@ -32,7 +32,7 @@ def test_lift_roundtrip(x, y, v):
     p = HeisenbergPoint(complex(x, y), v)
     lift = p.lift()
     # lifts are null
-    assert abs(complex(hermitian_product(lift.data, lift.data))) < 1e-9 * (1 + x * x + y * y) ** 2
+    assert abs(complex(hermitian_product(lift, lift))) < 1e-9 * (1 + x * x + y * y) ** 2
     q = HeisenbergPoint.from_lift(lift)
     assert q.z == pytest.approx(p.z, abs=1e-12)
     assert q.v == pytest.approx(p.v, abs=1e-12)
@@ -40,7 +40,7 @@ def test_lift_roundtrip(x, y, v):
 
 def test_from_lift_accepts_any_scale_and_infinity():
     p = HeisenbergPoint(1.5 - 0.5j, 2.0)
-    scaled = 3.7j * p.lift().data
+    scaled = 3.7j * p.lift()
     q = HeisenbergPoint.from_lift(scaled)
     assert q.z == pytest.approx(p.z) and q.v == pytest.approx(p.v)
     assert HeisenbergPoint.from_lift(np.array([1.0, 0, 0], dtype=complex)).at_infinity
@@ -156,7 +156,7 @@ def test_chord_sample_lifts_equal_the_point_lifts(t):
     d2 = AffineDisk(ccircle_from_polar(crown.alpha2_polar(t)))
     seg = disk_intersection_segment(d1, d2)
     for n in (2, 257, 513):
-        want = np.stack([p.lift().data for p in seg.sample(n)])
+        want = np.stack([p.lift() for p in seg.sample(n)])
         assert np.array_equal(seg.sample_lifts(n), want)
 
 

@@ -19,11 +19,12 @@ from chcrown import (
     relation_certificate,
     validate_param,
 )
-from chcrown.core import SIEGEL_FORM, hermitian_product
+from chcrown.core import SIEGEL, hermitian_product
 from chcrown.triangle import (
     Q0,
     coefficients,
     conjugation_residual,
+    relation_values,
     max_imag_entry,
     polar_vectors,
     real_point_matrices,
@@ -45,11 +46,26 @@ def test_validate_param_bounds():
         validate_param(PARAM_MIN, strict_interior=True)
 
 
+def test_float32_parameter_builds_in_double():
+    # a narrower input type must not leak into the arithmetic: the build at
+    # np.float32(0.39) is the double build at the same value, bit for bit
+    narrow = np.float32(0.39)
+    wide = float(narrow)
+    got, want = build_generators(narrow), build_generators(wide)
+    assert type(got.t) is float and got.t == want.t
+    for name in ("n1", "n2", "n3"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name in ("i1", "i2", "i3", "g1", "g2", "g3"):
+        assert np.array_equal(getattr(got, name).matrix, getattr(want, name).matrix), name
+    assert coefficients(narrow) == coefficients(wide)
+    assert relation_values(narrow) == relation_values(wide)
+
+
 @given(params)
 @settings(max_examples=40, deadline=None)
 def test_polar_vectors_are_unit(t):
     for n in polar_vectors(t):
-        assert abs(complex(hermitian_product(n.data, n.data, SIEGEL_FORM)) - 1.0) < 1e-12
+        assert abs(complex(hermitian_product(n, n)) - 1.0) < 1e-12
 
 
 @given(params)
@@ -114,7 +130,7 @@ def test_real_point_matrices_match_computed():
 
 
 def test_real_point_matrices_have_unit_det_and_su21():
-    j = np.asarray(SIEGEL_FORM.matrix, dtype=complex)
+    j = np.asarray(SIEGEL, dtype=complex)
     for m in real_point_matrices().values():
         assert abs(np.linalg.det(m) - 1.0) < 1e-12
         assert np.max(np.abs(m.conj().T @ j @ m - j)) < 1e-12
@@ -122,8 +138,8 @@ def test_real_point_matrices_have_unit_det_and_su21():
 
 def test_q0_is_negative_and_g2_fixed():
     gens = build_generators(0.41)
-    q = Q0.data
-    assert complex(hermitian_product(q, q, SIEGEL_FORM)).real == pytest.approx(-2.0)
+    q = Q0
+    assert complex(hermitian_product(q, q)).real == pytest.approx(-2.0)
     moved = gens.g2.apply(q)
     # fixed projectively: moved is proportional to q
     cross = moved[0] * q[2] - moved[2] * q[0]

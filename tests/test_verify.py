@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import Future
 
 import mpmath
 import numpy as np
@@ -160,6 +161,41 @@ def test_all_expands_to_every_suite():
     assert {r.suite for r in report.records} == set(SUITE_NAMES)
 
 
+def test_pool_is_no_larger_than_the_task_count(monkeypatch):
+    # the pool forks every worker up front, so one task must not fork 64;
+    # the stand-in records the pool size and runs each task inline
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    serial = run_suite("relations", points=[0.39, 0.41]).to_json()
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
+    run_suite("relations", points=[0.39], jobs=64)
+    assert run_suite("relations", points=[0.39, 0.41], jobs=64).to_json() == serial
+    assert run_suite("relations", points=[0.39, 0.41], jobs=2).to_json() == serial
+    run_suite("relations", points=[], jobs=2)
+    assert sizes == [1, 2, 2]
+
+
+def test_run_suite_rejects_fewer_than_one_job():
+    for jobs in (0, -1):
+        with pytest.raises(GeometryError, match="jobs"):
+            run_suite("relations", points=[0.39], jobs=jobs)
+
+
 def test_run_suite_bytes_are_deterministic_and_job_independent():
     cfg = SweepConfig(t_min=0.3751, t_max=0.41, steps=3)
     a = run_suite("relations", cfg).to_json()
@@ -231,7 +267,7 @@ def _limit_set_points_every_word(t, depth):
             solves[0] += 1
             try:
                 for vec in fixed_points_boundary(element):
-                    u = np.asarray(vec.data, dtype=complex)
+                    u = np.asarray(vec, dtype=complex)
                     if abs(u[2]) > 1e-9 * float(np.max(np.abs(u))):
                         x, y, v = _heisenberg_xyz(u)
                         key = (round(x, 9), round(y, 9), round(v, 9))
