@@ -10,8 +10,9 @@ plain ``(3,)`` arrays.
 This module provides the form, Hermitian/box products, holomorphic
 isometries as 3x3 matrices, a closed-form eigensolver for 3x3 complex
 matrices, trace-based classification of isometries, boundary fixed points,
-complex reflections, and the distance function.  Everything here works in
-double precision: ``complex128`` arrays and ``float``/``complex`` scalars.
+complex reflections, and projective comparison of vectors and matrices.
+Everything here works in double precision: ``complex128`` arrays and
+``float``/``complex`` scalars.
 The form, group products, inverses, ``det3``, complex reflections and the
 trace discriminant use plain arithmetic only, so they also run on object
 arrays of extended-precision scalars; the extended path of
@@ -83,17 +84,17 @@ def _max_abs(a: np.ndarray) -> float:
     return max(float(abs(x)) for x in np.asarray(a).ravel())
 
 
-def norm_type(v, tol: float = EPS_ALG) -> NormType:
-    """Sign of <v, v> relative to |v|^2: a point, a boundary point or a polar."""
+def norm_type(v) -> NormType:
+    """Sign of <v, v> relative to |v|^2, null within ``EPS_ALG``: point, boundary or polar."""
     v = _data(v)
     s = hermitian_product(v, v)
     scale = sum(_abs2(x) for x in v)
     if scale == 0:
         raise GeometryError("zero vector has no norm type")
     rel = float(s.real) / float(scale)
-    if rel > tol:
+    if rel > EPS_ALG:
         return NormType.POSITIVE
-    if rel < -tol:
+    if rel < -EPS_ALG:
         return NormType.NEGATIVE
     return NormType.NULL
 
@@ -196,18 +197,6 @@ def _cbrt(z):
     return cmath.exp(cmath.log(z) / 3.0)
 
 
-def eig3(m: np.ndarray):
-    """Eigenvalues and eigenvectors of a 3x3 complex matrix.
-
-    The eigenvalues come from :func:`eigvals3`; each eigenvector is taken
-    from the adjugate of ``m - lam*I`` and polished by one step of shifted
-    inverse iteration.  Returns ``(eigenvalues, eigenvectors)`` as a list of
-    3 scalars and a list of 3 unit vectors (Euclidean norm).
-    """
-    lams = eigvals3(m)
-    return lams, [_eigvec(m, lam) for lam in lams]
-
-
 def eigvals3(m: np.ndarray):
     """The three eigenvalues of a 3x3 complex matrix, as a list.
 
@@ -240,7 +229,11 @@ def eigvals3(m: np.ndarray):
 
 
 def _eigvec(m: np.ndarray, lam) -> np.ndarray:
-    """Unit eigenvector of ``m`` for the eigenvalue ``lam``."""
+    """Unit eigenvector of ``m`` for the eigenvalue ``lam``.
+
+    Taken from the adjugate of ``m - lam*I`` and polished by one step of
+    shifted inverse iteration; the norm is Euclidean.
+    """
     eps = _EPS
     scale = _max_abs(m) + 1.0
     eye = np.eye(3, dtype=complex)
@@ -287,13 +280,8 @@ class IsometryClass(enum.Enum):
 @dataclass(frozen=True)
 class Classification:
     kind: IsometryClass
-    regular: bool
     discriminant: float
     trace: complex
-
-    def __str__(self):
-        reg = "regular " if self.regular else ""
-        return f"{reg}{self.kind.value} (disc={self.discriminant:.3e})"
 
 
 def trace_discriminant(tau) -> float:
@@ -312,21 +300,21 @@ def trace_discriminant(tau) -> float:
     return float(a2 * a2 - 8 * t3.real + 18 * a2 - 27)
 
 
-def classify_isometry(g: GroupElement, eps: float = EPS_CLASS) -> Classification:
+def classify_isometry(g: GroupElement) -> Classification:
     """Classify an isometry as elliptic, parabolic or loxodromic.
 
     The sign of the trace discriminant decides the regular cases.  On the
-    degenerate locus (|disc| <= eps) the repeated eigenvalue is examined:
+    degenerate locus (|disc| <= EPS_CLASS) the repeated eigenvalue is examined:
     a diagonalizable matrix is boundary elliptic (this covers complex
     reflections and reflections in points), a non-diagonalizable one is
     parabolic.
     """
     tau = g.trace
     disc = trace_discriminant(tau)
-    if disc > eps:
-        return Classification(IsometryClass.LOXODROMIC, True, disc, complex(tau))
-    if disc < -eps:
-        return Classification(IsometryClass.ELLIPTIC, True, disc, complex(tau))
+    if disc > EPS_CLASS:
+        return Classification(IsometryClass.LOXODROMIC, disc, complex(tau))
+    if disc < -EPS_CLASS:
+        return Classification(IsometryClass.ELLIPTIC, disc, complex(tau))
 
     lams = eigvals3(g.matrix)
     scale = _max_abs(g.matrix) + 1.0
@@ -340,31 +328,35 @@ def classify_isometry(g: GroupElement, eps: float = EPS_CLASS) -> Classification
         lam = (lams[0] + lams[1] + lams[2]) / 3
         defect = _max_abs(g.matrix - lam * eye)
         kind = IsometryClass.ELLIPTIC if defect < 1e-8 * scale else IsometryClass.PARABOLIC
-        return Classification(kind, False, disc, complex(tau))
+        return Classification(kind, disc, complex(tau))
     # double root: the two closest eigenvalues
     _, odd = gaps[0]
     lam = sum(lams[i] for i in range(3) if i != odd) / 2
     adj = adjugate3(g.matrix - lam * eye)
     diagonalizable = _max_abs(adj) < 1e-6 * scale * scale
     kind = IsometryClass.ELLIPTIC if diagonalizable else IsometryClass.PARABOLIC
-    return Classification(kind, False, disc, complex(tau))
+    return Classification(kind, disc, complex(tau))
 
 
-def fixed_points_boundary(g: GroupElement, min_separation: float = 1e-6):
+#: least gap between the extreme eigenvalue moduli that fixed points need
+_MIN_SEPARATION = 1e-6
+
+
+def fixed_points_boundary(g: GroupElement):
     """Attractive and repulsive boundary fixed points of a loxodromic map.
 
     Returns ``(attractive, repulsive)`` as null lifts, unit ``(3,)`` arrays.
     Raises :class:`NearParabolicError` when the extreme eigenvalue moduli
-    differ by less than ``min_separation``: so close to the parabolic locus
+    differ by less than ``_MIN_SEPARATION``: so close to the parabolic locus
     the eigenvectors are too ill-conditioned to certify anything.
     """
     lams = eigvals3(g.matrix)
     order = sorted(range(3), key=lambda i: -float(abs(lams[i])))
     hi, lo = order[0], order[2]
     sep = float(abs(lams[hi]) - abs(lams[lo]))
-    if sep < min_separation:
+    if sep < _MIN_SEPARATION:
         raise NearParabolicError(
-            f"eigenvalue moduli differ by {sep:.3e} < {min_separation:.1e}; "
+            f"eigenvalue moduli differ by {sep:.3e} < {_MIN_SEPARATION:.1e}; "
             "refusing fixed points this close to the parabolic locus"
         )
     att = _eigvec(g.matrix, lams[hi])
@@ -395,27 +387,7 @@ def complex_reflection_from_polar(c) -> GroupElement:
 
 
 # ---------------------------------------------------------------------------
-# Distance and projective comparison
-
-
-def distance(p, q):
-    """Distance between two points, via cosh^2(d/2) = |<p,q>|^2/(<p,p><q,q>).
-
-    Both arguments must be negative-type lifts.  The squared-cosh form is
-    used so no intermediate square root of a near-1 quantity is taken; the
-    ratio is clamped to [1, inf) before acosh.
-    """
-    p = _data(p)
-    q = _data(q)
-    pp = hermitian_product(p, p).real
-    qq = hermitian_product(q, q).real
-    if pp >= 0 or qq >= 0:
-        raise GeometryError("distance needs negative-type lifts")
-    pq = hermitian_product(p, q)
-    ratio = _abs2(pq) / (pp * qq)
-    if ratio < 1.0:
-        ratio = 1.0
-    return 2.0 * math.acosh(math.sqrt(float(ratio)))
+# Projective comparison
 
 
 def projective_distance(v, w) -> float:
@@ -433,10 +405,6 @@ def projective_distance(v, w) -> float:
     nw = math.sqrt(sum(_abs2(x) for x in w))
     nc = math.sqrt(sum(_abs2(x) for x in cross))
     return float(nc / (nv * nw))
-
-
-def projectively_equal(v, w, tol: float = EPS_ALG) -> bool:
-    return projective_distance(v, w) < tol
 
 
 _CUBE_ROOTS = (1.0 + 0.0j, complex(-0.5, np.sqrt(3) / 2), complex(-0.5, -np.sqrt(3) / 2))

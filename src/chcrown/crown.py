@@ -40,7 +40,7 @@ from .heisenberg import (
     disk_intersection_segment,
     translation_element,
 )
-from .triangle import PARAM_MAX, coefficients
+from .triangle import PARAM_MAX, PARAM_MIN, coefficients, validate_param
 
 ARC_NAMES = ("alpha1", "alpha2", "alpha3", "alpha4", "beta1", "beta2", "beta3", "beta4")
 
@@ -52,18 +52,21 @@ ARC_NAMES = ("alpha1", "alpha2", "alpha3", "alpha4", "beta1", "beta2", "beta3", 
 def alpha1_polar(t: float) -> np.ndarray:
     """Axis polar of g1, lifted with last coordinate 1."""
     c = coefficients(t)
+    t = c.t
     mid = math.sqrt(2.0) * c.a * complex(t, -c.b) / (1.0 - 2.0 * t)
     return np.array([-1.0, mid, 1.0], dtype=complex)
 
 
 def alpha2_polar(t: float) -> np.ndarray:
     c = coefficients(t)
+    t = c.t
     den = 2.0 * t * c.a + 4.0 * t - 1.0
     return np.array([complex(8.0 * t - 3.0, -2.0 * c.a * c.b) / den, 0.0, 1.0], dtype=complex)
 
 
 def alpha4_polar(t: float) -> np.ndarray:
     c = coefficients(t)
+    t = c.t
     den = 4.0 * t - 1.0 - 2.0 * t * c.a
     return np.array([complex(8.0 * t - 3.0, 2.0 * c.a * c.b) / den, 0.0, 1.0], dtype=complex)
 
@@ -75,6 +78,7 @@ def beta_polar_scaled(t: float) -> np.ndarray:
     values against ``alpha1_polar`` then take rational closed forms.
     """
     c = coefficients(t)
+    t = c.t
     s4 = 2.0 * math.sqrt(1.0 - 2.0 * t)
     return np.array(
         [
@@ -99,10 +103,12 @@ def linking_value(v: np.ndarray, w: np.ndarray) -> float:
 
 
 def linking_alpha_beta_closed(t: float) -> float:
+    t = validate_param(t)
     return 2.0 * (1.0 - 3.0 * t) / (2.0 * t - 1.0)
 
 
 def linking_alpha_alpha_closed(t: float) -> float:
+    t = validate_param(t)
     return -2.0 * (15.0 * t * t - 11.0 * t + 2.0) / (2.0 * t - 1.0) ** 2
 
 
@@ -122,13 +128,11 @@ def crown_circle_polars(config: DirichletConfig) -> Dict[str, np.ndarray]:
 
 @dataclass(frozen=True)
 class LinkReport:
+    """Linking value of two crown circles: positive iff they are unlinked."""
+
     first: str
     second: str
     value: float
-
-    @property
-    def unlinked(self) -> bool:
-        return self.value > 0.0
 
 
 def linked_pair_report(config: DirichletConfig) -> List[LinkReport]:
@@ -210,16 +214,6 @@ class ChartedCircle:
         k2 = f01 - k0
         return ChartLine(k0, k1, k2)
 
-    def affinity_residual(self, sphere: SpinalSphere, n: int = 7) -> float:
-        """Check the affine model against fresh chart points."""
-        line = self.line_of_sphere(sphere)
-        worst = 0.0
-        for theta in np.linspace(0.3, 2.0 * math.pi, n, endpoint=False):
-            x, y = math.cos(theta), math.sin(theta)
-            val = float(sphere.side_of_lifts(self.from_chart(x, y))[0])
-            worst = max(worst, abs(val - line.value(x, y)))
-        return worst
-
 
 @dataclass(frozen=True)
 class ChartLine:
@@ -228,9 +222,6 @@ class ChartLine:
     k0: float
     k1: float
     k2: float
-
-    def value(self, x: float, y: float) -> float:
-        return self.k0 + self.k1 * x + self.k2 * y
 
     @property
     def direction_norm(self) -> float:
@@ -243,13 +234,13 @@ class ChartLine:
             return math.inf
         return self.k0 ** 2 / (self.k1 ** 2 + self.k2 ** 2)
 
-    def circle_crossings(self, tol: float = 0.0) -> List[float]:
+    def circle_crossings(self) -> List[float]:
         """Angles where the line meets the unit circle (0, 1, or 2)."""
         r = self.direction_norm
         if r == 0.0:
             return []
         c = -self.k0 / r
-        if abs(c) > 1.0 + tol:
+        if abs(c) > 1.0:
             return []
         c = min(1.0, max(-1.0, c))
         phi = math.atan2(self.k2, self.k1)
@@ -280,11 +271,9 @@ class CrownArc:
     """
 
     name: str
-    word: GroupElement
     circle: CCircle
     chart: ChartedCircle
     theta_att: float
-    theta_rep: float
     sweep: float
 
     def angle_at(self, s: float) -> float:
@@ -301,11 +290,6 @@ class CrownArc:
         if s < 0.0:
             s = (delta + math.copysign(2.0 * math.pi, self.sweep)) / self.sweep
         return s
-
-
-def _axis_circle(t: float, polar: np.ndarray) -> Tuple[CCircle, ChartedCircle]:
-    circle = ccircle_from_polar(polar)
-    return circle, ChartedCircle.build(t, circle)
 
 
 def _crown_arc(config: DirichletConfig, name: str) -> CrownArc:
@@ -327,41 +311,15 @@ def _crown_arc(config: DirichletConfig, name: str) -> CrownArc:
     base = gens.g1 if kind == "alpha" else gens.g2.inverse() @ gens.g3
     att, rep = fixed_points_boundary(base)
     polar = box_product(att, rep)
-    word = base
     for _ in range(idx - 1):
         att = gens.g2.apply(att)
         rep = gens.g2.apply(rep)
         polar = gens.g2.apply(polar)
-        word = gens.g2 @ word @ gens.g2.inverse()
-    circle, chart = _axis_circle(gens.t, polar)
+    circle = ccircle_from_polar(polar)
+    chart = ChartedCircle.build(gens.t, circle)
     theta_att = chart.chart_angle(att)
-    theta_rep = chart.chart_angle(rep)
-    ccw = (theta_rep - theta_att) % (2.0 * math.pi)
-    return CrownArc(name, word, circle, chart, theta_att, theta_rep, ccw)
-
-
-def mirror_symmetry_residual(arc: CrownArc, config: DirichletConfig) -> float:
-    """How exactly the complementary half-arc mirrors the chosen one.
-
-    Every sphere line is perpendicular to the fixed-point diameter, so the
-    two halves carry crossings at equal arc parameters and equal side
-    values.  Returns the worst parameter/segment mismatch between them.
-    """
-    other = CrownArc(arc.name, arc.word, arc.circle, arc.chart,
-                     arc.theta_att, arc.theta_rep, arc.sweep - 2.0 * math.pi)
-    mine = _sphere_crossing_params(arc, config)
-    theirs = _sphere_crossing_params(other, config)
-    if len(mine) != len(theirs):
-        return math.inf
-    worst = max((abs(a - b) + (ka != kb) for (a, ka), (b, kb) in zip(mine, theirs)),
-                default=math.inf)
-    segs_a = _in_domain_segments(arc, config, mine)
-    segs_b = _in_domain_segments(other, config, theirs)
-    if len(segs_a) != len(segs_b):
-        return math.inf
-    for (a0, a1), (b0, b1) in zip(segs_a, segs_b):
-        worst = max(worst, abs(a0 - b0), abs(a1 - b1))
-    return worst
+    ccw = (chart.chart_angle(rep) - theta_att) % (2.0 * math.pi)
+    return CrownArc(name, circle, chart, theta_att, ccw)
 
 
 def _sphere_crossing_params(arc: CrownArc, config: DirichletConfig):
@@ -378,11 +336,12 @@ def _sphere_crossing_params(arc: CrownArc, config: DirichletConfig):
 
 
 def _in_domain_segments(arc: CrownArc, config: DirichletConfig,
-                        hits: List[Tuple[float, int]],
-                        guard: float = 1e-12) -> List[Tuple[float, float]]:
+                        hits: List[Tuple[float, int]]) -> List[Tuple[float, float]]:
     """Maximal sub-intervals of the arc outside all eight spheres.
 
-    ``hits`` are the arc's sphere crossings from ``_sphere_crossing_params``.
+    ``hits`` are the arc's sphere crossings from ``_sphere_crossing_params``;
+    a piece is outside when its midpoint's largest side value is below
+    ``-1e-12``.
     """
     cuts = [0.0] + [s for s, _ in hits] + [1.0]
     segments = []
@@ -391,7 +350,7 @@ def _in_domain_segments(arc: CrownArc, config: DirichletConfig,
             continue
         mid = (lo + hi) / 2.0
         vals = config.side_matrix(arc.lift_at(mid))
-        if float(np.max(vals)) < -guard:
+        if float(np.max(vals)) < -1e-12:
             segments.append((lo, hi))
     # merge adjacent segments split by a crossing that does not change sign
     merged: List[Tuple[float, float]] = []
@@ -484,7 +443,6 @@ def expected_relevant_spheres(name: str) -> Tuple[int, ...]:
 class ArcReport:
     name: str
     hosts: Tuple[int, int]
-    relevant: Tuple[int, ...]
     crossing_counts: Dict[int, int]
     hat: HatArc
 
@@ -511,7 +469,7 @@ def arc_report(config: DirichletConfig, name: str) -> ArcReport:
     counts: Dict[int, int] = {k: 0 for k in range(1, 9)}
     for _s, k in hits:
         counts[k] += 1
-    return ArcReport(name, hat.hosts, expected_relevant_spheres(name), counts, hat)
+    return ArcReport(name, hat.hosts, counts, hat)
 
 
 def table1(config: DirichletConfig) -> Dict[str, Tuple[int, int]]:
@@ -520,19 +478,13 @@ def table1(config: DirichletConfig) -> Dict[str, Tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# clearance of the never-touched sphere and line parallelism
+# clearance of the never-touched sphere
 
 
 def alpha4_chart(t: float) -> ChartedCircle:
+    t = validate_param(t)
     circle = ccircle_from_polar(alpha4_polar(t))
     return ChartedCircle.build(t, circle)
-
-
-def chart_line_coeffs(config: DirichletConfig, k: int,
-                      chart: Optional[ChartedCircle] = None) -> ChartLine:
-    """Line of the canonical sphere k on the alpha4 chart (or a given chart)."""
-    chart = chart or alpha4_chart(config.gens.t)
-    return chart.line_of_sphere(config.sphere(k))
 
 
 def clearance_objective(t: float, config: Optional[DirichletConfig] = None) -> float:
@@ -544,23 +496,29 @@ def clearance_objective(t: float, config: Optional[DirichletConfig] = None) -> f
     at ``t`` when the caller has it already; without it only sphere 5 is
     built.
     """
+    t = validate_param(t)
     sphere = config.sphere(5) if config is not None else sphere_at(t, 5)
     return alpha4_chart(t).line_of_sphere(sphere).clearance2()
 
 
-def golden_minimize(f, lo: float, hi: float, tol: float = 1e-10,
-                    grid: int = 512) -> Tuple[float, float]:
+#: points of the coarse scan of :func:`golden_minimize`
+_GOLDEN_GRID = 256
+#: bracket width at which the golden-section refinement stops
+_GOLDEN_TOL = 1e-10
+
+
+def golden_minimize(f, lo: float, hi: float) -> Tuple[float, float]:
     """Coarse grid scan followed by golden-section refinement."""
-    ts = np.linspace(lo, hi, grid)
+    ts = np.linspace(lo, hi, _GOLDEN_GRID)
     vals = [f(float(t)) for t in ts]
     i = int(np.argmin(vals))
     a = float(ts[max(0, i - 1)])
-    b = float(ts[min(grid - 1, i + 1)])
+    b = float(ts[min(_GOLDEN_GRID - 1, i + 1)])
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > _GOLDEN_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -573,37 +531,9 @@ def golden_minimize(f, lo: float, hi: float, tol: float = 1e-10,
     return xm, f(xm)
 
 
-def minimize_clearance(lo: float = 0.375 + 1e-7, hi: float = PARAM_MAX,
-                       grid: int = 512) -> Tuple[float, float]:
-    return golden_minimize(clearance_objective, lo, hi, grid=grid)
-
-
-def parallel_lines_certificate(config: DirichletConfig) -> Dict[str, float]:
-    """Spheres 1 and 2 trace parallel lines on the alpha4 chart.
-
-    Returns the cross-product residual of the two directions and the
-    mismatch of the closed-form ratios (1-2t)/(4t-1) for the direction and
-    (1-2t) for the constant term.
-    """
-    t = config.gens.t
-    chart = alpha4_chart(t)
-    l1 = chart_line_coeffs(config, 1, chart)
-    l2 = chart_line_coeffs(config, 2, chart)
-    cross = l1.k1 * l2.k2 - l1.k2 * l2.k1
-    scale = max(l1.direction_norm * l2.direction_norm, 1e-30)
-    ratio_dir = (1.0 - 2.0 * t) / (4.0 * t - 1.0)
-    ratio_res = max(abs(l1.k1 - ratio_dir * l2.k1), abs(l1.k2 - ratio_dir * l2.k2))
-    const_res = abs(l1.k0 - (1.0 - 2.0 * t) * l2.k0)
-    return {
-        "parallel_residual": abs(cross) / scale,
-        "direction_ratio_residual": ratio_res,
-        "constant_ratio_residual": const_res,
-    }
-
-
-def printed_k0_sphere1(t: float) -> float:
-    """Closed form of the sphere-1 line's constant term on the alpha4 chart."""
-    return (6.0 * t - 2.0) * (8.0 * t - 3.0) / (2.0 * t - 1.0)
+def minimize_clearance() -> Tuple[float, float]:
+    """Global minimum of the clearance over the family, just off t = 3/8."""
+    return golden_minimize(clearance_objective, PARAM_MIN + 1e-7, PARAM_MAX)
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +548,7 @@ def chord_line(t: float) -> Tuple[float, float]:
     and the line collapses onto the real axis.
     """
     c = coefficients(t)
+    t = c.t
     den = 2.0 * t * c.a + 4.0 * t - 1.0
     k1 = -c.b / t
     k2 = -math.sqrt(2.0) * (2.0 * t - 1.0) * c.b / (t * den)
@@ -635,6 +566,7 @@ def chord_bounds(t: float) -> Tuple[float, float]:
     clamped at zero so the tangency itself stays inside the domain.
     """
     c = coefficients(t)
+    t = c.t
     a, b = c.a, c.b
     k1, k2 = chord_line(t)
     q = 1.0 + k1 * k1
@@ -684,6 +616,7 @@ def blocking_minimum_at(t: float, config: Optional[DirichletConfig] = None) -> f
     at ``t`` when the caller has it already; without it only sphere 3 is
     built.
     """
+    t = validate_param(t)
     lo, hi = chord_bounds(t)
     if lo > hi + 1e-12:
         raise GeometryError("the disks share no affine segment below the tangency")
@@ -698,34 +631,34 @@ def blocking_minimum_at(t: float, config: Optional[DirichletConfig] = None) -> f
     return min(float(np.polyval(poly, x)) for x in cand) / 2.0
 
 
-def minimize_blocking(lo: float = 0.4, hi: float = PARAM_MAX,
-                      grid: int = 512) -> Tuple[float, float]:
+def minimize_blocking() -> Tuple[float, float]:
     """Global minimum of the blocking value over the linked range.
 
-    The minimum sits on the lo = 2/5 boundary, where the shared segment
+    The minimum sits on the t = 2/5 boundary, where the shared segment
     degenerates to the tangency point of the two projected circles.
     """
-    return golden_minimize(blocking_minimum_at, lo, hi, grid=grid)
+    return golden_minimize(blocking_minimum_at, 0.4, PARAM_MAX)
 
 
-def honest_chord_blocking(t: float, n: int = 513,
+def honest_chord_blocking(t: float,
                           config: Optional[DirichletConfig] = None) -> Optional[float]:
     """Cross-check: sample the true 3D chord and test it against sphere 3.
 
     Independent of the closed forms above: the chord comes from
-    :func:`disk_intersection_segment` on the two affine disks, and the
-    returned minimum is the raw (unhalved) side value, so it should land
-    on twice :func:`blocking_minimum_at`.  ``None`` when there is no chord.
-    ``config`` is the configuration at ``t`` when the caller has it already;
-    without it only sphere 3 is built.
+    :func:`disk_intersection_segment` on the two affine disks, sampled at
+    513 points, and the returned minimum is the raw (unhalved) side value,
+    so it should land on twice :func:`blocking_minimum_at`.  ``None`` when
+    there is no chord.  ``config`` is the configuration at ``t`` when the
+    caller has it already; without it only sphere 3 is built.
     """
+    t = validate_param(t)
     c1 = ccircle_from_polar(alpha1_polar(t))
     c2 = ccircle_from_polar(alpha2_polar(t))
     seg = disk_intersection_segment(AffineDisk(c1), AffineDisk(c2))
     if seg is None:
         return None
     blocker = config.sphere(3) if config is not None else sphere_at(t, 3)
-    return float(np.min(blocker.side_of_lifts(seg.sample_lifts(n))))
+    return float(np.min(blocker.side_of_lifts(seg.sample_lifts(513))))
 
 
 # ---------------------------------------------------------------------------
@@ -762,14 +695,13 @@ _TWO_PI = 2.0 * math.pi
 
 
 def visible_component(config: DirichletConfig, hat: HatArc,
-                      nr: int = 128, nth: int = 512,
-                      hat_samples: int = 400) -> VisibleComponent:
+                      nr: int = 128, nth: int = 512) -> VisibleComponent:
     """Flood-fill the affine disk of ``hat``'s circle from the hat arc.
 
     Cells are seeded at the outermost free ring (of the last five) under
-    each angle column the hat passes through (the hat itself lies on the
-    circle), then grown through the 4-neighborhood of sphere-free cells by
-    :func:`seeded_components`.  The chart's backward map is a Heisenberg
+    each angle column one of 400 hat samples passes through (the hat itself
+    lies on the circle), then grown through the 4-neighborhood of
+    sphere-free cells by :func:`seeded_components`.  The chart's backward map is a Heisenberg
     translation by the circle centre and a positive dilation, so a hat
     point's angle about the centre is its chart angle, read off the arc
     without lifting the point.
@@ -788,7 +720,7 @@ def visible_component(config: DirichletConfig, hat: HatArc,
     lifts[..., 2] = 1.0
     free = config.in_boundary_domain(lifts.reshape(-1, 3)).reshape(nr, nth)
 
-    cols = np.unique(_angle_columns(hat.sample_angles(hat_samples), nth))
+    cols = np.unique(_angle_columns(hat.sample_angles(400), nth))
     rings = free[max(nr - 5, 0):, cols][::-1]
     rows = nr - 1 - np.argmax(rings, axis=0)
     hit = rings.any(axis=0)
@@ -881,9 +813,14 @@ class DiskPairCert:
         return self.mode != "overlapping"
 
 
-def disk_disjointness_certificates(config: DirichletConfig, n: int = 257,
+#: samples along each shared chord segment of the disk ladder
+_CHORD_SAMPLES = 257
+#: a chord sample counts as exposed when no sphere covers it by this much
+_VISIBLE_TOL = 1e-8
+
+
+def disk_disjointness_certificates(config: DirichletConfig,
                                    nr: int = 128, nth: int = 512,
-                                   visible_tol: float = 1e-8,
                                    hats: Optional[Callable[[str], HatArc]] = None,
                                    ) -> List[DiskPairCert]:
     """Per-pair disjointness ladder over all 28 cutting-disk pairs.
@@ -926,7 +863,7 @@ def disk_disjointness_certificates(config: DirichletConfig, n: int = 257,
                     mode = "parallel-planes" if parallel else "no-chord"
                 out.append(DiskPairCert(ni, nj, link, mode, link))
                 continue
-            lifts = seg.sample_lifts(n)
+            lifts = seg.sample_lifts(_CHORD_SAMPLES)
             side = config.side_matrix(lifts)
             per_sphere = np.min(side, axis=0)
             best = int(np.argmax(per_sphere))
@@ -935,10 +872,10 @@ def disk_disjointness_certificates(config: DirichletConfig, n: int = 257,
                                         float(per_sphere[best]), best + 1))
                 continue
             cover = np.max(side, axis=1)
-            if float(np.min(cover)) >= -visible_tol:
+            if float(np.min(cover)) >= -_VISIBLE_TOL:
                 out.append(DiskPairCert(ni, nj, link, "covered", float(np.min(cover))))
                 continue
-            exposed = np.nonzero(cover < -visible_tol)[0]
+            exposed = np.nonzero(cover < -_VISIBLE_TOL)[0]
             ci, cj = comp(ni), comp(nj)
             zs = lifts[:, 1].tolist()
             shared = [int(k) for k in exposed if ci.reachable(zs[k]) and cj.reachable(zs[k])]

@@ -5,28 +5,25 @@ lift ``q0 = [-1, 0, 1]`` is parameter-independent, so the eight defining
 isometries ``w_k`` give spinal spheres ``S_k = {|<p, q0>| = |<p, w_k q0>|}``
 directly, with no eigenvector extraction anywhere.
 
-Two index systems coexist.  The canonical one enumerates the defining words
+The spheres are indexed canonically by their defining words
 
     w_1, w_3, w_5, w_7 = g2^0 g1, g2^1 g1, g2^2 g1, g2^3 g1
     w_2, w_4, w_6, w_8 = g2^0 g3^-1, g2^1 g3^-1, g2^2 g3^-1, g2^3 g3^-1
 
-so that the rotation g2 acts as k -> k + 2 (mod 8).  Figure labels used in
-hand-drawn pictures instead number the g1-row 1..4 and the g3^-1-row 5..8;
-``FIG_FROM_CANONICAL`` translates.
+so that the rotation g2 acts as k -> k + 2 (mod 8).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
 from .core import (
     EPS_TANGENT,
     GeometryError,
-    GroupElement,
     SIEGEL,
     hermitian_product,
     matrix_phase_distance,
@@ -35,9 +32,6 @@ from .core import (
 from .triangle import GeneratorSet, build_generators
 
 CANONICAL_INDICES = tuple(range(1, 9))
-
-FIG_FROM_CANONICAL: Dict[int, int] = {1: 1, 3: 2, 5: 3, 7: 4, 2: 5, 4: 6, 6: 7, 8: 8}
-CANONICAL_FROM_FIG: Dict[int, int] = {v: k for k, v in FIG_FROM_CANONICAL.items()}
 
 
 def canonical_index(k: int) -> int:
@@ -58,6 +52,10 @@ def defining_word(k: int) -> str:
 def _row_form(u: np.ndarray) -> np.ndarray:
     """Row r with <p, u> = r @ p for the Siegel form."""
     return np.conj(u) @ SIEGEL
+
+
+_SHADOW_PAD = 1.6
+_SHADOW_DOUBLINGS = 12
 
 
 @dataclass(frozen=True)
@@ -128,10 +126,11 @@ class SpinalSphere:
         cminus = (2.0 - 1j * disc) / pairing
         return self.u + cplus * self.v, self.u + cminus * self.v
 
-    def shadow_window(self, pad: float = 1.6, max_doublings: int = 12):
+    def shadow_window(self):
         """Axis-aligned (x, y) box containing the sphere's vertical shadow.
 
-        Starts from the spine endpoints and doubles until the discriminant
+        Starts from the spine endpoints, padded by ``_SHADOW_PAD``, and
+        doubles, at most ``_SHADOW_DOUBLINGS`` times, until the discriminant
         of the vertical quadratic is negative on the whole window frame.
         """
         pts = []
@@ -143,8 +142,8 @@ class SpinalSphere:
         zs = np.array(pts)
         cx = float(zs.real.mean())
         cy = float(zs.imag.mean())
-        half = max(float(np.max(np.abs(zs - complex(cx, cy)))), 0.25) * pad
-        for _ in range(max_doublings):
+        half = max(float(np.max(np.abs(zs - complex(cx, cy)))), 0.25) * _SHADOW_PAD
+        for _ in range(_SHADOW_DOUBLINGS):
             frame = _window_frame(cx, cy, half, 65)
             _, B, C = self.vertical_quadratic(frame)
             A = (abs(self._ru[0]) ** 2 - abs(self._rv[0]) ** 2) / 4.0
@@ -198,15 +197,13 @@ class DirichletConfig:
 
     gens: GeneratorSet
     q0: np.ndarray
-    words: Tuple[GroupElement, ...]
     spheres: Tuple[SpinalSphere, ...]
 
     @classmethod
     def build(cls, t: float) -> "DirichletConfig":
         gens = build_generators(t)
         q0 = gens.q0
-        words, spheres = zip(*(_defining_sphere(gens, q0, k) for k in CANONICAL_INDICES))
-        return cls(gens, q0, words, spheres)
+        return cls(gens, q0, tuple(_defining_sphere(gens, q0, k) for k in CANONICAL_INDICES))
 
     def sphere(self, k: int) -> SpinalSphere:
         return self.spheres[canonical_index(k) - 1]
@@ -253,11 +250,10 @@ def _norm2(w: np.ndarray) -> np.ndarray:
     return (w * np.conj(w)).real
 
 
-def _defining_sphere(gens: GeneratorSet, q0, k: int) -> Tuple[GroupElement, SpinalSphere]:
-    """The word ``w_k`` and the sphere of the bisector of ``q0`` and ``w_k q0``."""
+def _defining_sphere(gens: GeneratorSet, q0, k: int) -> SpinalSphere:
+    """The sphere of the bisector of ``q0`` and ``w_k q0``."""
     word = defining_word(k)
-    w = gens.evaluate_word(word)
-    return w, SpinalSphere(k, word, q0, w.apply(q0))
+    return SpinalSphere(k, word, q0, gens.evaluate_word(word).apply(q0))
 
 
 def sphere_at(t: float, k: int) -> SpinalSphere:
@@ -268,7 +264,7 @@ def sphere_at(t: float, k: int) -> SpinalSphere:
     sphere many times over ``t``.
     """
     gens = build_generators(t)
-    return _defining_sphere(gens, gens.q0, canonical_index(k))[1]
+    return _defining_sphere(gens, gens.q0, canonical_index(k))
 
 
 def symmetry_certificate(config: DirichletConfig) -> float:
@@ -360,41 +356,38 @@ class PairRelation:
         return min(abs(self.min_side), abs(self.max_side))
 
 
-def pair_relation(config: DirichletConfig, j: int, k: int, n: int = 96,
-                  tangent_tol: float = EPS_TANGENT,
-                  clouds: Optional[Mapping[int, np.ndarray]] = None) -> PairRelation:
+def pair_relation(config: DirichletConfig, j: int, k: int,
+                  clouds: Mapping[int, np.ndarray]) -> PairRelation:
     """Classify how spheres j and k sit relative to each other.
 
-    Samples each sphere and reads off the sign of the other's side
-    function; a sign change (or a value within ``tangent_tol`` of zero)
-    in either direction means the spheres meet.  Running both directions
-    makes the verdict independent of which window covers better.
-    ``clouds`` maps canonical indices to precomputed ``sample_points``
-    clouds; without it each sphere is sampled here with ``n`` points a side.
+    Probes each sphere's side function with the other's sample cloud;
+    a sign change (or a value within ``EPS_TANGENT`` of zero) in either
+    direction means the spheres meet.  Running both directions makes the
+    verdict independent of which window covers better.  ``clouds`` maps
+    canonical indices to their ``sample_points`` clouds.
     """
     j = canonical_index(j)
     k = canonical_index(k)
     lo = math.inf
     hi = -math.inf
     for a, b in ((j, k), (k, j)):
-        pts = clouds[b] if clouds is not None else config.sphere(b).sample_points(n)
-        vals = config.sphere(a).side_of_lifts(pts)
+        vals = config.sphere(a).side_of_lifts(clouds[b])
         lo = min(lo, float(np.min(vals)))
         hi = max(hi, float(np.max(vals)))
-    meets = (lo <= tangent_tol and hi >= -tangent_tol)
+    meets = (lo <= EPS_TANGENT and hi >= -EPS_TANGENT)
     d = abs(j - k) % 8
     sep = min(d, 8 - d)
     return PairRelation(j, k, sep, meets, lo, hi)
 
 
-def pairwise_relations(config: DirichletConfig, n: int = 48) -> List[PairRelation]:
+def pairwise_relations(config: DirichletConfig) -> List[PairRelation]:
     """All 28 pair relations; each sphere is sampled once and probed seven times."""
-    clouds = {s.index: s.sample_points(n) for s in config.spheres}
+    clouds = {s.index: s.sample_points() for s in config.spheres}
     out = []
     for j in CANONICAL_INDICES:
         for k in CANONICAL_INDICES:
             if j < k:
-                out.append(pair_relation(config, j, k, n, clouds=clouds))
+                out.append(pair_relation(config, j, k, clouds))
     return out
 
 
@@ -509,16 +502,3 @@ def sphere_mesh(sphere: SpinalSphere, nx: int = 64, ny: int = 64):
     faces = np.concatenate([quads, stitches]) + 1
     return verts, faces
 
-
-def mesh_equivariance_residual(config: DirichletConfig, k: int = 1, n: int = 24) -> float:
-    """Push sphere k's samples through g2 and test membership in sphere k+2."""
-    g2 = config.gens.g2
-    pts = config.sphere(k).sample_points(n)
-    imgs = pts @ g2.matrix.T
-    last = imgs[:, 2:3]
-    if np.min(np.abs(last)) < 1e-12:
-        imgs = imgs[np.abs(imgs[:, 2]) > 1e-12]
-        last = imgs[:, 2:3]
-    imgs = imgs / last
-    vals = config.sphere(canonical_index(k + 2)).side_of_lifts(imgs)
-    return float(np.max(np.abs(vals)))

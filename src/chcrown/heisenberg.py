@@ -66,20 +66,6 @@ class HeisenbergPoint:
         return f"HeisenbergPoint(z={self.z:.6g}, v={self.v:.6g})"
 
 
-def heisenberg_multiply(p: HeisenbergPoint, q: HeisenbergPoint) -> HeisenbergPoint:
-    if p.at_infinity or q.at_infinity:
-        raise GeometryError("group law is for finite points only")
-    w, s = complex(p.z), float(p.v)
-    z, v = complex(q.z), float(q.v)
-    return HeisenbergPoint(w + z, s + v + 2.0 * (w * z.conjugate()).imag)
-
-
-def heisenberg_inverse(p: HeisenbergPoint) -> HeisenbergPoint:
-    if p.at_infinity:
-        raise GeometryError("group law is for finite points only")
-    return HeisenbergPoint(-p.z, -p.v)
-
-
 def translation_element(w: complex, s: float) -> GroupElement:
     """The isometry acting on the boundary as left translation by ``(w, s)``."""
     w = complex(w)
@@ -102,12 +88,6 @@ def dilation_element(lam: float) -> GroupElement:
     return GroupElement(m)
 
 
-def rotation_element(phi: float) -> GroupElement:
-    """Rotation ``(z, v) -> (e^{i phi} z, v)`` about the vertical axis."""
-    m = np.diag([1.0, np.exp(1j * phi), 1.0]).astype(complex)
-    return GroupElement(m)
-
-
 @dataclass(frozen=True, eq=False)
 class CCircle:
     """A C-circle: a finite one (center + radius) or a vertical line.
@@ -123,33 +103,10 @@ class CCircle:
     vertical: bool = False
     z_axis: complex = 0j
 
-    @property
-    def finite(self) -> bool:
-        return not self.vertical
-
-    def point_at(self, theta: float) -> HeisenbergPoint:
-        """The circle point over angle ``theta`` of the projected circle."""
-        if self.vertical:
-            raise GeometryError("a vertical C-circle has no angle chart")
-        z0, v0 = complex(self.center.z), float(self.center.v)
-        z = z0 + self.radius * complex(math.cos(theta), math.sin(theta))
-        v = v0 + 2.0 * (z.conjugate() * z0).imag
-        return HeisenbergPoint(z, v)
-
-    def angle_of(self, p: HeisenbergPoint, tol: float = 1e-7) -> float:
-        """Angle of a point known to lie on the circle, in (-pi, pi]."""
-        if self.vertical:
-            raise GeometryError("a vertical C-circle has no angle chart")
-        dz = complex(p.z) - complex(self.center.z)
-        r = abs(dz)
-        if abs(r - self.radius) > tol * max(1.0, self.radius):
-            raise GeometryError("point is not on the circle's projected circle")
-        return math.atan2(dz.imag, dz.real)
-
     def contact_plane(self) -> "ContactPlane":
         if self.vertical:
             raise GeometryError("vertical C-circles span no affine disk")
-        return contact_plane_at(self.center)
+        return ContactPlane(self.center)
 
 
 def ccircle_from_polar(c) -> CCircle:
@@ -178,16 +135,6 @@ def ccircle_from_polar(c) -> CCircle:
     return CCircle(data, HeisenbergPoint(z0, v0), math.sqrt(r2))
 
 
-def polar_from_center_radius(center: HeisenbergPoint, radius: float) -> np.ndarray:
-    if center.at_infinity:
-        raise GeometryError("center must be finite")
-    if not radius > 0:
-        raise GeometryError("radius must be positive")
-    z0, v0 = complex(center.z), float(center.v)
-    first = complex(radius ** 2 - abs(z0) ** 2, v0) / 2.0
-    return np.array([first, z0, 1.0], dtype=complex)
-
-
 @dataclass(frozen=True)
 class ContactPlane:
     """The affine plane at a point M containing all C-circles centered there.
@@ -211,22 +158,10 @@ class ContactPlane:
     def coeff_const(self) -> float:
         return -float(self.base.v)
 
-    def evaluate(self, p: HeisenbergPoint) -> float:
-        if p.at_infinity:
-            raise GeometryError("contact planes do not reach infinity")
-        z = complex(p.z)
-        return float(p.v) + self.coeff_const + self.coeff_y * z.imag + self.coeff_x * z.real
-
     def height_at(self, z: complex) -> float:
         """The Z making ``(z, Z)`` lie on the plane."""
         z = complex(z)
         return -(self.coeff_const + self.coeff_y * z.imag + self.coeff_x * z.real)
-
-
-def contact_plane_at(m: HeisenbergPoint) -> ContactPlane:
-    if m.at_infinity:
-        raise GeometryError("contact planes are based at finite points")
-    return ContactPlane(m)
 
 
 @dataclass(frozen=True)
@@ -242,15 +177,6 @@ class AffineDisk:
     @property
     def plane(self) -> ContactPlane:
         return self.circle.contact_plane()
-
-    def contains_projection(self, z: complex, pad: float = 0.0) -> bool:
-        return abs(complex(z) - complex(self.circle.center.z)) <= self.circle.radius + pad
-
-    def point_over(self, z: complex) -> HeisenbergPoint:
-        """The disk point over ``z`` (must project inside the circle)."""
-        if not self.contains_projection(z, pad=1e-12):
-            raise GeometryError("projection outside the disk")
-        return HeisenbergPoint(complex(z), self.plane.height_at(z))
 
 
 @dataclass(frozen=True)
@@ -268,16 +194,9 @@ class ChordSegment:
     x_hi: float
     plane: ContactPlane
 
-    @property
-    def degenerate(self) -> bool:
-        return self.x_hi - self.x_lo < 1e-14
-
     def point_at(self, x: float) -> HeisenbergPoint:
         z = self.point + x * self.direction
         return HeisenbergPoint(z, self.plane.height_at(z))
-
-    def endpoints(self):
-        return self.point_at(self.x_lo), self.point_at(self.x_hi)
 
     def sample(self, n: int):
         if n < 2:
@@ -286,7 +205,7 @@ class ChordSegment:
         return [self.point_at(float(x)) for x in xs]
 
     def sample_lifts(self, n: int) -> np.ndarray:
-        """(n, 3) standard lifts of ``sample(n)``, equal to theirs bit for bit.
+        """(n, 3) standard lifts of :meth:`sample`, equal to theirs bit for bit.
 
         ``|z|^2`` is Python's ``abs(z) ** 2`` per point, as in
         :meth:`HeisenbergPoint.lift`; ``np.abs`` rounds differently.
@@ -318,14 +237,18 @@ def _chord_interval(point: complex, direction: complex, center: complex, radius:
     return ((-b - root) / (2 * a), (-b + root) / (2 * a))
 
 
-def disk_intersection_segment(d1: AffineDisk, d2: AffineDisk,
-                              tangent_tol: float = 1e-12) -> Optional[ChordSegment]:
+#: clipped intervals that miss each other by at most this much are tangent
+_TANGENT_TOL = 1e-12
+
+
+def disk_intersection_segment(d1: AffineDisk, d2: AffineDisk) -> Optional[ChordSegment]:
     """Clip the line common to two contact planes by both disks.
 
     Returns the segment of the plane-intersection line lying inside both
     projected circles, or ``None`` when the clipped intervals miss each
-    other.  Tangential contact collapses to a zero-length segment rather
-    than ``None`` so sphere-containment tests can treat it uniformly.
+    other.  Tangential contact (a miss within ``_TANGENT_TOL``) collapses to
+    a zero-length segment rather than ``None`` so sphere-containment tests
+    can treat it uniformly.
     """
     p1, p2 = d1.plane, d2.plane
     # Subtracting the plane equations eliminates Z and leaves a line in the
@@ -345,30 +268,10 @@ def disk_intersection_segment(d1: AffineDisk, d2: AffineDisk,
         return None
     lo = max(i1[0], i2[0])
     hi = min(i1[1], i2[1])
-    if hi < lo - tangent_tol:
+    if hi < lo - _TANGENT_TOL:
         return None
     if hi < lo:
         mid = (hi + lo) / 2.0
         lo = hi = mid
     return ChordSegment(base, direction, lo, hi, p1)
 
-
-def incidence_residual(circle: CCircle, p: HeisenbergPoint) -> float:
-    """How far a point is from satisfying both circle point conditions."""
-    if circle.vertical:
-        return abs(complex(p.z) - circle.z_axis)
-    z0 = complex(circle.center.z)
-    dz = complex(p.z) - z0
-    r1 = abs(abs(dz) - circle.radius)
-    r2 = abs(float(p.v) - float(circle.center.v) - 2.0 * (complex(p.z).conjugate() * z0).imag)
-    return max(r1, r2)
-
-
-def apply_to_point(g: GroupElement, p: HeisenbergPoint) -> HeisenbergPoint:
-    """Push a boundary point through an isometry (boundary action)."""
-    return HeisenbergPoint.from_lift(g.apply(p.lift()))
-
-
-def apply_to_circle(g: GroupElement, circle: CCircle) -> CCircle:
-    """Image of a C-circle: transport the polar vector."""
-    return ccircle_from_polar(g.apply(circle.polar))

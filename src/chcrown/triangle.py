@@ -133,7 +133,10 @@ def coefficients(t: float) -> Coefficients:
 
 
 def _polar_vectors(co: Coefficients, mp):
-    """Polar vectors as object arrays when ``mp`` is mpmath, else ``complex128``."""
+    """Unit polar vectors of the three mirrors; only ``n3`` depends on ``t``.
+
+    Object arrays when ``mp`` is mpmath, else ``complex128``.
+    """
     tt, a, b = co.t, co.a, co.b
     sqrt = mp.sqrt if mp else math.sqrt
     dtype = object if mp else complex
@@ -153,19 +156,12 @@ def _polar_vectors(co: Coefficients, mp):
     return n1, n2, n3
 
 
-def polar_vectors(t: float):
-    """Polar vectors of the three mirrors, in the Siegel model.
-
-    All three are unit vectors: <n_i, n_i> = 1.  ``n1`` and ``n2`` do not
-    depend on ``t``; ``n3`` carries the deformation.
-    """
-    return _polar_vectors(coefficients(t), None)
-
-
 # Lift of the common fixed point of I1 and I2 (the rotation center of g2).
 # It is orthogonal to both n1 and n2, hence box_product(n1, n2) up to scale,
-# and does not depend on t.  <q0, q0> = -2.
+# and does not depend on t.  <q0, q0> = -2.  Every generator set, Dirichlet
+# configuration and spinal sphere shares this one array, so it is read-only.
 Q0 = np.array([-1.0, 0.0, 1.0], dtype=complex)
+Q0.setflags(write=False)
 
 #: the six defining relations of the reflection presentation
 RELATION_WORDS = (
@@ -297,15 +293,15 @@ class RelationReport:
     passed: bool
 
 
-def relation_certificate(gens: GeneratorSet, tol: float = EPS_ALG) -> RelationReport:
-    """Evaluate all six presentation relations as projective identities."""
+def relation_certificate(gens: GeneratorSet) -> RelationReport:
+    """The six presentation relations as projective identities; they pass below ``EPS_ALG``."""
     eye = np.eye(3, dtype=complex)
     residuals = {}
     for word in RELATION_WORDS:
         m = gens.evaluate_word(word).matrix
         residuals[word] = matrix_phase_distance(np.asarray(m, dtype=complex), eye)
     worst = max(residuals.values())
-    return RelationReport(gens.t, residuals, worst, worst < tol)
+    return RelationReport(gens.t, residuals, worst, worst < EPS_ALG)
 
 
 def max_imag_entry(gens: GeneratorSet) -> float:

@@ -48,7 +48,7 @@ from .dirichlet import (
     sphere_mesh,
     symmetry_certificate,
 )
-from .heisenberg import AffineDisk, ccircle_from_polar
+from .heisenberg import AffineDisk, HeisenbergPoint, ccircle_from_polar
 from .triangle import (
     PARAM_MAX,
     PARAM_MIN,
@@ -191,9 +191,6 @@ class Report:
 
     def sorted_records(self) -> List[Record]:
         return sorted(self.records, key=lambda r: (r.suite, r.t, r.key))
-
-    def failures(self) -> List[Record]:
-        return [r for r in self.sorted_records() if not r.passed]
 
     @property
     def passed(self) -> bool:
@@ -394,7 +391,7 @@ def _arcs_global() -> List[Record]:
     # closed-form crossing points of the alpha4 circle with four spheres,
     # upper-half representatives on the chart
     for k, wx, wy in ((1, x1, y1), (2, x2, y2), (7, -x2, y2), (8, -x1, y1)):
-        line = crown.chart_line_coeffs(config, k, chart)
+        line = chart.line_of_sphere(config.sphere(k))
         pts = [(math.cos(th), math.sin(th)) for th in line.circle_crossings()]
         px, py = max(pts, key=lambda p: p[1])
         res = max(abs(px - wx), abs(py - wy))
@@ -487,11 +484,11 @@ def _minima_cell(scene: Scene) -> List[Record]:
 
 def _minima_global() -> List[Record]:
     out = []
-    _t_star, v = crown.minimize_clearance(grid=256)
+    _t_star, v = crown.minimize_clearance()
     out.append(_residual_rec("minima", PARAM_MIN, "clearance-minimum",
                              abs(v - 6.5907), 1e-3))
     out.append(_rec("minima", PARAM_MIN, "clearance-minimum-above-1", v, v - 1.0, v > 1.0))
-    t_star, blocked = crown.minimize_blocking(grid=256)
+    t_star, blocked = crown.minimize_blocking()
     out.append(_residual_rec("minima", 0.4, "blocking-minimum",
                              abs(blocked - 0.3616753), 1e-4))
     out.append(_residual_rec("minima", 0.4, "blocking-argmin", abs(t_star - 0.4), 1e-3))
@@ -595,19 +592,18 @@ def run_suite(
 # geometry exports (OBJ + JSON manifest)
 
 
-def _heisenberg_xyz(lift: np.ndarray) -> Tuple[float, float, float]:
-    u = np.asarray(lift, dtype=complex)
-    u = u / u[2]
-    z = complex(u[1])
-    v = 2.0 * complex(u[0]).imag
-    return z.real, z.imag, v
-
-
 def _obj_vertex(x: float, y: float, v: float) -> str:
     return f"v {_f17(x)} {_f17(y)} {_f17(v)}"
 
 
+def _require_size(name: str, value: int, least: int) -> None:
+    """Reject an export size too small to make geometry."""
+    if value < least:
+        raise GeometryError(f"{name} must be at least {least}, got {value}")
+
+
 def _write(path: str, text: str) -> str:
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     return path
@@ -626,6 +622,8 @@ def _manifest(out_dir: str, kind: str, t: float, files: Sequence[str],
 
 def export_spheres(t: float, out_dir: str, nx: int = 64, ny: int = 64) -> List[str]:
     """All eight spinal spheres as one multi-object OBJ mesh."""
+    _require_size("nx", nx, 2)
+    _require_size("ny", ny, 2)
     config = DirichletConfig.build(t)
     lines = []
     offset = 0
@@ -644,6 +642,7 @@ def export_spheres(t: float, out_dir: str, nx: int = 64, ny: int = 64) -> List[s
 
 def export_arcs(t: float, out_dir: str, samples: int = 257) -> List[str]:
     """The eight hat arcs as OBJ polylines, plus their host spheres."""
+    _require_size("samples", samples, 2)
     validate_param(t, strict_interior=True)
     config = DirichletConfig.build(t)
     lines = []
@@ -654,7 +653,8 @@ def export_arcs(t: float, out_dir: str, samples: int = 257) -> List[str]:
         hosts[name] = list(hat.hosts)
         lines.append(f"o hat-{name}")
         for lift in hat.sample_lifts(samples):
-            lines.append(_obj_vertex(*_heisenberg_xyz(lift)))
+            p = HeisenbergPoint.from_lift(lift)
+            lines.append(_obj_vertex(p.z.real, p.z.imag, p.v))
         chain = " ".join(str(offset + i + 1) for i in range(samples))
         lines.append(f"l {chain}")
         offset += samples
@@ -665,6 +665,7 @@ def export_arcs(t: float, out_dir: str, samples: int = 257) -> List[str]:
 
 def export_disks(t: float, out_dir: str, rim: int = 96) -> List[str]:
     """Affine-disk fans for the eight crown circles, plus pair certificates."""
+    _require_size("rim", rim, 3)
     validate_param(t, strict_interior=True)
     config = DirichletConfig.build(t)
     polars = crown.crown_circle_polars(config)
@@ -719,6 +720,7 @@ def limit_set_points(t: float, depth: int = 5) -> np.ndarray:
     the first of the two to be visited is solved.  Rows are ``(x, y, v)``
     Heisenberg coordinates, sorted.
     """
+    _require_size("depth", depth, 1)
     gens = build_generators(t)
     elements = {token: gens.element(token) for token in _LIMITSET_TOKENS}
     solved = set()
@@ -732,7 +734,8 @@ def limit_set_points(t: float, depth: int = 5) -> np.ndarray:
             try:
                 for u in fixed_points_boundary(element):
                     if abs(u[2]) > 1e-9 * float(np.max(np.abs(u))):
-                        x, y, v = _heisenberg_xyz(u)
+                        p = HeisenbergPoint.from_lift(u)
+                        x, y, v = p.z.real, p.z.imag, p.v
                         key = (round(x, 9), round(y, 9), round(v, 9))
                         if key not in seen:
                             seen.add(key)
@@ -761,9 +764,12 @@ def export_limitset(t: float, out_dir: str, depth: int = 5) -> List[str]:
 
 
 def export_geometry(kind: str, t: float, out_dir: str, **kwargs) -> List[str]:
-    """Dispatch to one of the OBJ exporters; returns the written paths."""
+    """Dispatch to one of the OBJ exporters; returns the written paths.
+
+    Bad arguments raise ``GeometryError`` before anything, ``out_dir``
+    included, is created.
+    """
     validate_param(t)
-    os.makedirs(out_dir, exist_ok=True)
     table = {
         "spheres": export_spheres,
         "arcs": export_arcs,

@@ -97,3 +97,20 @@ def test_extended_precision_is_rejected_outside_relations(runner, tmp_path):
                                   "--precision", "extended", "--out", str(out)])
     assert result.exit_code == 0
     assert json.loads(out.read_text())["config"]["precision"] == "extended"
+
+
+@pytest.mark.parametrize("kind,option,value", [
+    ("spheres", "--mesh", "1"),
+    ("arcs", "--samples", "1"),
+    ("disks", "--rim", "2"),
+    ("limitset", "--depth", "0"),
+])
+def test_export_rejects_sizes_that_make_no_geometry(runner, tmp_path, kind, option, value):
+    # a size below the least that makes geometry is an unusable invocation,
+    # refused before anything is written
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["export", kind, "--t", "0.41", "--out", str(out),
+                                  option, value])
+    assert result.exit_code == 2
+    assert "must be at least" in result.output
+    assert not out.exists()

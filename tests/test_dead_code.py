@@ -1,0 +1,51 @@
+"""Guard: the package holds no code that only the tests reach."""
+
+import ast
+import pathlib
+import re
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "chcrown"
+
+#: click calls the command callbacks; nothing in the package names them
+CLI_COMMANDS = {"cli.verify_cmd", "cli.export", "cli.table1_cmd", "cli.report"}
+
+#: a Sphinx cross-reference such as :meth:`sample` or :func:`core.det3`
+_ROLE = re.compile(r":(?:func|meth|class|attr):`~?([\w.]+)`")
+
+
+def _definitions(tree):
+    """Top-level functions and classes, and the non-dunder methods of classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node, node.name
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__"):
+                    yield sub, f"{node.name}.{sub.name}"
+
+
+def _references(tree):
+    """(name, line) of every identifier, attribute and docstring cross-reference."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            for target in _ROLE.findall(node.value):
+                yield target.split(".")[-1], node.lineno
+
+
+def test_every_definition_is_referenced_in_the_package():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    refs = {}
+    for module, tree in trees.items():
+        for name, line in _references(tree):
+            refs.setdefault(name, []).append((module, line))
+    unused = []
+    for module, tree in trees.items():
+        for node, qualname in _definitions(tree):
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(m != module or line not in own for m, line in refs.get(node.name, ())):
+                unused.append(f"{module}.{qualname}")
+    assert sorted(set(unused) - CLI_COMMANDS) == []

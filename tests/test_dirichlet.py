@@ -13,14 +13,12 @@ from chcrown import (
     sphere_mesh,
 )
 from chcrown.dirichlet import (
-    CANONICAL_FROM_FIG,
     canonical_index,
     defining_word,
     fixed_point_lifts,
     fixed_point_side_forms,
     giraud_order3_certificate,
     involution_certificate,
-    mesh_equivariance_residual,
     pair_relation,
     side_pairing_certificate,
     sphere_at,
@@ -33,7 +31,6 @@ params = st.floats(min_value=PARAM_MIN + 1e-4, max_value=PARAM_MAX,
 
 
 def test_index_maps_are_mutually_inverse():
-    assert sorted(CANONICAL_FROM_FIG.values()) == list(range(1, 9))
     assert canonical_index(9) == 1 and canonical_index(0) == 8
     words = {defining_word(k) for k in range(1, 9)}
     assert len(words) == 8
@@ -131,8 +128,9 @@ def test_expected_to_meet_cutoff():
 
 
 def test_pair_relation_is_symmetric(config_041):
-    a = pair_relation(config_041, 2, 5)
-    b = pair_relation(config_041, 5, 2)
+    clouds = {k: config_041.sphere(k).sample_points(96) for k in (2, 5)}
+    a = pair_relation(config_041, 2, 5, clouds)
+    b = pair_relation(config_041, 5, 2, clouds)
     assert a.separation == b.separation
     assert a.meets == b.meets
 
@@ -183,7 +181,11 @@ def test_sphere_mesh_lies_on_the_sphere(config_041):
 
 
 def test_mesh_equivariance(config_041):
-    assert mesh_equivariance_residual(config_041, k=1, n=16) < 1e-8
+    # g2 carries the samples of sphere 1 onto sphere 3
+    imgs = config_041.sphere(1).sample_points(16) @ config_041.gens.g2.matrix.T
+    imgs = imgs[np.abs(imgs[:, 2]) > 1e-12]
+    vals = config_041.sphere(3).side_of_lifts(imgs / imgs[:, 2:3])
+    assert float(np.max(np.abs(vals))) < 1e-8
 
 
 def _loop_sphere_mesh(sphere, nx, ny):

@@ -6,24 +6,43 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chcrown import GeometryError, HeisenbergPoint, T_REAL, ccircle_from_polar
+from chcrown import GeometryError, GroupElement, HeisenbergPoint, T_REAL, ccircle_from_polar
 from chcrown.core import hermitian_product
 from chcrown.heisenberg import (
     AffineDisk,
-    apply_to_circle,
-    apply_to_point,
     dilation_element,
     disk_intersection_segment,
-    heisenberg_inverse,
-    heisenberg_multiply,
-    incidence_residual,
-    polar_from_center_radius,
-    rotation_element,
     translation_element,
 )
 from chcrown import crown
 
 coords = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+
+
+def _polar(center: HeisenbergPoint, radius: float) -> np.ndarray:
+    """Positive polar vector of the finite C-circle with this center and radius."""
+    z0, v0 = complex(center.z), float(center.v)
+    return np.array([complex(radius ** 2 - abs(z0) ** 2, v0) / 2.0, z0, 1.0], dtype=complex)
+
+
+def _moved(g, p: HeisenbergPoint) -> HeisenbergPoint:
+    """The boundary action of an isometry on a point."""
+    return HeisenbergPoint.from_lift(g.apply(p.lift()))
+
+
+def _circle_point(circle, theta: float) -> HeisenbergPoint:
+    """The circle point over angle ``theta`` of the projected circle."""
+    z0, v0 = complex(circle.center.z), float(circle.center.v)
+    z = z0 + circle.radius * complex(math.cos(theta), math.sin(theta))
+    return HeisenbergPoint(z, v0 + 2.0 * (z.conjugate() * z0).imag)
+
+
+def _incidence(circle, p: HeisenbergPoint) -> float:
+    """How far a point is from satisfying both circle point conditions."""
+    z0 = complex(circle.center.z)
+    r1 = abs(abs(complex(p.z) - z0) - circle.radius)
+    r2 = abs(float(p.v) - float(circle.center.v) - 2.0 * (complex(p.z).conjugate() * z0).imag)
+    return max(r1, r2)
 
 
 @given(coords, coords, coords)
@@ -48,32 +67,25 @@ def test_from_lift_accepts_any_scale_and_infinity():
         HeisenbergPoint.from_lift(np.zeros(3, dtype=complex))
 
 
-@given(coords, coords, coords, coords, coords, coords)
-@settings(max_examples=50)
-def test_group_law_inverse(ax, ay, av, bx, by, bv):
-    p = HeisenbergPoint(complex(ax, ay), av)
-    q = HeisenbergPoint(complex(bx, by), bv)
-    prod = heisenberg_multiply(p, q)
-    back = heisenberg_multiply(prod, heisenberg_inverse(q))
-    assert back.z == pytest.approx(p.z, abs=1e-9)
-    assert back.v == pytest.approx(p.v, abs=1e-9)
-
-
 def test_translation_realizes_group_law():
     w, s = 0.7 - 0.3j, 1.1
     g = translation_element(w, s)
     p = HeisenbergPoint(0.2 + 0.5j, -0.4)
-    moved = apply_to_point(g, p)
-    expected = heisenberg_multiply(HeisenbergPoint(w, s), p)
+    moved = _moved(g, p)
+    # (w, s) * (z, v) = (w + z, s + v + 2 Im(w conj(z)))
+    z = complex(p.z)
+    expected = HeisenbergPoint(w + z, s + p.v + 2.0 * (w * z.conjugate()).imag)
     assert moved.z == pytest.approx(expected.z, abs=1e-12)
     assert moved.v == pytest.approx(expected.v, abs=1e-12)
 
 
 def test_dilation_and_rotation_actions():
     p = HeisenbergPoint(1.0 + 1.0j, 0.8)
-    d = apply_to_point(dilation_element(2.0), p)
+    d = _moved(dilation_element(2.0), p)
     assert d.z == pytest.approx(2.0 * p.z) and d.v == pytest.approx(4.0 * p.v)
-    r = apply_to_point(rotation_element(math.pi / 2), p)
+    # rotation (z, v) -> (e^{i phi} z, v) about the vertical axis
+    rotation = GroupElement(np.diag([1.0, np.exp(1j * math.pi / 2), 1.0]).astype(complex))
+    r = _moved(rotation, p)
     assert r.z == pytest.approx(1j * p.z) and r.v == pytest.approx(p.v)
     with pytest.raises(GeometryError):
         dilation_element(-1.0)
@@ -83,8 +95,8 @@ def test_dilation_and_rotation_actions():
 @settings(max_examples=50)
 def test_polar_center_radius_roundtrip(x, y, v, r):
     center = HeisenbergPoint(complex(x, y), v)
-    circle = ccircle_from_polar(polar_from_center_radius(center, r))
-    assert circle.finite
+    circle = ccircle_from_polar(_polar(center, r))
+    assert not circle.vertical
     assert complex(circle.center.z) == pytest.approx(center.z, abs=1e-9)
     assert float(circle.center.v) == pytest.approx(center.v, abs=1e-9)
     assert circle.radius == pytest.approx(r, abs=1e-9)
@@ -93,41 +105,32 @@ def test_polar_center_radius_roundtrip(x, y, v, r):
 @given(st.floats(min_value=-math.pi, max_value=math.pi))
 @settings(max_examples=50)
 def test_circle_points_lie_on_circle_and_contact_plane(theta):
-    circle = ccircle_from_polar(polar_from_center_radius(HeisenbergPoint(0.4 - 0.2j, 0.3), 1.7))
-    p = circle.point_at(theta)
-    assert incidence_residual(circle, p) < 1e-9
+    circle = ccircle_from_polar(_polar(HeisenbergPoint(0.4 - 0.2j, 0.3), 1.7))
+    p = _circle_point(circle, theta)
+    assert _incidence(circle, p) < 1e-9
     # the contact plane at the center contains every point of the circle
-    assert abs(circle.contact_plane().evaluate(p)) < 1e-9
-    assert circle.angle_of(p) == pytest.approx(theta, abs=1e-9)
+    assert abs(p.v - circle.contact_plane().height_at(p.z)) < 1e-9
+    dz = complex(p.z) - complex(circle.center.z)
+    assert math.atan2(dz.imag, dz.real) == pytest.approx(theta, abs=1e-9)
 
 
 def test_vertical_circle_has_no_chart():
     vertical = ccircle_from_polar(np.array([0.5, 1.0, 0.0], dtype=complex))
     assert vertical.vertical
     with pytest.raises(GeometryError):
-        vertical.point_at(0.0)
+        vertical.contact_plane()
     with pytest.raises(GeometryError):
         AffineDisk(vertical)
 
 
 def test_isometries_map_circles_to_circles():
-    circle = ccircle_from_polar(polar_from_center_radius(HeisenbergPoint(1.0 + 0j, 0.0), 0.9))
+    circle = ccircle_from_polar(_polar(HeisenbergPoint(1.0 + 0j, 0.0), 0.9))
     g = translation_element(0.3 + 0.4j, -0.2)
-    moved = apply_to_circle(g, circle)
+    # the image circle is the one of the transported polar vector
+    moved = ccircle_from_polar(g.apply(circle.polar))
     for theta in (0.0, 1.0, 2.5):
-        p = apply_to_point(g, circle.point_at(theta))
-        assert incidence_residual(moved, p) < 1e-8
-
-
-def test_affine_disk_membership_and_height():
-    circle = ccircle_from_polar(polar_from_center_radius(HeisenbergPoint(0j, 0.0), 1.0))
-    disk = AffineDisk(circle)
-    assert disk.contains_projection(0.5 + 0.2j)
-    assert not disk.contains_projection(2.0 + 0j)
-    center_point = disk.point_over(0j)
-    assert center_point.v == pytest.approx(0.0)
-    with pytest.raises(GeometryError):
-        disk.point_over(3.0 + 0j)
+        p = _moved(g, _circle_point(circle, theta))
+        assert _incidence(moved, p) < 1e-8
 
 
 def test_chord_segment_against_closed_form():
@@ -136,9 +139,9 @@ def test_chord_segment_against_closed_form():
     d1 = AffineDisk(ccircle_from_polar(crown.alpha1_polar(t)))
     d2 = AffineDisk(ccircle_from_polar(crown.alpha2_polar(t)))
     seg = disk_intersection_segment(d1, d2)
-    assert seg is not None and not seg.degenerate
+    assert seg is not None and not seg.x_hi - seg.x_lo < 1e-14
     lo, hi = crown.chord_bounds(t)
-    got = sorted(complex(p.z).real for p in seg.endpoints())
+    got = sorted(complex(seg.point_at(x).z).real for x in (seg.x_lo, seg.x_hi))
     assert got[0] == pytest.approx(lo, abs=1e-9)
     assert got[1] == pytest.approx(hi, abs=1e-9)
     # the carrier line is the closed-form chord line
@@ -161,13 +164,13 @@ def test_chord_sample_lifts_equal_the_point_lifts(t):
 
 
 def test_disjoint_disks_share_no_segment():
-    d1 = AffineDisk(ccircle_from_polar(polar_from_center_radius(HeisenbergPoint(0j, 0.0), 1.0)))
-    d2 = AffineDisk(ccircle_from_polar(polar_from_center_radius(HeisenbergPoint(5.0 + 0j, 0.0), 1.0)))
+    d1 = AffineDisk(ccircle_from_polar(_polar(HeisenbergPoint(0j, 0.0), 1.0)))
+    d2 = AffineDisk(ccircle_from_polar(_polar(HeisenbergPoint(5.0 + 0j, 0.0), 1.0)))
     assert disk_intersection_segment(d1, d2) is None
 
 
 def test_parallel_contact_planes_raise():
-    d1 = AffineDisk(ccircle_from_polar(polar_from_center_radius(HeisenbergPoint(0j, 0.0), 1.0)))
-    d2 = AffineDisk(ccircle_from_polar(polar_from_center_radius(HeisenbergPoint(0j, 1.0), 2.0)))
+    d1 = AffineDisk(ccircle_from_polar(_polar(HeisenbergPoint(0j, 0.0), 1.0)))
+    d2 = AffineDisk(ccircle_from_polar(_polar(HeisenbergPoint(0j, 1.0), 2.0)))
     with pytest.raises(GeometryError):
         disk_intersection_segment(d1, d2)

@@ -26,7 +26,6 @@ from chcrown.triangle import (
     conjugation_residual,
     relation_values,
     max_imag_entry,
-    polar_vectors,
     real_point_matrices,
     trace_identity_residual,
 )
@@ -64,7 +63,8 @@ def test_float32_parameter_builds_in_double():
 @given(params)
 @settings(max_examples=40, deadline=None)
 def test_polar_vectors_are_unit(t):
-    for n in polar_vectors(t):
+    gens = build_generators(t)
+    for n in (gens.n1, gens.n2, gens.n3):
         assert abs(complex(hermitian_product(n, n)) - 1.0) < 1e-12
 
 
@@ -134,6 +134,17 @@ def test_real_point_matrices_have_unit_det_and_su21():
     for m in real_point_matrices().values():
         assert abs(np.linalg.det(m) - 1.0) < 1e-12
         assert np.max(np.abs(m.conj().T @ j @ m - j)) < 1e-12
+
+
+def test_q0_is_shared_read_only():
+    # every generator set, configuration and sphere holds this one array
+    q0 = build_generators(0.39).q0
+    assert q0 is Q0
+    with pytest.raises(ValueError):
+        q0[0] = 2.0
+    with pytest.raises(ValueError):
+        q0 *= 2.0
+    assert Q0.tolist() == [-1.0, 0.0, 1.0]
 
 
 def test_q0_is_negative_and_g2_fixed():

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from chcrown import (
     EXPORT_KINDS,
     GeometryError,
+    HeisenbergPoint,
     IsometryClass,
     NearParabolicError,
     PARAM_MAX,
@@ -37,7 +38,6 @@ from chcrown.verify import (
     _LIMITSET_TOKENS,
     _emit_json,
     _f17,
-    _heisenberg_xyz,
     _rec,
     _residual_rec,
 )
@@ -152,7 +152,7 @@ def test_suite_names_all_run_single_point():
     for name in SUITE_NAMES:
         report = run_suite(name, points=[0.39])
         assert report.records, name
-        assert report.passed, (name, report.failures())
+        assert report.passed, (name, [r for r in report.records if not r.passed])
         assert {r.suite for r in report.records} == {name}
 
 
@@ -269,7 +269,8 @@ def _limit_set_points_every_word(t, depth):
                 for vec in fixed_points_boundary(element):
                     u = np.asarray(vec, dtype=complex)
                     if abs(u[2]) > 1e-9 * float(np.max(np.abs(u))):
-                        x, y, v = _heisenberg_xyz(u)
+                        p = HeisenbergPoint.from_lift(u)
+                        x, y, v = p.z.real, p.z.imag, p.v
                         key = (round(x, 9), round(y, 9), round(v, 9))
                         if key not in seen:
                             seen.add(key)
@@ -338,6 +339,19 @@ def test_extended_relations_restore_mpmath_precision():
 
 
 _PINNED_EXPORTS = {
+    ("arcs", 0.39): {
+        "arcs.obj": "c3d931bab17f7c3ef7c5c1a7ffdcbc6f1ab891c78e32e172707955dc12356cbb",
+        "arcs_manifest.json": "393d4064b7848bfd2e0203e6822d0567fc4208dcc109bb3c392c5ed9aaad3101",
+    },
+    ("arcs", 0.41): {
+        "arcs.obj": "c3e3d3ce6eff0420c70b9e121aa92f2998babad9a14f6a35263fa5cb403588d5",
+        "arcs_manifest.json": "5dff5fedf3aec7d0bacbfaf69c6c0fe2d5a915af5c672e811f9638b2c95c15c4",
+    },
+    ("disks", 0.39): {
+        "disk_certificates.jsonl": "155a6039cef3c2e1515d4868f766ae539a7a9137d845e4b03bcf9a8fc659fdbb",
+        "disks.obj": "d9b21275051f66ec626c5dc45660cb8846f8be677d5606c2c071f757c9dd029d",
+        "disks_manifest.json": "bcff74dd37a26ea9ddd283ceafb6239775d5b6fed8debd046be5dc7b830defa2",
+    },
     ("disks", 0.41): {
         "disk_certificates.jsonl": "4a93b457eaddbf26f7c7cf4ac436dc0c1aa18c7d9f8bce03bba893d9c3506a32",
         "disks.obj": "44e7069e9d2cf4b8b463307d27b0bbdcce3098ddf169d79a340c2397792460ef",
@@ -364,8 +378,9 @@ _PINNED_EXPORTS = {
 
 @pytest.mark.parametrize("kind,t", sorted(_PINNED_EXPORTS))
 def test_export_bytes_are_pinned(kind, t, tmp_path):
-    # regression oracle for the mesh, limit-set and disk-ladder kernels at
-    # their default sizes (64x64 sphere grid, depth-5 words, 128x512 fills)
+    # regression oracle for the mesh, hat-arc, limit-set and disk-ladder
+    # kernels at their default sizes (64x64 sphere grid, 257 arc samples,
+    # depth-5 words, 128x512 fills)
     paths = export_geometry(kind, t, str(tmp_path))
     got = {p.split("/")[-1]: hashlib.sha256(open(p, "rb").read()).hexdigest() for p in paths}
     assert got == _PINNED_EXPORTS[(kind, t)]
