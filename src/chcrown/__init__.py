@@ -24,6 +24,7 @@ from .crown import (
     CrownArc,
     DiskPairCert,
     HatArc,
+    Scene,
     arc_report,
     blocking_minimum_at,
     clearance_objective,
@@ -98,6 +99,7 @@ __all__ = [
     "Record",
     "Report",
     "SUITE_NAMES",
+    "Scene",
     "SpinalSphere",
     "SweepConfig",
     "T_REAL",

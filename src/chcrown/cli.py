@@ -2,7 +2,7 @@
 
 Exit codes follow the usual triage convention: 0 when every record
 passes, 1 when any check fails, 2 for unusable invocations (bad
-parameters, malformed ranges, unknown names).
+parameters, malformed ranges, unknown names, a malformed report shard).
 """
 
 from __future__ import annotations
@@ -139,7 +139,10 @@ def report(inputs, out, fmt):
     loaded = []
     for path in inputs:
         with open(path, "r", encoding="utf-8") as fh:
-            loaded.append(verify.Report.from_json(fh.read()))
+            try:
+                loaded.append(verify.Report.from_json(fh.read()))
+            except (GeometryError, UnicodeDecodeError) as exc:
+                raise click.UsageError(f"{path}: {exc}")
     merged = verify.Report.merge(loaded)
     _emit_report(merged, out, fmt)
     sys.exit(0 if merged.passed else 1)

@@ -281,7 +281,6 @@ class IsometryClass(enum.Enum):
 class Classification:
     kind: IsometryClass
     discriminant: float
-    trace: complex
 
 
 def trace_discriminant(tau) -> float:
@@ -312,9 +311,9 @@ def classify_isometry(g: GroupElement) -> Classification:
     tau = g.trace
     disc = trace_discriminant(tau)
     if disc > EPS_CLASS:
-        return Classification(IsometryClass.LOXODROMIC, disc, complex(tau))
+        return Classification(IsometryClass.LOXODROMIC, disc)
     if disc < -EPS_CLASS:
-        return Classification(IsometryClass.ELLIPTIC, disc, complex(tau))
+        return Classification(IsometryClass.ELLIPTIC, disc)
 
     lams = eigvals3(g.matrix)
     scale = _max_abs(g.matrix) + 1.0
@@ -328,14 +327,14 @@ def classify_isometry(g: GroupElement) -> Classification:
         lam = (lams[0] + lams[1] + lams[2]) / 3
         defect = _max_abs(g.matrix - lam * eye)
         kind = IsometryClass.ELLIPTIC if defect < 1e-8 * scale else IsometryClass.PARABOLIC
-        return Classification(kind, disc, complex(tau))
+        return Classification(kind, disc)
     # double root: the two closest eigenvalues
     _, odd = gaps[0]
     lam = sum(lams[i] for i in range(3) if i != odd) / 2
     adj = adjugate3(g.matrix - lam * eye)
     diagonalizable = _max_abs(adj) < 1e-6 * scale * scale
     kind = IsometryClass.ELLIPTIC if diagonalizable else IsometryClass.PARABOLIC
-    return Classification(kind, disc, complex(tau))
+    return Classification(kind, disc)
 
 
 #: least gap between the extreme eigenvalue moduli that fixed points need

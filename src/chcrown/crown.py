@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -184,9 +185,8 @@ class ChartedCircle:
         move = dilation_element(lam) @ translation_element(-z0, -v0)
         return cls(t, circle, move, move.inverse())
 
-    def to_chart(self, p) -> Tuple[float, float]:
-        lift = p.lift() if isinstance(p, HeisenbergPoint) else np.asarray(p, dtype=complex)
-        img = self.forward.apply(lift)
+    def to_chart(self, lift: np.ndarray) -> Tuple[float, float]:
+        img = self.forward.apply(np.asarray(lift, dtype=complex))
         if abs(img[2]) < 1e-13 * float(np.max(np.abs(img))):
             raise GeometryError("point maps to infinity; not on the chart")
         w = img / img[2]
@@ -194,8 +194,8 @@ class ChartedCircle:
         z = complex(w[1]) / r
         return z.real, z.imag
 
-    def chart_angle(self, p) -> float:
-        x, y = self.to_chart(p)
+    def chart_angle(self, lift: np.ndarray) -> float:
+        x, y = self.to_chart(lift)
         n = math.hypot(x, y)
         if abs(n - 1.0) > 1e-6:
             raise GeometryError(f"point is off the chart circle (|xy| = {n:.6f})")
@@ -385,11 +385,11 @@ class HatArc:
         th = self.arc.angle_at(self.s_minus if side == "-" else self.s_plus)
         return math.cos(th), math.sin(th)
 
-    def sample_lifts(self, n: int = 33) -> np.ndarray:
+    def sample_lifts(self, n: int) -> np.ndarray:
         ss = np.linspace(self.s_minus, self.s_plus, n)
         return np.stack([self.arc.lift_at(float(s)) for s in ss])
 
-    def sample_angles(self, n: int = 33) -> np.ndarray:
+    def sample_angles(self, n: int) -> np.ndarray:
         """Chart angles of the points of :meth:`sample_lifts`, without lifting."""
         return self.arc.angle_at(np.linspace(self.s_minus, self.s_plus, n))
 
@@ -475,6 +475,28 @@ def arc_report(config: DirichletConfig, name: str) -> ArcReport:
 def table1(config: DirichletConfig) -> Dict[str, Tuple[int, int]]:
     """Host matrix: arc name -> (minus host, plus host), canonical indices."""
     return {name: arc_report(config, name).hosts for name in ARC_NAMES}
+
+
+class Scene:
+    """The pipeline of one parameter, shared by everything that reads ``t``.
+
+    The configuration and each crown arc's report are computed on first use
+    and at most once; a sweep builds one scene per ``t`` and drops it when
+    the point is done.
+    """
+
+    def __init__(self, t: float):
+        self.t = t
+        self._arcs: Dict[str, ArcReport] = {}
+
+    @cached_property
+    def config(self) -> DirichletConfig:
+        return DirichletConfig.build(self.t)
+
+    def arc_report(self, name: str) -> ArcReport:
+        if name not in self._arcs:
+            self._arcs[name] = arc_report(self.config, name)
+        return self._arcs[name]
 
 
 # ---------------------------------------------------------------------------
@@ -695,13 +717,14 @@ _TWO_PI = 2.0 * math.pi
 
 
 def visible_component(config: DirichletConfig, hat: HatArc,
-                      nr: int = 128, nth: int = 512) -> VisibleComponent:
+                      nr: int, nth: int) -> VisibleComponent:
     """Flood-fill the affine disk of ``hat``'s circle from the hat arc.
 
-    Cells are seeded at the outermost free ring (of the last five) under
-    each angle column one of 400 hat samples passes through (the hat itself
-    lies on the circle), then grown through the 4-neighborhood of
-    sphere-free cells by :func:`seeded_components`.  The chart's backward map is a Heisenberg
+    The grid has ``nr`` radius rows and ``nth`` angle columns.  Cells are
+    seeded at the outermost free ring (of the last five) under each angle
+    column one of 400 hat samples passes through (the hat itself lies on
+    the circle), then grown through the 4-neighborhood of sphere-free cells
+    by :func:`seeded_components`.  The chart's backward map is a Heisenberg
     translation by the circle centre and a positive dilation, so a hat
     point's angle about the centre is its chart angle, read off the arc
     without lifting the point.
@@ -817,12 +840,12 @@ class DiskPairCert:
 _CHORD_SAMPLES = 257
 #: a chord sample counts as exposed when no sphere covers it by this much
 _VISIBLE_TOL = 1e-8
+#: radius rows and angle columns of the flood-fill grid of each affine disk
+_FLOOD_NR = 128
+_FLOOD_NTH = 512
 
 
-def disk_disjointness_certificates(config: DirichletConfig,
-                                   nr: int = 128, nth: int = 512,
-                                   hats: Optional[Callable[[str], HatArc]] = None,
-                                   ) -> List[DiskPairCert]:
+def disk_disjointness_certificates(scene: Scene) -> List[DiskPairCert]:
     """Per-pair disjointness ladder over all 28 cutting-disk pairs.
 
     Unlinked circles settle a pair outright (with the empty segment
@@ -831,11 +854,9 @@ def disk_disjointness_certificates(config: DirichletConfig,
     whole segment inside one sphere, then inside the union pointwise, then
     a flood-fill check that no exposed segment point is visible from both
     hat arcs.  Pairs failing every rung are reported as overlapping with
-    an explicit witness point.  ``hats`` looks up an arc's hat by name when
-    the caller holds them; otherwise hats are built here on demand.
+    an explicit witness point.  The hats come from ``scene``.
     """
-    if hats is None:
-        hats = lambda name: arc_report(config, name).hat  # noqa: E731
+    config = scene.config
     polars = crown_circle_polars(config)
     names = list(polars)
     links = {(r.first, r.second): r.value for r in linked_pair_report(config)}
@@ -844,7 +865,8 @@ def disk_disjointness_certificates(config: DirichletConfig,
 
     def comp(name: str) -> VisibleComponent:
         if name not in comps:
-            comps[name] = visible_component(config, hats(name), nr, nth)
+            comps[name] = visible_component(config, scene.arc_report(name).hat,
+                                            _FLOOD_NR, _FLOOD_NTH)
         return comps[name]
 
     out: List[DiskPairCert] = []
@@ -891,31 +913,24 @@ def disk_disjointness_certificates(config: DirichletConfig,
 # fundamental interval of the crown circle
 
 
-def crown_fundamental_certificate(config: DirichletConfig,
-                                  hats: Optional[Callable[[str], HatArc]] = None,
-                                  ) -> Dict[str, float]:
+def crown_fundamental_certificate(scene: Scene) -> Dict[str, float]:
     """g2 g1 carries the beta1 hat onto the alpha1 circle, abutting alpha1's hat.
 
     Certifies the word identity (g2 g1)(g2^-1 g3)(g2 g1)^-1 = g1, that the
     transported hat shares exactly one endpoint with the alpha1 hat, and
     that g1 translates the union's far ends onto each other, so the
-    translates tile the whole arc between the fixed points of g1.  ``hats``
-    looks up an arc's hat by name when the caller holds them.
+    translates tile the whole arc between the fixed points of g1.
     """
-    if hats is None:
-        hats = lambda name: arc_report(config, name).hat  # noqa: E731
-    gens = config.gens
+    gens = scene.config.gens
     g1, g2 = gens.g1, gens.g2
     carrier = g2 @ g1
     conj = carrier @ (g2.inverse() @ gens.g3) @ carrier.inverse()
     word_res = matrix_phase_distance(conj.matrix, g1.matrix)
 
-    alpha = hats("alpha1")
-    beta = hats("beta1")
+    alpha = scene.arc_report("alpha1").hat
+    beta = scene.arc_report("beta1").hat
     chart = alpha.arc.chart
-
-    def angle_of(lift: np.ndarray) -> float:
-        return chart.chart_angle(lift)
+    angle_of = chart.chart_angle
 
     bm = angle_of(carrier.apply(beta.endpoint_lift("-")))
     bp = angle_of(carrier.apply(beta.endpoint_lift("+")))

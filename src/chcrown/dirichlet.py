@@ -1,9 +1,10 @@
 """Eight-bisector Dirichlet boundary configuration for the deformation family.
 
 The center ``p0`` is the common fixed point of the first two reflections; its
-lift ``q0 = [-1, 0, 1]`` is parameter-independent, so the eight defining
-isometries ``w_k`` give spinal spheres ``S_k = {|<p, q0>| = |<p, w_k q0>|}``
-directly, with no eigenvector extraction anywhere.
+lift ``Q0 = [-1, 0, 1]`` is parameter-independent, so the eight defining
+isometries ``w_k`` give spinal spheres ``S_k = {|<p, Q0>| = |<p, w_k Q0>|}``
+directly, with no eigenvector extraction anywhere.  Every sphere bisects
+this one centre, so ``Q0`` is a module constant here, not sphere data.
 
 The spheres are indexed canonically by their defining words
 
@@ -29,7 +30,7 @@ from .core import (
     matrix_phase_distance,
     projective_distance,
 )
-from .triangle import GeneratorSet, build_generators
+from .triangle import Q0, GeneratorSet, build_generators
 
 CANONICAL_INDICES = tuple(range(1, 9))
 
@@ -54,41 +55,38 @@ def _row_form(u: np.ndarray) -> np.ndarray:
     return np.conj(u) @ SIEGEL
 
 
+#: the row form of the centre lift, shared by every sphere
+_RU = _row_form(Q0)
+_Q0_NORM = complex(hermitian_product(Q0, Q0)).real
+
 _SHADOW_PAD = 1.6
 _SHADOW_DOUBLINGS = 12
 
 
 @dataclass(frozen=True)
 class SpinalSphere:
-    """Boundary sphere of the bisector between the lifts ``u`` and ``v``.
+    """Boundary sphere of the bisector between the centre ``Q0`` and ``v``.
 
-    The side function ``|<p,u>|^2 - |<p,v>|^2`` is negative on the ``u``
+    The side function ``|<p,Q0>|^2 - |<p,v>|^2`` is negative on the centre's
     side, positive strictly inside the sphere (the ``v`` side), zero on it.
-    Both lifts must have equal self-products for this to be the true
+    ``v`` must have ``Q0``'s self-product for this to be the true
     equidistance locus; the constructor enforces that.
     """
 
     index: int
-    word: str
-    u: np.ndarray
     v: np.ndarray
-    _ru: np.ndarray = field(repr=False, default=None)
-    _rv: np.ndarray = field(repr=False, default=None)
+    _rv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        nu = complex(hermitian_product(self.u, self.u)).real
         nv = complex(hermitian_product(self.v, self.v)).real
-        if not (nu < 0 and nv < 0):
-            raise GeometryError("bisector lifts must be negative type")
-        if abs(nu - nv) > 1e-9 * abs(nu):
-            raise GeometryError("bisector lifts must have equal self-products")
-        object.__setattr__(self, "_ru", _row_form(self.u))
+        if abs(nv - _Q0_NORM) > 1e-9 * abs(_Q0_NORM):
+            raise GeometryError("a bisector lift must have the centre's self-product")
         object.__setattr__(self, "_rv", _row_form(self.v))
 
     def side_of_lifts(self, points: np.ndarray) -> np.ndarray:
         """Side values for an (n, 3) array of lift vectors."""
         pts = np.atleast_2d(np.asarray(points, dtype=complex))
-        pu = pts @ self._ru
+        pu = pts @ _RU
         pv = pts @ self._rv
         out = (pu * np.conj(pu) - pv * np.conj(pv)).real
         return out if out.size > 1 else out.reshape(-1)
@@ -98,33 +96,33 @@ class SpinalSphere:
 
         Restricted to the line over ``z`` the side function of the standard
         lift ``[(-|z|^2 + i v)/2, z, 1]`` is the real quadratic
-        ``A v^2 + B(z) v + C(z)``; ``A = (|u_3|^2 - |v_3|^2)/4`` is constant,
+        ``A v^2 + B(z) v + C(z)``; ``A = (|Q0_3|^2 - |v_3|^2)/4`` is constant,
         and ``A = 0`` exactly when the sphere passes through infinity.
         """
         z = np.asarray(z, dtype=complex)
-        au = self._ru[0] * (-(z.real**2 + z.imag**2)) / 2.0 + self._ru[1] * z + self._ru[2]
+        au = _RU[0] * (-(z.real**2 + z.imag**2)) / 2.0 + _RU[1] * z + _RU[2]
         av = self._rv[0] * (-(z.real**2 + z.imag**2)) / 2.0 + self._rv[1] * z + self._rv[2]
-        A = (abs(self._ru[0]) ** 2 - abs(self._rv[0]) ** 2) / 4.0
-        B = -(np.conj(au) * self._ru[0]).imag + (np.conj(av) * self._rv[0]).imag
+        A = (abs(_RU[0]) ** 2 - abs(self._rv[0]) ** 2) / 4.0
+        B = -(np.conj(au) * _RU[0]).imag + (np.conj(av) * self._rv[0]).imag
         C = (au * np.conj(au) - av * np.conj(av)).real
         return A, B, C
 
     def spine_endpoints(self) -> Tuple[np.ndarray, np.ndarray]:
         """Null lifts of the sphere's two poles (ideal endpoints of the spine).
 
-        These are the null combinations ``u + c v`` that are also
+        These are the null combinations ``Q0 + c v`` that are also
         equidistant, which forces ``|c| = 1`` and ``Re(c <v,u>) = 2``; they
         lie on the sphere itself, unlike the endpoints of the geodesic
         through the two defining points.
         """
-        pairing = complex(hermitian_product(self.v, self.u))
+        pairing = complex(hermitian_product(self.v, Q0))
         rho = abs(pairing)
         if rho <= 2.0 + 1e-12:
             raise GeometryError("bisector points coincide or are too close")
         disc = math.sqrt(rho * rho - 4.0)
         cplus = (2.0 + 1j * disc) / pairing
         cminus = (2.0 - 1j * disc) / pairing
-        return self.u + cplus * self.v, self.u + cminus * self.v
+        return Q0 + cplus * self.v, Q0 + cminus * self.v
 
     def shadow_window(self):
         """Axis-aligned (x, y) box containing the sphere's vertical shadow.
@@ -145,8 +143,7 @@ class SpinalSphere:
         half = max(float(np.max(np.abs(zs - complex(cx, cy)))), 0.25) * _SHADOW_PAD
         for _ in range(_SHADOW_DOUBLINGS):
             frame = _window_frame(cx, cy, half, 65)
-            _, B, C = self.vertical_quadratic(frame)
-            A = (abs(self._ru[0]) ** 2 - abs(self._rv[0]) ** 2) / 4.0
+            A, B, C = self.vertical_quadratic(frame)
             disc = B * B - 4.0 * A * C
             if np.all(disc < 0.0):
                 return cx, cy, half
@@ -193,17 +190,15 @@ def _window_frame(cx: float, cy: float, half: float, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DirichletConfig:
-    """The eight spheres at one parameter, plus everything they came from."""
+    """The eight spheres at one parameter, plus the generators they came from."""
 
     gens: GeneratorSet
-    q0: np.ndarray
     spheres: Tuple[SpinalSphere, ...]
 
     @classmethod
     def build(cls, t: float) -> "DirichletConfig":
         gens = build_generators(t)
-        q0 = gens.q0
-        return cls(gens, q0, tuple(_defining_sphere(gens, q0, k) for k in CANONICAL_INDICES))
+        return cls(gens, tuple(_defining_sphere(gens, k) for k in CANONICAL_INDICES))
 
     def sphere(self, k: int) -> SpinalSphere:
         return self.spheres[canonical_index(k) - 1]
@@ -211,14 +206,14 @@ class DirichletConfig:
     def side_matrix(self, points: np.ndarray) -> np.ndarray:
         """(n, 8) side values of lift points against all spheres.
 
-        Every sphere is a bisector of the same center lift ``q0``, so the
-        ``|<p, q0>|^2`` term is evaluated once and shared by all eight
+        Every sphere is a bisector of the same center lift ``Q0``, so the
+        ``|<p, Q0>|^2`` term is evaluated once and shared by all eight
         columns; each column is otherwise exactly ``side_of_lifts``.  The
         result is column-major, so per-point reductions over the spheres
         run down contiguous columns.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=complex))
-        near = _norm2(pts @ self.spheres[0]._ru)
+        near = _norm2(pts @ _RU)
         out = np.empty((len(self.spheres), pts.shape[0]))
         for k, s in enumerate(self.spheres):
             out[k] = near - _norm2(pts @ s._rv)
@@ -234,7 +229,7 @@ class DirichletConfig:
         ``np.minimum`` propagates NaN, so a non-finite row is never free.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=complex))
-        near = _norm2(pts @ self.spheres[0]._ru)
+        near = _norm2(pts @ _RU)
         far = _norm2(pts @ self.spheres[0]._rv)
         for s in self.spheres[1:]:
             np.minimum(far, _norm2(pts @ s._rv), out=far)
@@ -250,10 +245,9 @@ def _norm2(w: np.ndarray) -> np.ndarray:
     return (w * np.conj(w)).real
 
 
-def _defining_sphere(gens: GeneratorSet, q0, k: int) -> SpinalSphere:
-    """The sphere of the bisector of ``q0`` and ``w_k q0``."""
-    word = defining_word(k)
-    return SpinalSphere(k, word, q0, gens.evaluate_word(word).apply(q0))
+def _defining_sphere(gens: GeneratorSet, k: int) -> SpinalSphere:
+    """The sphere of the bisector of ``Q0`` and ``w_k Q0``."""
+    return SpinalSphere(k, gens.evaluate_word(defining_word(k)).apply(Q0))
 
 
 def sphere_at(t: float, k: int) -> SpinalSphere:
@@ -263,23 +257,20 @@ def sphere_at(t: float, k: int) -> SpinalSphere:
     one defining word instead of eight, for objectives that read a single
     sphere many times over ``t``.
     """
-    gens = build_generators(t)
-    return _defining_sphere(gens, gens.q0, canonical_index(k))
+    return _defining_sphere(build_generators(t), canonical_index(k))
 
 
 def symmetry_certificate(config: DirichletConfig) -> float:
     """Worst projective residual of the order-4 rotation and flip symmetries.
 
     Checks, for all n and k, that ``g2^n u_k ~ u_{2n+k}`` and
-    ``g2^n I2 u_k ~ u_{2n+3-k}`` where ``u_k = w_k q0``, plus that ``q0``
+    ``g2^n I2 u_k ~ u_{2n+3-k}`` where ``u_k = w_k Q0``, plus that ``Q0``
     itself is fixed by ``g2`` and flipped to itself by ``I2``.
     """
     g2 = config.gens.g2
     i2 = config.gens.i2
     us = {k: config.sphere(k).v for k in CANONICAL_INDICES}
-    worst = 0.0
-    worst = max(worst, projective_distance(g2.apply(config.q0), config.q0))
-    worst = max(worst, projective_distance(i2.apply(config.q0), config.q0))
+    worst = max(projective_distance(g2.apply(Q0), Q0), projective_distance(i2.apply(Q0), Q0))
     for k in CANONICAL_INDICES:
         rotated = us[k]
         flipped = i2.apply(us[k])
@@ -293,21 +284,21 @@ def symmetry_certificate(config: DirichletConfig) -> float:
 
 
 def involution_certificate(config: DirichletConfig) -> float:
-    """The word-level sphere involutions square to 1 and move q0 like w_k."""
+    """The word-level sphere involutions square to 1 and move Q0 like w_k."""
     gens = config.gens
     worst = 0.0
     for k in CANONICAL_INDICES:
         a = gens.involution_a(k)
         worst = max(worst, matrix_phase_distance((a @ a).matrix, np.eye(3, dtype=complex)))
-        worst = max(worst, projective_distance(a.apply(config.q0), config.sphere(k).v))
+        worst = max(worst, projective_distance(a.apply(Q0), config.sphere(k).v))
     return worst
 
 
 def side_pairing_certificate(config: DirichletConfig) -> float:
     """Certify the four pairings g2^n g1 g2^-n : S_{4+2n} -> S_{1+2n}.
 
-    Each pairing gamma satisfies gamma(q0) ~ u_target and
-    gamma(u_source) ~ q0, so it carries the source bisector onto the target
+    Each pairing gamma satisfies gamma(Q0) ~ u_target and
+    gamma(u_source) ~ Q0, so it carries the source bisector onto the target
     bisector with the two defining points swapped.  The word identity
     ``g1 g2 g3^-1 = g2`` underlies all four.
     """
@@ -320,8 +311,8 @@ def side_pairing_certificate(config: DirichletConfig) -> float:
             gamma = g2 @ gamma @ g2.inverse()
         src = canonical_index(4 + 2 * n)
         tgt = canonical_index(1 + 2 * n)
-        worst = max(worst, projective_distance(gamma.apply(config.q0), config.sphere(tgt).v))
-        worst = max(worst, projective_distance(gamma.apply(config.sphere(src).v), config.q0))
+        worst = max(worst, projective_distance(gamma.apply(Q0), config.sphere(tgt).v))
+        worst = max(worst, projective_distance(gamma.apply(config.sphere(src).v), Q0))
     return worst
 
 

@@ -94,14 +94,13 @@ class CCircle:
 
     ``polar`` is the positive vector the circle was derived from.  Finite
     circles satisfy both point conditions |z - z0| = R and
-    v = v0 + 2 Im(conj(z) z0); vertical circles are lines {z = z_axis}.
+    v = v0 + 2 Im(conj(z) z0); vertical circles are vertical lines.
     """
 
     polar: np.ndarray
     center: Optional[HeisenbergPoint]
     radius: float
     vertical: bool = False
-    z_axis: complex = 0j
 
     def contact_plane(self) -> "ContactPlane":
         if self.vertical:
@@ -124,8 +123,7 @@ def ccircle_from_polar(c) -> CCircle:
     if abs(data[2]) < 1e-12 * scale:
         if abs(data[1]) < 1e-12 * scale:
             raise GeometryError("degenerate polar vector")
-        z_axis = -data[0].conjugate() / data[1].conjugate()
-        return CCircle(data, None, math.inf, vertical=True, z_axis=complex(z_axis))
+        return CCircle(data, None, math.inf, vertical=True)
     w = data / data[2]
     z0 = complex(w[1])
     v0 = 2.0 * float(w[0].imag)

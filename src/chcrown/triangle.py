@@ -158,8 +158,8 @@ def _polar_vectors(co: Coefficients, mp):
 
 # Lift of the common fixed point of I1 and I2 (the rotation center of g2).
 # It is orthogonal to both n1 and n2, hence box_product(n1, n2) up to scale,
-# and does not depend on t.  <q0, q0> = -2.  Every generator set, Dirichlet
-# configuration and spinal sphere shares this one array, so it is read-only.
+# and does not depend on t.  <Q0, Q0> = -2.  Every spinal sphere bisects this
+# one centre and every module reads this one array, so it is read-only.
 Q0 = np.array([-1.0, 0.0, 1.0], dtype=complex)
 Q0.setflags(write=False)
 
@@ -191,11 +191,6 @@ class GeneratorSet:
     g3: GroupElement
     #: matrices hold mpmath scalars (see :func:`build_generators`)
     extended: bool = False
-
-    @property
-    def q0(self) -> np.ndarray:
-        """Negative lift of the Dirichlet center (fixed point of g2)."""
-        return Q0
 
     def element(self, token: str) -> GroupElement:
         """Look up a single generator token like ``g2`` or ``g2^-1``."""

@@ -21,8 +21,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -105,15 +104,6 @@ class SweepConfig:
         nodes = mid + half * np.cos(math.pi * (2 * ks + 1) / (2 * self.steps))
         return sorted(float(x) for x in nodes)
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "precision": self.precision,
-            "spacing": self.spacing,
-            "steps": self.steps,
-            "t_max": self.t_max,
-            "t_min": self.t_min,
-        }
-
 
 # ---------------------------------------------------------------------------
 # records and reports
@@ -136,6 +126,22 @@ def _rec(suite: str, t: float, key: str, value, margin, passed) -> Record:
     value, margin = float(value), float(margin)
     ok = bool(passed) and math.isfinite(value) and math.isfinite(margin)
     return Record(suite, float(t), key, value, margin, ok)
+
+
+def _member(obj, key: str, kind: type):
+    """``obj[key]`` as a ``kind``, else ``GeometryError``; a float may also be
+    one of the strings ``_emit_json`` writes for NaN and the infinities."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise GeometryError(f"malformed report: missing key {key!r}")
+    value = obj[key]
+    if kind is float and not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    elif isinstance(value, kind):
+        return value
+    raise GeometryError(f"malformed report: {key!r} is not a {kind.__name__}: {value!r}")
 
 
 def _residual_rec(suite: str, t: float, key: str, value, tol: float) -> Record:
@@ -243,13 +249,22 @@ class Report:
 
     @classmethod
     def from_json(cls, text: str) -> "Report":
-        data = json.loads(text)
+        """Read a report back, failing closed: ``GeometryError`` on text that
+        is not JSON, a missing key or a ``pass`` that is no JSON boolean.
+        Records go through ``_rec``, so a NaN or infinite value never passes.
+        """
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise GeometryError(f"malformed report: not JSON ({exc})") from None
+        config = _member(data, "config", dict)
         records = [
-            Record(d["suite"], float(d["t"]), d["key"], float(d["value"]),
-                   float(d["margin"]), bool(d["pass"]))
-            for d in data.get("records", [])
+            _rec(_member(d, "suite", str), _member(d, "t", float), _member(d, "key", str),
+                 _member(d, "value", float), _member(d, "margin", float),
+                 _member(d, "pass", bool))
+            for d in _member(data, "records", list)
         ]
-        return cls(dict(data.get("config", {})), records)
+        return cls(config, records)
 
     @classmethod
     def merge(cls, reports: Sequence["Report"]) -> "Report":
@@ -265,41 +280,14 @@ class Report:
 # per-parameter suite cells
 
 
-class Scene:
-    """The pipeline of one parameter, shared by every suite cell at that ``t``.
-
-    The double-precision configuration and each crown arc's report are
-    computed on first use and at most once; a sweep builds one scene per
-    ``t`` and drops it when the point is done.  ``extended`` asks the
-    ``relations`` cell for its 40-digit cross-check.
-    """
-
-    def __init__(self, t: float, extended: bool = False):
-        self.t = t
-        self.extended = extended
-        self._arcs: Dict[str, crown.ArcReport] = {}
-
-    @cached_property
-    def config(self) -> DirichletConfig:
-        return DirichletConfig.build(self.t)
-
-    def arc_report(self, name: str) -> crown.ArcReport:
-        if name not in self._arcs:
-            self._arcs[name] = crown.arc_report(self.config, name)
-        return self._arcs[name]
-
-    def hat(self, name: str) -> crown.HatArc:
-        return self.arc_report(name).hat
-
-
 EPS_REL = 1e-10
 EPS_TRACE = 1e-12
 
 
-def _relations_cell(scene: Scene) -> List[Record]:
+def _relations_cell(scene: crown.Scene, extended: bool) -> List[Record]:
     # generators at the requested precision, not the scene's double ones
     t = scene.t
-    rel = relation_values(t, scene.extended)
+    rel = relation_values(t, extended)
     out = []
     for word in sorted(rel.relations):
         out.append(_residual_rec("relations", t, f"relation:{word}", rel.relations[word], EPS_REL))
@@ -327,7 +315,7 @@ def _relations_global(extended: bool) -> List[Record]:
     return out
 
 
-def _dirichlet_cell(scene: Scene) -> List[Record]:
+def _dirichlet_cell(scene: crown.Scene) -> List[Record]:
     t, config = scene.t, scene.config
     out = []
     rels = pairwise_relations(config)
@@ -362,14 +350,14 @@ def _dirichlet_global(cell_records: Sequence[Record]) -> List[Record]:
     return [_rec("dirichlet", seq[0][0], "sep3-margin-growth-log", worst_step, worst_step, True)]
 
 
-def _arcs_cell(scene: Scene) -> List[Record]:
+def _arcs_cell(scene: crown.Scene) -> List[Record]:
     t = scene.t
     out = []
     for name in crown.ARC_NAMES:
         rep = scene.arc_report(name)
         m = rep.hat.interior_margin
         out.append(_rec("arcs", t, f"host-pattern:{name}", m, m, rep.pattern_ok))
-    cert = crown.crown_fundamental_certificate(scene.config, scene.hat)
+    cert = crown.crown_fundamental_certificate(scene)
     out.append(_residual_rec("arcs", t, "crown-word", cert["word_residual"], EPS_REL))
     out.append(_residual_rec("arcs", t, "crown-abutment", cert["abutment_gap"], 1e-9))
     out.append(_residual_rec("arcs", t, "crown-translate", cert["translate_residual"], 1e-9))
@@ -378,7 +366,8 @@ def _arcs_cell(scene: Scene) -> List[Record]:
 
 def _arcs_global() -> List[Record]:
     t0 = T_REAL
-    config = DirichletConfig.build(t0)
+    scene = crown.Scene(t0)
+    config = scene.config
     chart = crown.alpha4_chart(t0)
     r2 = math.sqrt(2.0)
     u0 = math.sqrt(3.0 * r2 - 4.0)
@@ -396,7 +385,7 @@ def _arcs_global() -> List[Record]:
         px, py = max(pts, key=lambda p: p[1])
         res = max(abs(px - wx), abs(py - wy))
         out.append(_residual_rec("arcs", t0, f"real-point-crossing:sphere{k}", res, 1e-10))
-    hat4 = crown.arc_report(config, "alpha4").hat
+    hat4 = scene.arc_report("alpha4").hat
     em = hat4.endpoint_chart("-")
     ep = hat4.endpoint_chart("+")
     res = max(abs(em[0] - x1), abs(em[1] + y1), abs(ep[0] + x1), abs(ep[1] + y1))
@@ -412,7 +401,7 @@ def _arcs_global() -> List[Record]:
         float(np.max(np.abs(lp / lp[2] - plus))),
     )
     out.append(_residual_rec("arcs", t0, "real-point-alpha4-endpoint-lifts", res, 1e-9))
-    hatb = crown.arc_report(config, "beta1").hat
+    hatb = scene.arc_report("beta1").hat
     circle = hatb.arc.circle
     c = complex(circle.center.z)
     res = max(
@@ -441,7 +430,7 @@ def _arcs_global() -> List[Record]:
     return out
 
 
-def _disks_cell(scene: Scene) -> List[Record]:
+def _disks_cell(scene: crown.Scene) -> List[Record]:
     out = []
     t, config = scene.t, scene.config
     va = crown.alpha1_polar(t)
@@ -460,9 +449,10 @@ def _disks_cell(scene: Scene) -> List[Record]:
                              abs(r1 - math.sqrt((6.0 - 16.0 * t) / (2.0 * t - 1.0))), 1e-9))
     out.append(_residual_rec("disks", t, "radius-form-alpha2",
                              abs(r2 - math.sqrt((16.0 * t - 6.0) / den)), 1e-9))
-    links = crown.linked_pair_report(config)
+    certs = crown.disk_disjointness_certificates(scene)
     if t < 0.4 - 1e-12:
-        weakest = min(r.value for r in links)
+        # each certificate carries its pair's linking value
+        weakest = min(c.linking for c in certs)
         out.append(_rec("disks", t, "all-pairs-unlinked", weakest, weakest, weakest > 0.0))
     else:
         blocked = crown.blocking_minimum_at(t, config)
@@ -471,13 +461,13 @@ def _disks_cell(scene: Scene) -> List[Record]:
         if honest is not None:
             res = abs(honest - 2.0 * blocked)
             out.append(_residual_rec("disks", t, "chord-blocking-dual-route", res, 1e-8))
-    for cert in crown.disk_disjointness_certificates(config, hats=scene.hat):
+    for cert in certs:
         out.append(_rec("disks", t, f"disk-pair:{cert.first}|{cert.second}",
                         cert.linking, cert.margin, cert.disjoint))
     return out
 
 
-def _minima_cell(scene: Scene) -> List[Record]:
+def _minima_cell(scene: crown.Scene) -> List[Record]:
     v = crown.clearance_objective(scene.t, scene.config)
     return [_rec("minima", scene.t, "clearance", v, v - 1.0, v > 1.0)]
 
@@ -510,9 +500,12 @@ _CELLS = {
 
 
 def _run_point(t: float, suites: Tuple[str, ...], extended: bool) -> Dict[str, List[Record]]:
-    """Every requested suite cell at one parameter, reading one shared scene."""
-    scene = Scene(t, extended)
-    return {suite: _CELLS[suite](scene) for suite in suites}
+    """Every requested suite cell at one parameter, reading one shared scene;
+    ``extended`` goes to the ``relations`` cell, its only reader."""
+    scene = crown.Scene(t)
+    return {suite: (_CELLS[suite](scene, extended) if suite == "relations"
+                    else _CELLS[suite](scene))
+            for suite in suites}
 
 
 def _run_globals(suites: Tuple[str, ...], extended: bool) -> Dict[str, List[Record]]:
@@ -581,7 +574,7 @@ def run_suite(
         records.extend(_dirichlet_global([r for r in records if r.suite == "dirichlet"]))
     records.extend(globs.get("arcs", []))
     records.extend(globs.get("minima", []))
-    report_cfg = dict(cfg.as_dict())
+    report_cfg = asdict(cfg)
     report_cfg["suite"] = name
     if points is not None:
         report_cfg["points"] = [float(t) for t in pts]
@@ -644,12 +637,12 @@ def export_arcs(t: float, out_dir: str, samples: int = 257) -> List[str]:
     """The eight hat arcs as OBJ polylines, plus their host spheres."""
     _require_size("samples", samples, 2)
     validate_param(t, strict_interior=True)
-    config = DirichletConfig.build(t)
+    scene = crown.Scene(t)
     lines = []
     hosts: Dict[str, object] = {}
     offset = 0
     for name in crown.ARC_NAMES:
-        hat = crown.arc_report(config, name).hat
+        hat = scene.arc_report(name).hat
         hosts[name] = list(hat.hosts)
         lines.append(f"o hat-{name}")
         for lift in hat.sample_lifts(samples):
@@ -667,8 +660,8 @@ def export_disks(t: float, out_dir: str, rim: int = 96) -> List[str]:
     """Affine-disk fans for the eight crown circles, plus pair certificates."""
     _require_size("rim", rim, 3)
     validate_param(t, strict_interior=True)
-    config = DirichletConfig.build(t)
-    polars = crown.crown_circle_polars(config)
+    scene = crown.Scene(t)
+    polars = crown.crown_circle_polars(scene.config)
     lines = []
     offset = 0
     for name in crown.ARC_NAMES:
@@ -687,7 +680,7 @@ def export_disks(t: float, out_dir: str, rim: int = 96) -> List[str]:
             lines.append(f"f {offset + 1} {a} {b}")
         offset += rim + 1
     obj = _write(os.path.join(out_dir, "disks.obj"), "\n".join(lines) + "\n")
-    certs = crown.disk_disjointness_certificates(config)
+    certs = crown.disk_disjointness_certificates(scene)
     rows = []
     for cert in sorted(certs, key=lambda cr_: (cr_.first, cr_.second)):
         rows.append(_emit_json({

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, output shapes, file side effects."""
 
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -114,3 +115,59 @@ def test_export_rejects_sizes_that_make_no_geometry(runner, tmp_path, kind, opti
     assert result.exit_code == 2
     assert "must be at least" in result.output
     assert not out.exists()
+
+
+_SHARD_RECORD = {"suite": "s", "t": 0.4, "key": "k", "value": 1.0, "margin": 1.0, "pass": True}
+
+
+def _merge_shard(runner, tmp_path, text, *options):
+    shard = tmp_path / "shard.json"
+    shard.write_text(text)
+    return shard, runner.invoke(main, ["report", "--merge", str(shard), *options])
+
+
+def _shard(**changes):
+    record = {k: v for k, v in {**_SHARD_RECORD, **changes}.items() if v is not None}
+    return json.dumps({"config": {}, "records": [record]})
+
+
+def _refused(result, shard):
+    # exit 1 means "a check failed"; bad input is a usage error naming the file
+    assert result.exit_code == 2
+    assert str(shard) in result.output
+
+
+def test_report_merge_refuses_invalid_json(runner, tmp_path):
+    shard, result = _merge_shard(runner, tmp_path, '{"config": {}, "records": [')
+    _refused(result, shard)
+
+
+def test_report_merge_refuses_a_record_without_t(runner, tmp_path):
+    shard, result = _merge_shard(runner, tmp_path, _shard(t=None))
+    _refused(result, shard)
+    assert "'t'" in result.output
+
+
+def test_report_merge_refuses_a_file_without_records(runner, tmp_path):
+    # it must not merge as a passing empty report
+    shard, result = _merge_shard(runner, tmp_path, json.dumps({"config": {}}))
+    _refused(result, shard)
+    assert "records" in result.output
+
+
+def test_report_merge_refuses_a_pass_that_is_not_a_json_boolean(runner, tmp_path):
+    # bool("false") is True: a string must not pass
+    for bad in ("false", "true", 1):
+        shard, result = _merge_shard(runner, tmp_path, _shard(**{"pass": bad}))
+        _refused(result, shard)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", math.nan],
+                         ids=["nan", "inf", "-inf", "bare-NaN"])
+def test_report_merge_fails_a_non_finite_record_that_claims_to_pass(runner, tmp_path, bad):
+    # the strings are what the report writer emits for non-finite floats;
+    # math.nan is dumped as the bare constant NaN, which Python's json reads
+    out = tmp_path / "merged.json"
+    _, result = _merge_shard(runner, tmp_path, _shard(value=bad), "--out", str(out))
+    assert result.exit_code == 1
+    assert [r["pass"] for r in json.loads(out.read_text())["records"]] == [False]

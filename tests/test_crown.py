@@ -13,6 +13,7 @@ from chcrown import (
     DirichletConfig,
     GeometryError,
     PARAM_MAX,
+    Scene,
     T_REAL,
     arc_report,
     blocking_minimum_at,
@@ -245,7 +246,7 @@ def test_hat_sample_lifts_stay_in_domain(config_041):
 
 @pytest.mark.parametrize("t", [0.39, 0.41, T_REAL])
 def test_crown_is_fundamental(t):
-    cert = crown_fundamental_certificate(DirichletConfig.build(t))
+    cert = crown_fundamental_certificate(Scene(t))
     assert cert["word_residual"] < 1e-10
     assert cert["abutment_gap"] < 1e-9
     assert cert["translate_residual"] < 1e-9
@@ -376,15 +377,15 @@ def _census(certs):
     return Counter(c.mode for c in certs)
 
 
-def test_certificates_below_two_fifths_are_all_unlinked(config_039):
-    certs = disk_disjointness_certificates(config_039)
+def test_certificates_below_two_fifths_are_all_unlinked():
+    certs = disk_disjointness_certificates(Scene(0.39))
     assert len(certs) == 28
     assert _census(certs) == {"unlinked": 28}
     assert all(c.disjoint for c in certs)
 
 
-def test_certificates_at_the_real_point(config_real):
-    certs = disk_disjointness_certificates(config_real)
+def test_certificates_at_the_real_point():
+    certs = disk_disjointness_certificates(Scene(T_REAL))
     census = _census(certs)
     assert census["unlinked"] == 4
     assert census["blocked"] == 9
@@ -392,8 +393,8 @@ def test_certificates_at_the_real_point(config_real):
     assert all(c.disjoint for c in certs)
 
 
-def test_certificates_at_mid_window(config_041):
-    certs = disk_disjointness_certificates(config_041)
+def test_certificates_at_mid_window():
+    certs = disk_disjointness_certificates(Scene(0.41))
     census = _census(certs)
     assert census == {"blocked": 10, "unlinked": 12, "overlapping": 4, "separated": 2}
     overlapping = sorted((c.first, c.second) for c in certs if not c.disjoint)
@@ -406,9 +407,9 @@ def test_certificates_at_mid_window(config_041):
             assert c.blocker in range(1, 9) and c.margin > 0.0
 
 
-def test_alpha_neighbors_are_blocked(config_041, config_real):
-    for config in (config_041, config_real):
-        certs = {(c.first, c.second): c for c in disk_disjointness_certificates(config)}
+def test_alpha_neighbors_are_blocked():
+    for t in (0.41, T_REAL):
+        certs = {(c.first, c.second): c for c in disk_disjointness_certificates(Scene(t))}
         cert = certs[("alpha1", "alpha2")]
         assert cert.mode == "blocked"
         assert cert.margin > 0.0
@@ -512,7 +513,7 @@ def test_visible_component_equals_the_reference(t, name, nr, nth):
 def test_visible_component_equals_the_reference_at_default_size(config_041):
     for name in ARC_NAMES:
         hat = arc_report(config_041, name).hat
-        got = crown.visible_component(config_041, hat).reach
+        got = crown.visible_component(config_041, hat, crown._FLOOD_NR, crown._FLOOD_NTH).reach
         assert got.shape == (128, 512) and got.any()
         assert np.array_equal(got, _visible_component_reference(config_041, hat, 128, 512))
 

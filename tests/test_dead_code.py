@@ -1,10 +1,11 @@
-"""Guard: the package holds no code that only the tests reach."""
+"""Guard: the package holds no code that only the tests reach, and no data nobody reads."""
 
 import ast
 import pathlib
 import re
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "chcrown"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "chcrown"
 
 #: click calls the command callbacks; nothing in the package names them
 CLI_COMMANDS = {"cli.verify_cmd", "cli.export", "cli.table1_cmd", "cli.report"}
@@ -49,3 +50,32 @@ def test_every_definition_is_referenced_in_the_package():
             if not any(m != module or line not in own for m, line in refs.get(node.name, ())):
                 unused.append(f"{module}.{qualname}")
     assert sorted(set(unused) - CLI_COMMANDS) == []
+
+
+def _is_dataclass(decorator) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", "")
+    return name == "dataclass"
+
+
+def _dataclass_fields(tree):
+    """(class, field) of every annotated field of a top-level dataclass."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+            for sub in node.body:
+                if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
+                    yield node.name, sub.target.id
+
+
+def test_every_dataclass_field_is_read():
+    # a read is any attribute load of the field's name in src/ or tests/;
+    # being name-based, a field whose name another attribute shares (say a
+    # ``trace`` field beside ``GroupElement.trace``) passes unseen
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    reads = {node.attr for path in paths for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.stem}.{cls}.{name}"
+              for path in sorted(SRC.glob("*.py"))
+              for cls, name in _dataclass_fields(ast.parse(path.read_text()))
+              if name not in reads]
+    assert unread == []

@@ -25,6 +25,7 @@ from chcrown.dirichlet import (
     symmetry_certificate,
 )
 from chcrown.core import hermitian_product, projective_distance
+from chcrown.triangle import Q0
 
 params = st.floats(min_value=PARAM_MIN + 1e-4, max_value=PARAM_MAX,
                    allow_nan=False, allow_infinity=False)
@@ -37,21 +38,20 @@ def test_index_maps_are_mutually_inverse():
 
 
 def test_sphere_words_generate_the_spheres(config_041):
-    # each sphere is the bisector between q0 and its word image; the word
+    # each sphere is the bisector between Q0 and its word image; the word
     # image must therefore lie strictly on the far side
-    q0 = config_041.q0
     for k in range(1, 9):
         s = config_041.sphere(k)
         image = s.v
         assert float(s.side_of_lifts(np.array([image]))[0]) > 0.1
-        assert abs(projective_distance(q0, image)) > 1e-3
+        assert abs(projective_distance(Q0, image)) > 1e-3
 
 
 @given(params)
 @settings(max_examples=20, deadline=None)
 def test_center_is_interior(t):
     config = DirichletConfig.build(t)
-    sides = config.side_matrix(config.q0)[0]
+    sides = config.side_matrix(Q0)[0]
     assert np.all(sides < 0.0)
 
 
@@ -61,13 +61,13 @@ def test_sphere_at_equals_the_configuration_sphere(t, k):
     # the single-sphere path must be the configuration's sphere to the bit
     alone = sphere_at(t, k)
     full = DirichletConfig.build(t).sphere(k)
-    assert (alone.index, alone.word) == (full.index, full.word)
-    for attr in ("u", "v", "_ru", "_rv"):
+    assert alone.index == full.index
+    for attr in ("v", "_rv"):
         assert np.array_equal(getattr(alone, attr), getattr(full, attr))
 
 
 def test_side_matrix_shape_and_domain_predicate(config_039):
-    pts = np.stack([config_039.q0, config_039.sphere(1).v])
+    pts = np.stack([Q0, config_039.sphere(1).v])
     mat = config_039.side_matrix(pts)
     assert mat.shape == (2, 8)
     inside = config_039.in_boundary_domain(pts)
@@ -93,12 +93,12 @@ def test_in_boundary_domain_fails_closed_on_non_finite_rows(config_041):
     rows = []
     for col in range(3):
         for bad in (np.nan, np.inf, -np.inf, 1j * np.inf, complex(np.nan, 1.0)):
-            row = config_041.q0.copy()
+            row = Q0.copy()
             row[col] = bad
             rows.append(row)
     with np.errstate(invalid="ignore", over="ignore"):
         free = config_041.in_boundary_domain(np.array(rows))
-    assert config_041.in_boundary_domain(config_041.q0).tolist() == [True]
+    assert config_041.in_boundary_domain(Q0).tolist() == [True]
     assert not free.any()
 
 

@@ -19,6 +19,7 @@ from chcrown import (
     relation_certificate,
     validate_param,
 )
+from chcrown import dirichlet
 from chcrown.core import SIEGEL, hermitian_product
 from chcrown.triangle import (
     Q0,
@@ -137,8 +138,8 @@ def test_real_point_matrices_have_unit_det_and_su21():
 
 
 def test_q0_is_shared_read_only():
-    # every generator set, configuration and sphere holds this one array
-    q0 = build_generators(0.39).q0
+    # every sphere bisects this one array; dirichlet reads it, not a copy
+    q0 = dirichlet.Q0
     assert q0 is Q0
     with pytest.raises(ValueError):
         q0[0] = 2.0

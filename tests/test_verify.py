@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from concurrent.futures import Future
 
 import mpmath
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chcrown import (
+    ARC_NAMES,
     EXPORT_KINDS,
     GeometryError,
     HeisenbergPoint,
@@ -32,7 +34,7 @@ from chcrown import (
     limit_set_points,
     run_suite,
 )
-from chcrown import verify
+from chcrown import crown, verify
 from chcrown.verify import (
     _INVERSE_TOKEN,
     _LIMITSET_TOKENS,
@@ -127,6 +129,22 @@ def test_non_finite_values_fail_closed(bad):
     assert f",{_f17(bad)},1,false" in rep.to_csv()
 
 
+@pytest.mark.parametrize("text", [
+    "[]",
+    '{"records": []}',
+    '{"config": {}, "records": {}}',
+    '{"config": {}, "records": [1]}',
+    '{"config": {}, "records": [{"suite": "s", "t": 0.4, "key": "k", '
+    '"value": "abc", "margin": 0, "pass": true}]}',
+    '{"config": {}, "records": [{"suite": 3, "t": 0.4, "key": "k", '
+    '"value": 0, "margin": 0, "pass": true}]}',
+], ids=["list", "no-config", "records-object", "record-not-object", "value-not-number",
+        "suite-not-string"])
+def test_report_from_json_rejects_malformed_input(text):
+    with pytest.raises(GeometryError, match="malformed report"):
+        Report.from_json(text)
+
+
 def test_report_merge_prefers_later_shards():
     first = Report({"n": 1}, [Record("s", 0.4, "k", 1.0, -1.0, False)])
     second = Report({"n": 2}, [Record("s", 0.4, "k", 1.0, 1.0, True),
@@ -188,6 +206,29 @@ def test_pool_is_no_larger_than_the_task_count(monkeypatch):
     assert run_suite("relations", points=[0.39, 0.41], jobs=2).to_json() == serial
     run_suite("relations", points=[], jobs=2)
     assert sizes == [1, 2, 2]
+
+
+def test_one_point_builds_each_arc_and_the_linking_values_once(monkeypatch):
+    # every suite at a parameter reads one scene: each (t, arc) report is
+    # built once, and the disks cell reads the linking values off the
+    # certificates instead of computing all 28 a second time
+    arcs, links = Counter(), Counter()
+    build_arc, link_report = crown.arc_report, crown.linked_pair_report
+
+    def counted_arc(config, name):
+        arcs[(config.gens.t, name)] += 1
+        return build_arc(config, name)
+
+    def counted_links(config):
+        links[config.gens.t] += 1
+        return link_report(config)
+
+    monkeypatch.setattr(crown, "arc_report", counted_arc)
+    monkeypatch.setattr(crown, "linked_pair_report", counted_links)
+    run_suite("all", points=[0.41])
+    assert sorted(name for t, name in arcs if t == 0.41) == sorted(ARC_NAMES)
+    assert set(arcs.values()) == {1}
+    assert links == Counter({0.41: 1})
 
 
 def test_run_suite_rejects_fewer_than_one_job():
