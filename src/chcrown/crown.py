@@ -23,15 +23,23 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from .core import (
+    EPS_ALG,
     GeometryError,
     GroupElement,
+    _abs2,
     axis_polar,
     box_product,
     fixed_points_boundary,
     hermitian_product,
     matrix_phase_distance,
 )
-from .dirichlet import DirichletConfig, SpinalSphere, canonical_index, sphere_at
+from .dirichlet import (
+    _Q0_NORM,
+    DirichletConfig,
+    SpinalSphere,
+    canonical_index,
+    sphere_at,
+)
 from .heisenberg import (
     AffineDisk,
     CCircle,
@@ -41,7 +49,16 @@ from .heisenberg import (
     disk_intersection_segment,
     translation_element,
 )
-from .triangle import PARAM_MAX, PARAM_MIN, coefficients, validate_param
+from .triangle import (
+    PARAM_MAX,
+    PARAM_MIN,
+    Q0,
+    Coefficients,
+    _coefficient_arrays,
+    _generator_stacks,
+    coefficients,
+    validate_param,
+)
 
 ARC_NAMES = ("alpha1", "alpha2", "alpha3", "alpha4", "beta1", "beta2", "beta3", "beta4")
 
@@ -50,12 +67,29 @@ ARC_NAMES = ("alpha1", "alpha2", "alpha3", "alpha4", "beta1", "beta2", "beta3", 
 # closed-form polar lifts
 
 
+def _vectors(x0, y0, x1, y1, x2, y2) -> np.ndarray:
+    """Vectors ``[x0 + i y0, x1 + i y1, x2 + i y2]`` on the last axis.
+
+    The parts are floats or float arrays, and each is placed, never summed,
+    so a closed form evaluated on floats keeps the bits of
+    ``complex(x, y) / d`` when it divides each part by ``d`` itself.
+    """
+    parts = np.broadcast_arrays(x0, y0, x1, y1, x2, y2)
+    out = np.empty(parts[0].shape + (3,), dtype=complex)
+    out.real = np.stack(parts[0::2], axis=-1)
+    out.imag = np.stack(parts[1::2], axis=-1)
+    return out
+
+
+def _alpha1_polar(c: Coefficients) -> np.ndarray:
+    f = math.sqrt(2.0) * c.a
+    d = 1.0 - 2.0 * c.t
+    return _vectors(-1.0, 0.0, f * c.t / d, -(f * c.b) / d, 1.0, 0.0)
+
+
 def alpha1_polar(t: float) -> np.ndarray:
     """Axis polar of g1, lifted with last coordinate 1."""
-    c = coefficients(t)
-    t = c.t
-    mid = math.sqrt(2.0) * c.a * complex(t, -c.b) / (1.0 - 2.0 * t)
-    return np.array([-1.0, mid, 1.0], dtype=complex)
+    return _alpha1_polar(coefficients(t))
 
 
 def alpha2_polar(t: float) -> np.ndarray:
@@ -65,11 +99,13 @@ def alpha2_polar(t: float) -> np.ndarray:
     return np.array([complex(8.0 * t - 3.0, -2.0 * c.a * c.b) / den, 0.0, 1.0], dtype=complex)
 
 
+def _alpha4_polar(c: Coefficients) -> np.ndarray:
+    den = 4.0 * c.t - 1.0 - 2.0 * c.t * c.a
+    return _vectors((8.0 * c.t - 3.0) / den, 2.0 * c.a * c.b / den, 0.0, 0.0, 1.0, 0.0)
+
+
 def alpha4_polar(t: float) -> np.ndarray:
-    c = coefficients(t)
-    t = c.t
-    den = 4.0 * t - 1.0 - 2.0 * t * c.a
-    return np.array([complex(8.0 * t - 3.0, 2.0 * c.a * c.b) / den, 0.0, 1.0], dtype=complex)
+    return _alpha4_polar(coefficients(t))
 
 
 def beta_polar_scaled(t: float) -> np.ndarray:
@@ -527,12 +563,26 @@ def clearance_objective(t: float, config: Optional[DirichletConfig] = None) -> f
 _GOLDEN_GRID = 256
 #: bracket width at which the golden-section refinement stops
 _GOLDEN_TOL = 1e-10
+#: windows of the two searches: the clearance one starts just off the
+#: parabolic end, the blocking one at the tangency parameter 2/5
+_CLEARANCE_WINDOW = (PARAM_MIN + 1e-7, PARAM_MAX)
+_BLOCKING_WINDOW = (0.4, PARAM_MAX)
 
 
-def golden_minimize(f, lo: float, hi: float) -> Tuple[float, float]:
-    """Coarse grid scan followed by golden-section refinement."""
+def golden_minimize(f, lo: float, hi: float, scan) -> Tuple[float, float]:
+    """Coarse grid scan followed by golden-section refinement.
+
+    ``scan(ts)`` evaluates ``f`` over the whole grid in one call; it only
+    picks the grid point to refine around, and the refinement and the
+    returned value come from ``f`` alone, so the result is the one a scalar
+    scan gives whenever both pick the same grid point.  A NaN or infinite
+    grid value returns ``(nan, nan)``: the argmin would pick a NaN and every
+    comparison after it would steer the bracket blindly.
+    """
     ts = np.linspace(lo, hi, _GOLDEN_GRID)
-    vals = [f(float(t)) for t in ts]
+    vals = scan(ts)
+    if not np.all(np.isfinite(vals)):
+        return math.nan, math.nan
     i = int(np.argmin(vals))
     a = float(ts[max(0, i - 1)])
     b = float(ts[min(_GOLDEN_GRID - 1, i + 1)])
@@ -555,7 +605,72 @@ def golden_minimize(f, lo: float, hi: float) -> Tuple[float, float]:
 
 def minimize_clearance() -> Tuple[float, float]:
     """Global minimum of the clearance over the family, just off t = 3/8."""
-    return golden_minimize(clearance_objective, PARAM_MIN + 1e-7, PARAM_MAX)
+    return golden_minimize(clearance_objective, *_CLEARANCE_WINDOW, _clearance_scan)
+
+
+def _self_products(v: np.ndarray) -> np.ndarray:
+    """``<v, v>`` of each row of an ``(n, 3)`` array."""
+    return 2.0 * (v[:, 0] * np.conj(v[:, 2])).real + _abs2(v[:, 1])
+
+
+def _sphere_lifts(words: np.ndarray) -> np.ndarray:
+    """``w Q0`` for a stack of words ``w``: the lifts ``v`` of their spheres.
+
+    Refused, as :class:`SpinalSphere` refuses one, when a lift misses
+    ``Q0``'s self-product.  The words are not renormalized to determinant 1:
+    that divides by a cube root of a unit-modulus determinant, a phase that
+    no side value ``|<p, v>|^2`` can see.
+    """
+    v = words @ Q0
+    if not np.all(np.abs(_self_products(v) - _Q0_NORM) <= 1e-9 * abs(_Q0_NORM)):
+        raise GeometryError("a bisector lift must have the centre's self-product")
+    return v
+
+
+def _sides(v: np.ndarray, z: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Side values ``|<p, Q0>|^2 - |<p, v>|^2``, row ``i`` against lift ``v[i]``.
+
+    ``p`` runs over the standard lifts ``[(-|z|^2 + i h)/2, z, 1]`` of the
+    Heisenberg points ``(z, h)``, an ``(n, m)`` array each.
+    """
+    p0 = (-(z.real ** 2 + z.imag ** 2) + 1j * h) / 2.0
+
+    def product(u):  # <p, u> = u^H J p
+        return np.conj(u[..., :1]) + np.conj(u[..., 1:2]) * z + np.conj(u[..., 2:]) * p0
+
+    return _abs2(product(Q0)) - _abs2(product(v))
+
+
+def _finite_circles(polar: np.ndarray):
+    """Centres ``(z0, v0)`` and squared radii of the C-circles of ``(n, 3)``
+    polar lifts, refused as :func:`ccircle_from_polar` refuses one."""
+    if not np.all(_self_products(polar) > EPS_ALG * _abs2(polar).sum(axis=1)):
+        raise GeometryError("polar vector of a C-circle must be positive type")
+    w = polar / polar[:, 2:]
+    z0 = w[:, 1]
+    r2 = 2.0 * w[:, 0].real + _abs2(z0)
+    if not np.all(r2 > 0.0):
+        raise GeometryError("polar vector encodes no real circle")
+    return z0, 2.0 * w[:, 0].imag, r2
+
+
+def _clearance_scan(ts: np.ndarray) -> np.ndarray:
+    """:func:`clearance_objective` at every parameter of ``ts``, in one pass."""
+    co = _coefficient_arrays(ts)
+    g1, g2 = _generator_stacks(co)
+    v5 = _sphere_lifts(g2 @ g2 @ g1)
+    z0, v0, r2 = _finite_circles(_alpha4_polar(co))
+    # the chart points (1, 0), (-1, 0) and (0, 1) of ChartedCircle.line_of_sphere:
+    # the standard circle scaled to radius R, then translated by the centre
+    zr = np.sqrt(r2)[:, None] * np.array([1.0, -1.0, 1j])
+    z = z0[:, None] + zr
+    h = v0[:, None] + 2.0 * (z0[:, None] * np.conj(zr)).imag
+    f10, fm10, f01 = _sides(v5, z, h).T
+    k0 = (f10 + fm10) / 2.0
+    k1 = (f10 - fm10) / 2.0
+    k2 = f01 - k0
+    with np.errstate(divide="ignore"):
+        return k0 ** 2 / (k1 ** 2 + k2 ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +684,10 @@ def chord_line(t: float) -> Tuple[float, float]:
     z-plane, y = k1 x + k2.  At the real point of the family b vanishes
     and the line collapses onto the real axis.
     """
-    c = coefficients(t)
+    return _chord_line(coefficients(t))
+
+
+def _chord_line(c: Coefficients):
     t = c.t
     den = 2.0 * t * c.a + 4.0 * t - 1.0
     k1 = -c.b / t
@@ -587,24 +705,31 @@ def chord_bounds(t: float) -> Tuple[float, float]:
     happens exactly below the tangency parameter 2/5).  Discriminants are
     clamped at zero so the tangency itself stays inside the domain.
     """
-    c = coefficients(t)
-    t = c.t
-    a, b = c.a, c.b
-    k1, k2 = chord_line(t)
+    lo, hi = _chord_bounds(coefficients(t))
+    return float(lo), float(hi)
+
+
+def _chord_bounds(c: Coefficients):
+    t, a, b = c.t, c.a, c.b
+    k1, k2 = _chord_line(c)
     q = 1.0 + k1 * k1
     den = 2.0 * t * a + 4.0 * t - 1.0
     r2sq = (16.0 * t - 6.0) / den
-    disc2 = max(0.0, q * r2sq - k2 * k2)
-    lo2 = (-k1 * k2 - math.sqrt(disc2)) / q
-    up2 = (-k1 * k2 + math.sqrt(disc2)) / q
+    disc2 = np.maximum(0.0, q * r2sq - k2 * k2)
+    lo2 = (-k1 * k2 - np.sqrt(disc2)) / q
+    up2 = (-k1 * k2 + np.sqrt(disc2)) / q
     x1 = math.sqrt(2.0) * a * t / (1.0 - 2.0 * t)
     y1 = -math.sqrt(2.0) * a * b / (1.0 - 2.0 * t)
     r1sq = (6.0 - 16.0 * t) / (2.0 * t - 1.0)
     lead = x1 + k1 * (y1 - k2)
-    disc1 = max(0.0, lead * lead - q * (x1 * x1 + (y1 - k2) ** 2 - r1sq))
-    lo1 = (lead - math.sqrt(disc1)) / q
-    up1 = (lead + math.sqrt(disc1)) / q
-    return max(lo1, lo2), min(up1, up2)
+    disc1 = np.maximum(0.0, lead * lead - q * (x1 * x1 + (y1 - k2) ** 2 - r1sq))
+    lo1 = (lead - np.sqrt(disc1)) / q
+    up1 = (lead + np.sqrt(disc1)) / q
+    return np.maximum(lo1, lo2), np.minimum(up1, up2)
+
+
+#: chord abscissae of the five samples that pin the blocking quartic
+_QUARTIC_XS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 
 
 def blocking_side_quartic(t: float, blocker: SpinalSphere) -> np.ndarray:
@@ -617,13 +742,12 @@ def blocking_side_quartic(t: float, blocker: SpinalSphere) -> np.ndarray:
     """
     k1, k2 = chord_line(t)
     plane = AffineDisk(ccircle_from_polar(alpha1_polar(t))).plane
-    xs = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     pts = []
-    for x in xs:
+    for x in _QUARTIC_XS:
         z = complex(x, k1 * x + k2)
         pts.append(HeisenbergPoint(z, plane.height_at(z)).lift())
     vals = blocker.side_of_lifts(np.stack(pts))
-    return np.polyfit(xs, vals, 4)
+    return np.polyfit(_QUARTIC_XS, vals, 4)
 
 
 def blocking_minimum_at(t: float, config: Optional[DirichletConfig] = None) -> float:
@@ -659,7 +783,43 @@ def minimize_blocking() -> Tuple[float, float]:
     The minimum sits on the t = 2/5 boundary, where the shared segment
     degenerates to the tangency point of the two projected circles.
     """
-    return golden_minimize(blocking_minimum_at, 0.4, PARAM_MAX)
+    return golden_minimize(blocking_minimum_at, *_BLOCKING_WINDOW, _blocking_scan)
+
+
+def _blocking_scan(ts: np.ndarray) -> np.ndarray:
+    """:func:`blocking_minimum_at` at every parameter of ``ts``, in one pass.
+
+    The quartic is solved exactly through its five samples, and its
+    critical points are the companion-matrix eigenvalues of its derivative,
+    as ``np.roots`` finds them.
+    """
+    co = _coefficient_arrays(ts)
+    lo, hi = _chord_bounds(co)
+    if not np.all(lo <= hi + 1e-12):
+        raise GeometryError("the disks share no affine segment below the tangency")
+    hi = np.maximum(hi, lo)
+    k1, k2 = _chord_line(co)
+    z = _QUARTIC_XS + 1j * (k1[:, None] * _QUARTIC_XS + k2[:, None])
+    # heights on the alpha1 contact plane, as ContactPlane.height_at reads them
+    z0, v0, _r2 = _finite_circles(_alpha1_polar(co))
+    h = v0[:, None] - 2.0 * z0.real[:, None] * z.imag + 2.0 * z0.imag[:, None] * z.real
+    g1, g2 = _generator_stacks(co)
+    side = _sides(_sphere_lifts(g2 @ g1), z, h)
+    poly = np.linalg.solve(np.vander(_QUARTIC_XS), side.T).T
+    deriv = poly[:, :4] * np.array([4.0, 3.0, 2.0, 1.0])
+    comp = np.zeros((len(poly), 3, 3))
+    comp[:, 0, :] = -deriv[:, 1:] / deriv[:, :1]
+    comp[:, 1, 0] = comp[:, 2, 1] = 1.0
+    finite = np.isfinite(comp).all(axis=(1, 2))
+    roots = np.linalg.eigvals(np.where(finite[:, None, None], comp, 0.0))
+    x = np.concatenate([lo[:, None], hi[:, None], roots.real], axis=1)
+    keep = np.ones(x.shape, dtype=bool)
+    keep[:, 2:] = (np.abs(roots.imag) < 1e-9) & (lo[:, None] <= roots.real) & (roots.real <= hi[:, None])
+    vals = poly[:, :1]
+    for k in range(1, 5):
+        vals = vals * x + poly[:, k:k + 1]
+    best = np.min(np.where(keep, vals, np.inf), axis=1) / 2.0
+    return np.where(finite, best, np.nan)
 
 
 def honest_chord_blocking(t: float,
@@ -735,13 +895,20 @@ def visible_component(config: DirichletConfig, hat: HatArc,
     radius = float(circle.radius)
     rho = (np.arange(nr) + 0.5) / nr * radius
     ang = (np.arange(nth) + 0.5) / nth * _TWO_PI
-    z = center + rho[:, None] * np.exp(1j * ang)[None, :]
-    v = -(plane.coeff_const + plane.coeff_x * z.real + plane.coeff_y * z.imag)
-    lifts = np.empty((nr, nth, 3), dtype=complex)
-    lifts[..., 0] = (-np.abs(z) ** 2 + 1j * v) / 2.0
-    lifts[..., 1] = z
-    lifts[..., 2] = 1.0
-    free = config.in_boundary_domain(lifts.reshape(-1, 3)).reshape(nr, nth)
+    spin = np.exp(1j * ang)[None, :]
+    free = np.empty((nr, nth), dtype=bool)
+    # a few rows at a time: whole-grid temporaries (1-3 MB each) are
+    # page-faulted afresh whenever the allocator has returned their memory,
+    # while blocks this small are reused from call to call
+    for r0 in range(0, nr, _FLOOD_BLOCK_ROWS):
+        z = center + rho[r0:r0 + _FLOOD_BLOCK_ROWS, None] * spin
+        v = -(plane.coeff_const + plane.coeff_x * z.real + plane.coeff_y * z.imag)
+        lifts = np.empty(z.shape + (3,), dtype=complex)
+        lifts[..., 0] = (-np.abs(z) ** 2 + 1j * v) / 2.0
+        lifts[..., 1] = z
+        lifts[..., 2] = 1.0
+        block = config.in_boundary_domain(lifts.reshape(-1, 3))
+        free[r0:r0 + _FLOOD_BLOCK_ROWS] = block.reshape(z.shape)
 
     cols = np.unique(_angle_columns(hat.sample_angles(400), nth))
     rings = free[max(nr - 5, 0):, cols][::-1]
@@ -843,6 +1010,8 @@ _VISIBLE_TOL = 1e-8
 #: radius rows and angle columns of the flood-fill grid of each affine disk
 _FLOOD_NR = 128
 _FLOOD_NTH = 512
+#: radius rows of the flood-fill grid evaluated together (4096 cells)
+_FLOOD_BLOCK_ROWS = 8
 
 
 def disk_disjointness_certificates(scene: Scene) -> List[DiskPairCert]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -130,6 +130,28 @@ def _coefficients(t, mp) -> Coefficients:
 
 def coefficients(t: float) -> Coefficients:
     return _coefficients(validate_param(t), None)
+
+
+def _coefficient_arrays(ts: np.ndarray) -> Coefficients:
+    """:func:`coefficients` at every parameter of ``ts``, as float arrays.
+
+    Raises ``GeometryError`` when a parameter is out of range or not a
+    number, or when a radicand is negative beyond roundoff (below -1e-12),
+    the two ways the scalar path refuses a parameter.
+    """
+    tt = np.asarray(ts, dtype=float)
+    if not np.all((tt >= PARAM_MIN - _RANGE_SLACK) & (tt <= PARAM_MAX + _RANGE_SLACK)):
+        raise GeometryError(f"a parameter lies outside [{PARAM_MIN}, {PARAM_MAX:.17g}]")
+
+    def sqrt(x):
+        if np.any(x < -1e-12):
+            raise GeometryError("radicand is negative beyond roundoff")
+        return np.sqrt(np.maximum(x, 0.0))
+
+    a = sqrt(6 * tt - 2)
+    b = sqrt(-tt * tt - 2 * tt + 1)
+    c = sqrt((8 * tt - 3) / (4 * tt - 1 - 2 * tt * a))
+    return Coefficients(tt, a, b, c, 1 / (2 * np.sqrt(1 - 2 * tt)))
 
 
 def _polar_vectors(co: Coefficients, mp):
@@ -278,6 +300,29 @@ def build_generators(t: float, extended: bool = False) -> GeneratorSet:
     t = validate_param(t)
     with _arithmetic(extended) as mp:
         return _generator_set(t, mp)
+
+
+def _generator_stacks(co: Coefficients) -> Tuple[np.ndarray, np.ndarray]:
+    """``g1`` and ``g2`` at every parameter of array coefficients ``co``, as
+    ``(n, 3, 3)`` stacks.
+
+    The same words in the same reflections as :func:`build_generators`.
+    Only the mirror ``n3`` depends on ``t``, so ``I3`` is built per parameter
+    from its closed form and ``I1``, ``I2`` once.  The products are not
+    renormalized to determinant 1.
+    """
+    r2 = math.sqrt(2.0)
+    n3 = co.ball_a[:, None] * np.stack(
+        [r2 / 2 * (co.a + 1), -co.t + 1j * co.b, r2 / 2 * (1 - co.a)], axis=-1)
+    # I3 = -1 + 2 n3 n3^H J / <n3, n3>; the Siegel form reverses coordinates
+    row = np.conj(n3)[:, ::-1]
+    norm = (n3 * row).sum(axis=1)
+    if not np.all(norm.real > 0):
+        raise GeometryError("polar vector of a complex reflection must be positive type")
+    i3 = -np.eye(3) + 2 * n3[:, :, None] * row[:, None, :] / norm[:, None, None]
+    fixed = _generator_set(PARAM_MAX, None)
+    i1, i2 = fixed.i1.matrix, fixed.i2.matrix
+    return i3 @ (i2 @ i1 @ i2), np.broadcast_to(fixed.g2.matrix, i3.shape)
 
 
 @dataclass(frozen=True)

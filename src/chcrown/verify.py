@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -558,6 +557,9 @@ def run_suite(
     # linked points carry the disk ladder, the costliest cells: start them first
     order = sorted(range(len(pts)), key=lambda i: pts[i] <= 0.4)
     if jobs > 1 and pts:
+        # imported here so that a serial run never loads the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         # the pool forks all its workers up front: no more than there are tasks
         with ProcessPoolExecutor(max_workers=min(jobs, len(pts))) as pool:
             futures = [pool.submit(_run_point, pts[i], suites, extended) for i in order]

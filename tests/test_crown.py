@@ -321,6 +321,59 @@ def test_golden_searches_are_pinned_bit_for_bit():
     assert minimize_blocking() == (0.40000000003921743, 0.36167528623312717)
 
 
+SEARCHES = {
+    "clearance": (clearance_objective, crown._clearance_scan, crown._CLEARANCE_WINDOW),
+    "blocking": (blocking_minimum_at, crown._blocking_scan, crown._BLOCKING_WINDOW),
+}
+
+
+def _scan_error(name, ts):
+    """Largest relative gap between a search's array scan and its scalar objective."""
+    f, scan, _window = SEARCHES[name]
+    want = np.array([f(float(t)) for t in ts])
+    got = scan(np.asarray(ts))
+    return float(np.max(np.abs(got - want) / np.abs(want))), want, got
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHES))
+def test_scan_picks_the_scalar_grid_point_on_the_production_grid(name):
+    # the refinement starts where the scan's argmin is, so the search result
+    # is bit-identical only if both scans pick the same grid point, by a
+    # margin far above their disagreement
+    ts = np.linspace(*SEARCHES[name][2], crown._GOLDEN_GRID)
+    err, want, got = _scan_error(name, ts)
+    assert err <= 1e-11
+    assert int(np.argmin(got)) == int(np.argmin(want))
+    low = np.sort(want)
+    assert low[1] - low[0] > 1e3 * float(np.max(np.abs(got - want)))
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHES))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_scan_matches_the_scalar_objective_anywhere_in_its_window(name, data):
+    lo, hi = SEARCHES[name][2]
+    ts = data.draw(st.lists(st.floats(min_value=lo, max_value=hi, allow_nan=False),
+                            min_size=1, max_size=8))
+    assert _scan_error(name, ts)[0] <= 1e-11
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_golden_minimize_fails_closed_on_a_non_finite_grid_value(bad):
+    # argmin picks a NaN (or -inf) at ts[40] and the bracket settles on the
+    # wrong but finite (0.38127, 8.25e-4); any non-finite grid value is refused
+    ts = np.linspace(0.375, 0.414, crown._GOLDEN_GRID)
+
+    def f(t):
+        return bad if t == ts[40] else (t - 0.41) ** 2
+
+    def scan(grid):
+        return np.array([f(float(t)) for t in grid])
+
+    t_star, value = crown.golden_minimize(f, 0.375, 0.414, scan)
+    assert math.isnan(t_star) and math.isnan(value)
+
+
 # ---------------------------------------------------------------------------
 # the chord and its blocking sphere
 

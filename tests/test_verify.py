@@ -1,5 +1,6 @@
 """Sweep plumbing: configs, records, deterministic serialization, exports."""
 
+import concurrent.futures
 import hashlib
 import json
 import math
@@ -200,7 +201,7 @@ def test_pool_is_no_larger_than_the_task_count(monkeypatch):
             return fut
 
     serial = run_suite("relations", points=[0.39, 0.41]).to_json()
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     run_suite("relations", points=[0.39], jobs=64)
     assert run_suite("relations", points=[0.39, 0.41], jobs=64).to_json() == serial
     assert run_suite("relations", points=[0.39, 0.41], jobs=2).to_json() == serial
@@ -229,6 +230,38 @@ def test_one_point_builds_each_arc_and_the_linking_values_once(monkeypatch):
     assert sorted(name for t, name in arcs if t == 0.41) == sorted(ARC_NAMES)
     assert set(arcs.values()) == {1}
     assert links == Counter({0.41: 1})
+
+
+def test_one_point_makes_64_scalar_objective_calls(monkeypatch):
+    # each golden search scans its grid as one array and calls the scalar
+    # objective only for its ~32 refinement steps: 33 + 31, not 2 x 256 more
+    calls = Counter()
+    golden = crown.golden_minimize
+
+    def counted_golden(f, *args):
+        def counted(t):
+            calls[f.__name__] += 1
+            return f(t)
+        return golden(counted, *args)
+
+    monkeypatch.setattr(crown, "golden_minimize", counted_golden)
+    run_suite("minima", points=[0.39])
+    assert calls == Counter({"clearance_objective": 33, "blocking_minimum_at": 31})
+
+
+def test_a_non_finite_scan_fails_the_four_minima_records(monkeypatch):
+    # the searches return (nan, nan) on a non-finite grid value, and every
+    # record read from them fails closed
+    for scan in ("_clearance_scan", "_blocking_scan"):
+        def poisoned(ts, scan=getattr(crown, scan)):
+            vals = scan(ts)
+            vals[40] = math.nan
+            return vals
+        monkeypatch.setattr(crown, scan, poisoned)
+    report = run_suite("minima", points=[0.39])
+    failed = sorted(r.key for r in report.records if not r.passed)
+    assert failed == ["blocking-argmin", "blocking-minimum",
+                      "clearance-minimum", "clearance-minimum-above-1"]
 
 
 def test_run_suite_rejects_fewer_than_one_job():
@@ -427,11 +460,11 @@ def test_export_bytes_are_pinned(kind, t, tmp_path):
     assert got == _PINNED_EXPORTS[(kind, t)]
 
 
-def _mpmath_loaded_after(code):
+def _loaded_after(code, module):
     # a fresh interpreter that imports this same checkout of the package
     src = os.path.dirname(os.path.dirname(verify.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    probe = code + "\nimport sys\nprint('mpmath' in sys.modules)"
+    probe = code + f"\nimport sys\nprint({module!r} in sys.modules)"
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True, env=env)
     return done.stdout.split()[-1] == "True"
@@ -440,8 +473,15 @@ def _mpmath_loaded_after(code):
 def test_double_runs_never_load_mpmath():
     # the double path is plain complex128; only the extended relations
     # cross-check imports mpmath
-    assert not _mpmath_loaded_after(
-        "from chcrown import run_suite\nrun_suite('relations', points=[0.41])")
-    assert _mpmath_loaded_after(
+    assert not _loaded_after(
+        "from chcrown import run_suite\nrun_suite('relations', points=[0.41])", "mpmath")
+    assert _loaded_after(
         "from chcrown import SweepConfig, run_suite\n"
-        "run_suite('relations', SweepConfig(precision='extended'), points=[0.41])")
+        "run_suite('relations', SweepConfig(precision='extended'), points=[0.41])", "mpmath")
+
+
+@pytest.mark.parametrize("module", ["concurrent.futures", "multiprocessing"])
+def test_serial_runs_never_load_the_process_pool(module):
+    # the CLI and a serial run never start a pool, so they do not import one
+    serial = "import chcrown.cli\nfrom chcrown import run_suite\nrun_suite('minima', points=[0.39])"
+    assert not _loaded_after(serial, module)
