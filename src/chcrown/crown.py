@@ -38,12 +38,10 @@ from .dirichlet import (
     DirichletConfig,
     SpinalSphere,
     canonical_index,
-    sphere_at,
 )
 from .heisenberg import (
     AffineDisk,
     CCircle,
-    HeisenbergPoint,
     ccircle_from_polar,
     dilation_element,
     disk_intersection_segment,
@@ -74,10 +72,10 @@ def _vectors(x0, y0, x1, y1, x2, y2) -> np.ndarray:
     so a closed form evaluated on floats keeps the bits of
     ``complex(x, y) / d`` when it divides each part by ``d`` itself.
     """
-    parts = np.broadcast_arrays(x0, y0, x1, y1, x2, y2)
-    out = np.empty(parts[0].shape + (3,), dtype=complex)
-    out.real = np.stack(parts[0::2], axis=-1)
-    out.imag = np.stack(parts[1::2], axis=-1)
+    out = np.empty(np.broadcast(x0, y0, x1, y1, x2, y2).shape + (3,), dtype=complex)
+    for k, (x, y) in enumerate(((x0, y0), (x1, y1), (x2, y2))):
+        out.real[..., k] = x
+        out.imag[..., k] = y
     return out
 
 
@@ -172,9 +170,9 @@ class LinkReport:
     value: float
 
 
-def linked_pair_report(config: DirichletConfig) -> List[LinkReport]:
-    """Linking sign for all 28 pairs of crown circles."""
-    polars = crown_circle_polars(config)
+def linked_pair_report(scene: Scene) -> List[LinkReport]:
+    """Linking sign for all 28 pairs of the scene's crown circles."""
+    polars = scene.polars
     names = list(polars)
     out = []
     for i, ni in enumerate(names):
@@ -262,13 +260,6 @@ class ChartLine:
     @property
     def direction_norm(self) -> float:
         return math.hypot(self.k1, self.k2)
-
-    def clearance2(self) -> float:
-        """Squared distance of the line from the chart origin."""
-        d = self.direction_norm
-        if d == 0.0:
-            return math.inf
-        return self.k0 ** 2 / (self.k1 ** 2 + self.k2 ** 2)
 
     def circle_crossings(self) -> List[float]:
         """Angles where the line meets the unit circle (0, 1, or 2)."""
@@ -516,9 +507,9 @@ def table1(config: DirichletConfig) -> Dict[str, Tuple[int, int]]:
 class Scene:
     """The pipeline of one parameter, shared by everything that reads ``t``.
 
-    The configuration and each crown arc's report are computed on first use
-    and at most once; a sweep builds one scene per ``t`` and drops it when
-    the point is done.
+    The configuration, the crown-circle polars and each crown arc's report
+    are computed on first use and at most once; a sweep builds one scene per
+    ``t`` and drops it when the point is done.
     """
 
     def __init__(self, t: float):
@@ -528,6 +519,11 @@ class Scene:
     @cached_property
     def config(self) -> DirichletConfig:
         return DirichletConfig.build(self.t)
+
+    @cached_property
+    def polars(self) -> Dict[str, np.ndarray]:
+        """:func:`crown_circle_polars` of the configuration."""
+        return crown_circle_polars(self.config)
 
     def arc_report(self, name: str) -> ArcReport:
         if name not in self._arcs:
@@ -545,18 +541,34 @@ def alpha4_chart(t: float) -> ChartedCircle:
     return ChartedCircle.build(t, circle)
 
 
-def clearance_objective(t: float, config: Optional[DirichletConfig] = None) -> float:
+def clearance_objective(t):
     """Squared chart distance of sphere 5's line from the alpha4 chart origin.
 
     Greater than 1 means the sphere misses the whole alpha4 circle.  The
     closed-form alpha4 polar keeps this well-defined arbitrarily close to
-    the parabolic endpoint of the family.  ``config`` is the configuration
-    at ``t`` when the caller has it already; without it only sphere 5 is
-    built.
+    the parabolic endpoint of the family.  ``t`` is a float, answered with
+    a float, or a 1-d array of parameters, answered with an array, and both
+    take one pass over the generator stacks: sphere 5's side values at the
+    chart points (1, 0), (-1, 0) and (0, 1) give its chart line, as in
+    :meth:`ChartedCircle.line_of_sphere`.
     """
-    t = validate_param(t)
-    sphere = config.sphere(5) if config is not None else sphere_at(t, 5)
-    return alpha4_chart(t).line_of_sphere(sphere).clearance2()
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    co = _coefficient_arrays(ts)
+    g1, g2 = _generator_stacks(co)
+    v5 = _sphere_lifts(g2 @ g2 @ g1)
+    z0, v0, r2 = _finite_circles(_alpha4_polar(co))
+    # the three chart points on the standard circle scaled to radius R,
+    # then translated by the centre
+    zr = np.sqrt(r2)[:, None] * np.array([1.0, -1.0, 1j])
+    z = z0[:, None] + zr
+    h = v0[:, None] + 2.0 * (z0[:, None] * np.conj(zr)).imag
+    f10, fm10, f01 = _sides(v5, z, h).T
+    k0 = (f10 + fm10) / 2.0
+    k1 = (f10 - fm10) / 2.0
+    k2 = f01 - k0
+    with np.errstate(divide="ignore"):
+        out = k0 ** 2 / (k1 ** 2 + k2 ** 2)
+    return out if np.ndim(t) else float(out[0])
 
 
 #: points of the coarse scan of :func:`golden_minimize`
@@ -569,18 +581,17 @@ _CLEARANCE_WINDOW = (PARAM_MIN + 1e-7, PARAM_MAX)
 _BLOCKING_WINDOW = (0.4, PARAM_MAX)
 
 
-def golden_minimize(f, lo: float, hi: float, scan) -> Tuple[float, float]:
+def golden_minimize(f, lo: float, hi: float) -> Tuple[float, float]:
     """Coarse grid scan followed by golden-section refinement.
 
-    ``scan(ts)`` evaluates ``f`` over the whole grid in one call; it only
-    picks the grid point to refine around, and the refinement and the
-    returned value come from ``f`` alone, so the result is the one a scalar
-    scan gives whenever both pick the same grid point.  A NaN or infinite
-    grid value returns ``(nan, nan)``: the argmin would pick a NaN and every
-    comparison after it would steer the bracket blindly.
+    ``f`` takes a float or an array of parameters: one call evaluates the
+    whole grid, and the refinement calls it one parameter at a time.  Any
+    NaN or infinite value, on the grid or in the refinement, returns
+    ``(nan, nan)``: the argmin would pick a NaN and every comparison after
+    one would steer the bracket blindly.
     """
     ts = np.linspace(lo, hi, _GOLDEN_GRID)
-    vals = scan(ts)
+    vals = f(ts)
     if not np.all(np.isfinite(vals)):
         return math.nan, math.nan
     i = int(np.argmin(vals))
@@ -590,7 +601,7 @@ def golden_minimize(f, lo: float, hi: float, scan) -> Tuple[float, float]:
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > _GOLDEN_TOL:
+    while b - a > _GOLDEN_TOL and math.isfinite(fc) and math.isfinite(fd):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -600,12 +611,15 @@ def golden_minimize(f, lo: float, hi: float, scan) -> Tuple[float, float]:
             d = a + invphi * (b - a)
             fd = f(d)
     xm = (a + b) / 2.0
-    return xm, f(xm)
+    fm = f(xm)
+    if not (math.isfinite(fc) and math.isfinite(fd) and math.isfinite(fm)):
+        return math.nan, math.nan
+    return xm, fm
 
 
 def minimize_clearance() -> Tuple[float, float]:
     """Global minimum of the clearance over the family, just off t = 3/8."""
-    return golden_minimize(clearance_objective, *_CLEARANCE_WINDOW, _clearance_scan)
+    return golden_minimize(clearance_objective, *_CLEARANCE_WINDOW)
 
 
 def _self_products(v: np.ndarray) -> np.ndarray:
@@ -654,40 +668,18 @@ def _finite_circles(polar: np.ndarray):
     return z0, 2.0 * w[:, 0].imag, r2
 
 
-def _clearance_scan(ts: np.ndarray) -> np.ndarray:
-    """:func:`clearance_objective` at every parameter of ``ts``, in one pass."""
-    co = _coefficient_arrays(ts)
-    g1, g2 = _generator_stacks(co)
-    v5 = _sphere_lifts(g2 @ g2 @ g1)
-    z0, v0, r2 = _finite_circles(_alpha4_polar(co))
-    # the chart points (1, 0), (-1, 0) and (0, 1) of ChartedCircle.line_of_sphere:
-    # the standard circle scaled to radius R, then translated by the centre
-    zr = np.sqrt(r2)[:, None] * np.array([1.0, -1.0, 1j])
-    z = z0[:, None] + zr
-    h = v0[:, None] + 2.0 * (z0[:, None] * np.conj(zr)).imag
-    f10, fm10, f01 = _sides(v5, z, h).T
-    k0 = (f10 + fm10) / 2.0
-    k1 = (f10 - fm10) / 2.0
-    k2 = f01 - k0
-    with np.errstate(divide="ignore"):
-        return k0 ** 2 / (k1 ** 2 + k2 ** 2)
-
-
 # ---------------------------------------------------------------------------
 # chord between the alpha1 and alpha2 disks, and its blocking sphere
 
 
-def chord_line(t: float) -> Tuple[float, float]:
+def _chord_line(c: Coefficients):
     """Slope and intercept of the alpha1/alpha2 plane-intersection line.
 
     Subtracting the two contact-plane equations leaves a line in the
     z-plane, y = k1 x + k2.  At the real point of the family b vanishes
-    and the line collapses onto the real axis.
+    and the line collapses onto the real axis.  ``c`` holds floats or
+    arrays.
     """
-    return _chord_line(coefficients(t))
-
-
-def _chord_line(c: Coefficients):
     t = c.t
     den = 2.0 * t * c.a + 4.0 * t - 1.0
     k1 = -c.b / t
@@ -695,21 +687,16 @@ def _chord_line(c: Coefficients):
     return k1, k2
 
 
-def chord_bounds(t: float) -> Tuple[float, float]:
+def _chord_bounds(c: Coefficients):
     """Chart-x extent of the affine segment shared by the alpha1/alpha2 disks.
 
-    Intersecting the line of :func:`chord_line` with each projected circle
+    Intersecting the line of :func:`_chord_line` with each projected circle
     gives one x-interval per circle; the shared segment is their overlap,
     so the bounds are the alpha1 circle's lower root and the alpha2
     circle's upper root (an inverted pair means no shared segment, which
     happens exactly below the tangency parameter 2/5).  Discriminants are
     clamped at zero so the tangency itself stays inside the domain.
     """
-    lo, hi = _chord_bounds(coefficients(t))
-    return float(lo), float(hi)
-
-
-def _chord_bounds(c: Coefficients):
     t, a, b = c.t, c.a, c.b
     k1, k2 = _chord_line(c)
     q = 1.0 + k1 * k1
@@ -732,25 +719,7 @@ def _chord_bounds(c: Coefficients):
 _QUARTIC_XS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 
 
-def blocking_side_quartic(t: float, blocker: SpinalSphere) -> np.ndarray:
-    """Coefficients (degree 4 down to 0) of x -> ``blocker``'s side along the chord line.
-
-    The probe point rides the contact-plane line of the alpha1/alpha2
-    disks, z = x + i(k1 x + k2) with the height read off the alpha1 plane,
-    so the side function against sphere 3 at ``t`` (the blocker separating
-    those two cutting disks) is an exact quartic in x and five samples pin it.
-    """
-    k1, k2 = chord_line(t)
-    plane = AffineDisk(ccircle_from_polar(alpha1_polar(t))).plane
-    pts = []
-    for x in _QUARTIC_XS:
-        z = complex(x, k1 * x + k2)
-        pts.append(HeisenbergPoint(z, plane.height_at(z)).lift())
-    vals = blocker.side_of_lifts(np.stack(pts))
-    return np.polyfit(_QUARTIC_XS, vals, 4)
-
-
-def blocking_minimum_at(t: float, config: Optional[DirichletConfig] = None) -> float:
+def blocking_minimum_at(t):
     """Minimum over the shared segment of the halved side value vs sphere 3.
 
     Positive means the whole segment sits strictly inside the blocking
@@ -758,41 +727,17 @@ def blocking_minimum_at(t: float, config: Optional[DirichletConfig] = None) -> f
     sphere's interior - cannot meet along it.  The halving reports the
     value in the normalization where the domain center's lift has Lorentz
     square -1; the raw side function doubles it because the standard
-    center lift [-1, 0, 1] has square -2.  ``config`` is the configuration
-    at ``t`` when the caller has it already; without it only sphere 3 is
-    built.
+    center lift [-1, 0, 1] has square -2.  ``t`` is a float or a 1-d
+    array, as for :func:`clearance_objective`.
+
+    The probe point rides the contact-plane line of the alpha1/alpha2
+    disks, z = x + i(k1 x + k2) with the height read off the alpha1 plane,
+    so the side function against sphere 3 is an exact quartic in x.  It is
+    solved exactly through five samples, and its critical points are the
+    companion-matrix eigenvalues of its derivative, as ``np.roots`` finds
+    them.
     """
-    t = validate_param(t)
-    lo, hi = chord_bounds(t)
-    if lo > hi + 1e-12:
-        raise GeometryError("the disks share no affine segment below the tangency")
-    hi = max(hi, lo)
-    blocker = config.sphere(3) if config is not None else sphere_at(t, 3)
-    poly = blocking_side_quartic(t, blocker)
-    deriv = np.polyder(poly)
-    cand = [lo, hi]
-    for r in np.roots(deriv):
-        if abs(r.imag) < 1e-9 and lo <= r.real <= hi:
-            cand.append(float(r.real))
-    return min(float(np.polyval(poly, x)) for x in cand) / 2.0
-
-
-def minimize_blocking() -> Tuple[float, float]:
-    """Global minimum of the blocking value over the linked range.
-
-    The minimum sits on the t = 2/5 boundary, where the shared segment
-    degenerates to the tangency point of the two projected circles.
-    """
-    return golden_minimize(blocking_minimum_at, *_BLOCKING_WINDOW, _blocking_scan)
-
-
-def _blocking_scan(ts: np.ndarray) -> np.ndarray:
-    """:func:`blocking_minimum_at` at every parameter of ``ts``, in one pass.
-
-    The quartic is solved exactly through its five samples, and its
-    critical points are the companion-matrix eigenvalues of its derivative,
-    as ``np.roots`` finds them.
-    """
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
     co = _coefficient_arrays(ts)
     lo, hi = _chord_bounds(co)
     if not np.all(lo <= hi + 1e-12):
@@ -819,28 +764,35 @@ def _blocking_scan(ts: np.ndarray) -> np.ndarray:
     for k in range(1, 5):
         vals = vals * x + poly[:, k:k + 1]
     best = np.min(np.where(keep, vals, np.inf), axis=1) / 2.0
-    return np.where(finite, best, np.nan)
+    out = np.where(finite, best, np.nan)
+    return out if np.ndim(t) else float(out[0])
 
 
-def honest_chord_blocking(t: float,
-                          config: Optional[DirichletConfig] = None) -> Optional[float]:
+def minimize_blocking() -> Tuple[float, float]:
+    """Global minimum of the blocking value over the linked range.
+
+    The minimum sits on the t = 2/5 boundary, where the shared segment
+    degenerates to the tangency point of the two projected circles.
+    """
+    return golden_minimize(blocking_minimum_at, *_BLOCKING_WINDOW)
+
+
+def honest_chord_blocking(config: DirichletConfig) -> Optional[float]:
     """Cross-check: sample the true 3D chord and test it against sphere 3.
 
     Independent of the closed forms above: the chord comes from
-    :func:`disk_intersection_segment` on the two affine disks, sampled at
-    513 points, and the returned minimum is the raw (unhalved) side value,
-    so it should land on twice :func:`blocking_minimum_at`.  ``None`` when
-    there is no chord.  ``config`` is the configuration at ``t`` when the
-    caller has it already; without it only sphere 3 is built.
+    :func:`disk_intersection_segment` on the two affine disks at the
+    configuration's parameter, sampled at 513 points, and the returned
+    minimum is the raw (unhalved) side value, so it should land on twice
+    :func:`blocking_minimum_at`.  ``None`` when there is no chord.
     """
-    t = validate_param(t)
+    t = config.gens.t
     c1 = ccircle_from_polar(alpha1_polar(t))
     c2 = ccircle_from_polar(alpha2_polar(t))
     seg = disk_intersection_segment(AffineDisk(c1), AffineDisk(c2))
     if seg is None:
         return None
-    blocker = config.sphere(3) if config is not None else sphere_at(t, 3)
-    return float(np.min(blocker.side_of_lifts(seg.sample_lifts(513))))
+    return float(np.min(config.sphere(3).side_of_lifts(seg.sample_lifts(513))))
 
 
 # ---------------------------------------------------------------------------
@@ -1026,9 +978,9 @@ def disk_disjointness_certificates(scene: Scene) -> List[DiskPairCert]:
     an explicit witness point.  The hats come from ``scene``.
     """
     config = scene.config
-    polars = crown_circle_polars(config)
+    polars = scene.polars
     names = list(polars)
-    links = {(r.first, r.second): r.value for r in linked_pair_report(config)}
+    links = {(r.first, r.second): r.value for r in linked_pair_report(scene)}
     disks = {name: AffineDisk(ccircle_from_polar(polars[name])) for name in names}
     comps: Dict[str, VisibleComponent] = {}
 

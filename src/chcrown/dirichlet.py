@@ -250,16 +250,6 @@ def _defining_sphere(gens: GeneratorSet, k: int) -> SpinalSphere:
     return SpinalSphere(k, gens.evaluate_word(defining_word(k)).apply(Q0))
 
 
-def sphere_at(t: float, k: int) -> SpinalSphere:
-    """The canonical sphere k at ``t``, built alone.
-
-    Equal to ``DirichletConfig.build(t).sphere(k)`` bit for bit, but evaluates
-    one defining word instead of eight, for objectives that read a single
-    sphere many times over ``t``.
-    """
-    return _defining_sphere(build_generators(t), canonical_index(k))
-
-
 def symmetry_certificate(config: DirichletConfig) -> float:
     """Worst projective residual of the order-4 rotation and flip symmetries.
 

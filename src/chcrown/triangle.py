@@ -308,8 +308,8 @@ def _generator_stacks(co: Coefficients) -> Tuple[np.ndarray, np.ndarray]:
 
     The same words in the same reflections as :func:`build_generators`.
     Only the mirror ``n3`` depends on ``t``, so ``I3`` is built per parameter
-    from its closed form and ``I1``, ``I2`` once.  The products are not
-    renormalized to determinant 1.
+    from its closed form, and the words in ``I1``, ``I2`` alone are module
+    constants.  The products are not renormalized to determinant 1.
     """
     r2 = math.sqrt(2.0)
     n3 = co.ball_a[:, None] * np.stack(
@@ -320,9 +320,13 @@ def _generator_stacks(co: Coefficients) -> Tuple[np.ndarray, np.ndarray]:
     if not np.all(norm.real > 0):
         raise GeometryError("polar vector of a complex reflection must be positive type")
     i3 = -np.eye(3) + 2 * n3[:, :, None] * row[:, None, :] / norm[:, None, None]
-    fixed = _generator_set(PARAM_MAX, None)
-    i1, i2 = fixed.i1.matrix, fixed.i2.matrix
-    return i3 @ (i2 @ i1 @ i2), np.broadcast_to(fixed.g2.matrix, i3.shape)
+    return i3 @ _I2_I1_I2, np.broadcast_to(_G2, i3.shape)
+
+
+_MIRRORS = _generator_set(PARAM_MAX, None)
+#: the words of :func:`_generator_stacks` that no parameter enters
+_I2_I1_I2 = _MIRRORS.i2.matrix @ _MIRRORS.i1.matrix @ _MIRRORS.i2.matrix
+_G2 = _MIRRORS.g2.matrix
 
 
 @dataclass(frozen=True)

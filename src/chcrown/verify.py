@@ -454,9 +454,9 @@ def _disks_cell(scene: crown.Scene) -> List[Record]:
         weakest = min(c.linking for c in certs)
         out.append(_rec("disks", t, "all-pairs-unlinked", weakest, weakest, weakest > 0.0))
     else:
-        blocked = crown.blocking_minimum_at(t, config)
+        blocked = crown.blocking_minimum_at(t)
         out.append(_rec("disks", t, "chord-blocking-minimum", blocked, blocked, blocked > 0.0))
-        honest = crown.honest_chord_blocking(t, config=config)
+        honest = crown.honest_chord_blocking(config)
         if honest is not None:
             res = abs(honest - 2.0 * blocked)
             out.append(_residual_rec("disks", t, "chord-blocking-dual-route", res, 1e-8))
@@ -467,7 +467,7 @@ def _disks_cell(scene: crown.Scene) -> List[Record]:
 
 
 def _minima_cell(scene: crown.Scene) -> List[Record]:
-    v = crown.clearance_objective(scene.t, scene.config)
+    v = crown.clearance_objective(scene.t)
     return [_rec("minima", scene.t, "clearance", v, v - 1.0, v > 1.0)]
 
 
@@ -482,7 +482,7 @@ def _minima_global() -> List[Record]:
                              abs(blocked - 0.3616753), 1e-4))
     out.append(_residual_rec("minima", 0.4, "blocking-argmin", abs(t_star - 0.4), 1e-3))
     for t in (0.405, 0.41, T_REAL):
-        honest = crown.honest_chord_blocking(t)
+        honest = crown.honest_chord_blocking(DirichletConfig.build(t))
         quartic = crown.blocking_minimum_at(t)
         res = abs(honest - 2.0 * quartic) if honest is not None else math.inf
         out.append(_residual_rec("minima", t, "blocking-dual-route", res, 1e-8))
@@ -663,7 +663,7 @@ def export_disks(t: float, out_dir: str, rim: int = 96) -> List[str]:
     _require_size("rim", rim, 3)
     validate_param(t, strict_interior=True)
     scene = crown.Scene(t)
-    polars = crown.crown_circle_polars(scene.config)
+    polars = scene.polars
     lines = []
     offset = 0
     for name in crown.ARC_NAMES:

@@ -16,6 +16,7 @@ from chcrown import (
     IsometryClass,
     PARAM_MAX,
     PARAM_MIN,
+    Scene,
     T_REAL,
     build_generators,
     classify_isometry,
@@ -137,7 +138,7 @@ def test_a08_linking_closed_forms_and_unlinked_range():
     assert worst < 1e-11
     below = [t for t in SWEEP if t < 0.4]
     for t in below:
-        assert all(r.value > 0.0 for r in linked_pair_report(DirichletConfig.build(t))), t
+        assert all(r.value > 0.0 for r in linked_pair_report(Scene(t))), t
     print(f"linking closed forms: PASS (worst {worst:.1e}; "
           f"all 28 pairs unlinked at {len(below)} points below 2/5)")
 

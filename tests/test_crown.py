@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from chcrown import (
     ARC_NAMES,
+    AffineDisk,
     DirichletConfig,
     GeometryError,
+    HeisenbergPoint,
     PARAM_MAX,
     Scene,
     T_REAL,
@@ -85,22 +87,21 @@ def test_linking_value_is_symmetric():
     assert crown.linking_value(v, w) == pytest.approx(crown.linking_value(w, v), rel=1e-12)
 
 
-def test_all_pairs_unlinked_below_two_fifths(config_039):
-    reports = linked_pair_report(config_039)
+def test_all_pairs_unlinked_below_two_fifths():
+    reports = linked_pair_report(Scene(0.39))
     assert len(reports) == 28
     assert all(r.value > 0.0 for r in reports)
 
 
-def test_some_pairs_link_above_two_fifths(config_041):
-    reports = linked_pair_report(config_041)
+def test_some_pairs_link_above_two_fifths():
+    reports = linked_pair_report(Scene(0.41))
     linked = [r for r in reports if not r.value > 0.0]
     assert len(linked) == 16
 
 
 _CLOSED_FORMS = ("alpha1_polar", "alpha2_polar", "alpha4_polar", "beta_polar_scaled",
-                 "chord_line", "chord_bounds", "linking_alpha_beta_closed",
-                 "linking_alpha_alpha_closed", "alpha4_chart", "clearance_objective",
-                 "blocking_minimum_at", "honest_chord_blocking")
+                 "linking_alpha_beta_closed", "linking_alpha_alpha_closed", "alpha4_chart",
+                 "clearance_objective", "blocking_minimum_at")
 
 
 def _bits(value):
@@ -235,6 +236,29 @@ def test_mirror_symmetry_of_alpha_arcs(config_041):
         assert worst < 1e-9
 
 
+@pytest.mark.parametrize("t", [0.39, 0.41, T_REAL])
+def test_flip_carries_each_alpha_hat_onto_the_mirror_half_of_its_image(t):
+    # R = g2^3 I2 sends sphere k to sphere 9 - k, so alpha1 <-> alpha3 and
+    # alpha2, alpha4 map to themselves.  The image of a hat sits at arc
+    # parameters 2 - s of the image circle's own hat, ends swapped: the
+    # other half of the fixed-point diameter, never the hat itself
+    scene = Scene(t)
+    gens = scene.config.gens
+    flip = gens.g2 @ gens.g2 @ gens.g2 @ gens.i2
+    for source, target in (("alpha1", "alpha3"), ("alpha3", "alpha1"),
+                           ("alpha2", "alpha2"), ("alpha4", "alpha4")):
+        hat, own = scene.arc_report(source).hat, scene.arc_report(target).hat
+        arc = own.arc
+
+        def image_param(lift):
+            return arc.param_of_angle(arc.chart.chart_angle(flip.apply(lift)))
+
+        ends = [image_param(hat.endpoint_lift(side)) for side in "-+"]
+        assert ends == pytest.approx([2.0 - own.s_plus, 2.0 - own.s_minus], abs=1e-12)
+        mid = image_param(hat.arc.lift_at((hat.s_minus + hat.s_plus) / 2.0))
+        assert min(ends) < mid < max(ends)
+
+
 def test_hat_sample_lifts_stay_in_domain(config_041):
     hat = arc_report(config_041, "alpha2").hat
     lifts = hat.sample_lifts(33)
@@ -317,31 +341,55 @@ def test_clearance_minimum_value():
 def test_golden_searches_are_pinned_bit_for_bit():
     # the sweep's minima records read these pairs; the search must evaluate
     # the same points to the last bit
-    assert minimize_clearance() == (0.414213562331768, 6.590718977419501)
-    assert minimize_blocking() == (0.40000000003921743, 0.36167528623312717)
+    assert minimize_clearance() == (0.414213562331768, 6.590718977419509)
+    assert minimize_blocking() == (0.40000000003921743, 0.36167528623311307)
+
+
+def _clearance_reference(t):
+    """The clearance from the configuration's sphere 5 and the alpha4 chart:
+    the squared distance of the sphere's chart line from the chart origin."""
+    line = crown.alpha4_chart(t).line_of_sphere(DirichletConfig.build(t).sphere(5))
+    return line.k0 ** 2 / (line.k1 ** 2 + line.k2 ** 2)
+
+
+def _blocking_reference(t):
+    """The blocking minimum from a least-squares quartic through five chord
+    points, each lifted on its own and tested against the configuration's
+    sphere 3, with its critical points from ``np.roots``."""
+    c = coefficients(t)
+    k1, k2 = crown._chord_line(c)
+    lo, hi = (float(x) for x in crown._chord_bounds(c))
+    hi = max(hi, lo)
+    plane = AffineDisk(ccircle_from_polar(crown.alpha1_polar(t))).plane
+    xs = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+    zs = [complex(x, k1 * x + k2) for x in xs]
+    lifts = np.stack([HeisenbergPoint(z, plane.height_at(z)).lift() for z in zs])
+    poly = np.polyfit(xs, DirichletConfig.build(t).sphere(3).side_of_lifts(lifts), 4)
+    cand = [lo, hi] + [r.real for r in np.roots(np.polyder(poly))
+                       if abs(r.imag) < 1e-9 and lo <= r.real <= hi]
+    return min(float(np.polyval(poly, x)) for x in cand) / 2.0
 
 
 SEARCHES = {
-    "clearance": (clearance_objective, crown._clearance_scan, crown._CLEARANCE_WINDOW),
-    "blocking": (blocking_minimum_at, crown._blocking_scan, crown._BLOCKING_WINDOW),
+    "clearance": (clearance_objective, _clearance_reference, crown._CLEARANCE_WINDOW),
+    "blocking": (blocking_minimum_at, _blocking_reference, crown._BLOCKING_WINDOW),
 }
 
 
-def _scan_error(name, ts):
-    """Largest relative gap between a search's array scan and its scalar objective."""
-    f, scan, _window = SEARCHES[name]
-    want = np.array([f(float(t)) for t in ts])
-    got = scan(np.asarray(ts))
+def _reference_error(name, ts):
+    """Largest relative gap between an objective over ``ts`` and its reference."""
+    f, reference, _window = SEARCHES[name]
+    want = np.array([reference(float(t)) for t in ts])
+    got = f(np.asarray(ts))
     return float(np.max(np.abs(got - want) / np.abs(want))), want, got
 
 
 @pytest.mark.parametrize("name", sorted(SEARCHES))
 def test_scan_picks_the_scalar_grid_point_on_the_production_grid(name):
-    # the refinement starts where the scan's argmin is, so the search result
-    # is bit-identical only if both scans pick the same grid point, by a
-    # margin far above their disagreement
+    # the refinement starts at the grid argmin, so the objective must pick
+    # the reference's grid point by a margin far above their disagreement
     ts = np.linspace(*SEARCHES[name][2], crown._GOLDEN_GRID)
-    err, want, got = _scan_error(name, ts)
+    err, want, got = _reference_error(name, ts)
     assert err <= 1e-11
     assert int(np.argmin(got)) == int(np.argmin(want))
     low = np.sort(want)
@@ -355,7 +403,19 @@ def test_scan_matches_the_scalar_objective_anywhere_in_its_window(name, data):
     lo, hi = SEARCHES[name][2]
     ts = data.draw(st.lists(st.floats(min_value=lo, max_value=hi, allow_nan=False),
                             min_size=1, max_size=8))
-    assert _scan_error(name, ts)[0] <= 1e-11
+    assert _reference_error(name, ts)[0] <= 1e-11
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHES))
+def test_objective_on_a_float_is_its_value_on_the_grid(name):
+    # the grid scan and the refinement read the one objective: a float call
+    # answers a float, bit-equal to the same parameter inside the grid
+    f, _reference, window = SEARCHES[name]
+    ts = np.linspace(*window, crown._GOLDEN_GRID)
+    grid = f(ts)
+    for i in (0, 97, crown._GOLDEN_GRID - 1):
+        value = f(float(ts[i]))
+        assert type(value) is float and value == grid[i]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -365,12 +425,22 @@ def test_golden_minimize_fails_closed_on_a_non_finite_grid_value(bad):
     ts = np.linspace(0.375, 0.414, crown._GOLDEN_GRID)
 
     def f(t):
-        return bad if t == ts[40] else (t - 0.41) ** 2
+        return np.where(np.asarray(t) == ts[40], bad, (np.asarray(t) - 0.41) ** 2)
 
-    def scan(grid):
-        return np.array([f(float(t)) for t in grid])
+    t_star, value = crown.golden_minimize(f, 0.375, 0.414)
+    assert math.isnan(t_star) and math.isnan(value)
 
-    t_star, value = crown.golden_minimize(f, 0.375, 0.414, scan)
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_golden_minimize_fails_closed_on_a_non_finite_refinement_value(bad):
+    # finite on every grid point, but not within 1e-6 of the minimum: a
+    # search that checks only the grid returns the finite (0.410001, 1e-12)
+    def f(t):
+        t = np.asarray(t)
+        return np.where(np.abs(t - 0.41) < 1e-6, bad, (t - 0.41) ** 2)
+
+    assert np.all(np.isfinite(f(np.linspace(0.375, 0.414, crown._GOLDEN_GRID))))
+    t_star, value = crown.golden_minimize(f, 0.375, 0.414)
     assert math.isnan(t_star) and math.isnan(value)
 
 
@@ -386,18 +456,18 @@ def test_chord_bounds_are_honest(t):
     d1 = AffineDisk(ccircle_from_polar(crown.alpha1_polar(t)))
     d2 = AffineDisk(ccircle_from_polar(crown.alpha2_polar(t)))
     seg = disk_intersection_segment(d1, d2)
-    lo, hi = crown.chord_bounds(t)
+    lo, hi = crown._chord_bounds(coefficients(t))
     got = sorted(complex(seg.point_at(x).z).real for x in (seg.x_lo, seg.x_hi))
     assert got[0] == pytest.approx(lo, abs=1e-9)
     assert got[1] == pytest.approx(hi, abs=1e-9)
 
 
 def test_chord_degenerates_at_two_fifths():
-    lo, hi = crown.chord_bounds(0.4)
+    lo, hi = crown._chord_bounds(coefficients(0.4))
     assert hi - lo == pytest.approx(0.0, abs=1e-9)
     assert lo == pytest.approx(0.5792352575096974, abs=1e-8)
     # below the tangency the disks no longer share a chord
-    lo, hi = crown.chord_bounds(0.39)
+    lo, hi = crown._chord_bounds(coefficients(0.39))
     assert lo > hi
 
 
@@ -412,7 +482,7 @@ def test_blocking_minimum_pin_and_argmin():
 def test_blocking_dual_route(t):
     # sampling the honest chord against the blocking sphere must reproduce
     # exactly twice the normalized quartic minimum
-    honest = crown.honest_chord_blocking(t)
+    honest = crown.honest_chord_blocking(DirichletConfig.build(t))
     assert honest is not None and honest > 0.0
     assert honest == pytest.approx(2.0 * blocking_minimum_at(t), abs=1e-8)
 

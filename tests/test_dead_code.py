@@ -52,6 +52,47 @@ def test_every_definition_is_referenced_in_the_package():
     assert sorted(set(unused) - CLI_COMMANDS) == []
 
 
+def _module_names(tree):
+    """(name, is_import) of every module-level assignment target and import."""
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0], True
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        yield sub.id, False
+
+
+def test_every_module_level_name_is_read_in_the_package():
+    # an import must be read in its own module; a constant in its own module,
+    # or in another one as an attribute or an imported name.  ``__init__``
+    # only re-exports, so its own names are not checked, but its imports
+    # count as reads of the names they export
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    loads, outside = {}, {}
+    for module, tree in trees.items():
+        loads[module] = {node.id for node in ast.walk(tree)
+                         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        outside[module] = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        outside[module] |= {alias.name for node in ast.walk(tree)
+                            if isinstance(node, ast.ImportFrom) for alias in node.names}
+    unread = []
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        for name, is_import in _module_names(tree):
+            read = name in loads[module] or (not is_import and any(
+                name in names for other, names in outside.items() if other != module))
+            if not read:
+                unread.append(f"{module}.{name}")
+    assert unread == []
+
+
 def _is_dataclass(decorator) -> bool:
     target = decorator.func if isinstance(decorator, ast.Call) else decorator
     name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", "")

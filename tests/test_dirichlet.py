@@ -21,7 +21,6 @@ from chcrown.dirichlet import (
     involution_certificate,
     pair_relation,
     side_pairing_certificate,
-    sphere_at,
     symmetry_certificate,
 )
 from chcrown.core import hermitian_product, projective_distance
@@ -53,17 +52,6 @@ def test_center_is_interior(t):
     config = DirichletConfig.build(t)
     sides = config.side_matrix(Q0)[0]
     assert np.all(sides < 0.0)
-
-
-@given(params, st.integers(min_value=1, max_value=8))
-@settings(max_examples=40, deadline=None)
-def test_sphere_at_equals_the_configuration_sphere(t, k):
-    # the single-sphere path must be the configuration's sphere to the bit
-    alone = sphere_at(t, k)
-    full = DirichletConfig.build(t).sphere(k)
-    assert alone.index == full.index
-    for attr in ("v", "_rv"):
-        assert np.array_equal(getattr(alone, attr), getattr(full, attr))
 
 
 def test_side_matrix_shape_and_domain_predicate(config_039):
@@ -241,7 +229,7 @@ def _loop_sphere_mesh(sphere, nx, ny):
        st.integers(min_value=2, max_value=14), st.integers(min_value=2, max_value=14))
 @settings(max_examples=25, deadline=None)
 def test_sphere_mesh_equals_the_loop_reference(t, k, nx, ny):
-    sphere = sphere_at(t, k)
+    sphere = DirichletConfig.build(t).sphere(k)
     verts, faces = sphere_mesh(sphere, nx=nx, ny=ny)
     want_verts, want_faces = _loop_sphere_mesh(sphere, nx, ny)
     assert np.array_equal(verts, want_verts.reshape(-1, 3))

@@ -15,6 +15,7 @@ from chcrown.heisenberg import (
     translation_element,
 )
 from chcrown import crown
+from chcrown.triangle import coefficients
 
 coords = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -140,12 +141,12 @@ def test_chord_segment_against_closed_form():
     d2 = AffineDisk(ccircle_from_polar(crown.alpha2_polar(t)))
     seg = disk_intersection_segment(d1, d2)
     assert seg is not None and not seg.x_hi - seg.x_lo < 1e-14
-    lo, hi = crown.chord_bounds(t)
+    lo, hi = crown._chord_bounds(coefficients(t))
     got = sorted(complex(seg.point_at(x).z).real for x in (seg.x_lo, seg.x_hi))
     assert got[0] == pytest.approx(lo, abs=1e-9)
     assert got[1] == pytest.approx(hi, abs=1e-9)
     # the carrier line is the closed-form chord line
-    k1, k2 = crown.chord_line(t)
+    k1, k2 = crown._chord_line(coefficients(t))
     for p in seg.sample(9):
         z = complex(p.z)
         assert z.imag == pytest.approx(k1 * z.real + k2, abs=1e-9)

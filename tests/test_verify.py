@@ -220,9 +220,9 @@ def test_one_point_builds_each_arc_and_the_linking_values_once(monkeypatch):
         arcs[(config.gens.t, name)] += 1
         return build_arc(config, name)
 
-    def counted_links(config):
-        links[config.gens.t] += 1
-        return link_report(config)
+    def counted_links(scene):
+        links[scene.t] += 1
+        return link_report(scene)
 
     monkeypatch.setattr(crown, "arc_report", counted_arc)
     monkeypatch.setattr(crown, "linked_pair_report", counted_links)
@@ -232,32 +232,55 @@ def test_one_point_builds_each_arc_and_the_linking_values_once(monkeypatch):
     assert links == Counter({0.41: 1})
 
 
+def test_one_disks_cell_and_one_disks_export_build_the_crown_polars_once(monkeypatch, tmp_path):
+    # the scene owns the polars: the linking values, the disk ladder and the
+    # export's fans read one copy, where each used to build its own
+    counts = []
+    polars = crown.crown_circle_polars
+
+    def counted(config):
+        counts[-1] += 1
+        return polars(config)
+
+    monkeypatch.setattr(crown, "crown_circle_polars", counted)
+    counts.append(0)
+    run_suite("disks", points=[0.41])
+    counts.append(0)
+    export_geometry("disks", 0.41, str(tmp_path))
+    assert counts == [1, 1]
+
+
 def test_one_point_makes_64_scalar_objective_calls(monkeypatch):
-    # each golden search scans its grid as one array and calls the scalar
-    # objective only for its ~32 refinement steps: 33 + 31, not 2 x 256 more
+    # each golden search evaluates its objective over the whole grid in one
+    # array call, then on one float per refinement step: 33 + 31 scalar
+    # calls, not 2 x 256 more
     calls = Counter()
     golden = crown.golden_minimize
 
     def counted_golden(f, *args):
         def counted(t):
-            calls[f.__name__] += 1
+            calls[(f.__name__, "grid" if np.ndim(t) else "float")] += 1
             return f(t)
         return golden(counted, *args)
 
     monkeypatch.setattr(crown, "golden_minimize", counted_golden)
     run_suite("minima", points=[0.39])
-    assert calls == Counter({"clearance_objective": 33, "blocking_minimum_at": 31})
+    assert calls == Counter({("clearance_objective", "grid"): 1,
+                             ("clearance_objective", "float"): 33,
+                             ("blocking_minimum_at", "grid"): 1,
+                             ("blocking_minimum_at", "float"): 31})
 
 
 def test_a_non_finite_scan_fails_the_four_minima_records(monkeypatch):
     # the searches return (nan, nan) on a non-finite grid value, and every
     # record read from them fails closed
-    for scan in ("_clearance_scan", "_blocking_scan"):
-        def poisoned(ts, scan=getattr(crown, scan)):
-            vals = scan(ts)
-            vals[40] = math.nan
+    for name in ("clearance_objective", "blocking_minimum_at"):
+        def poisoned(t, f=getattr(crown, name)):
+            vals = f(t)
+            if np.ndim(t):
+                vals[40] = math.nan
             return vals
-        monkeypatch.setattr(crown, scan, poisoned)
+        monkeypatch.setattr(crown, name, poisoned)
     report = run_suite("minima", points=[0.39])
     failed = sorted(r.key for r in report.records if not r.passed)
     assert failed == ["blocking-argmin", "blocking-minimum",
@@ -393,7 +416,7 @@ def test_small_all_sweep_report_is_pinned():
     cfg = SweepConfig(t_min=0.39, t_max=0.41, steps=5)
     serial = run_suite("all", cfg).to_json()
     assert hashlib.sha256(serial.encode()).hexdigest() == (
-        "ab9be994191bb41222704b437f85580826b9ff07a6d8a1af554b3f3b6f6143cf")
+        "4e4b43300ad301d3fe9b66dc7a3db78e2b806476203c9b956ed0526f5a8d7cb6")
     summary = json.loads(serial)["summary"]
     assert (summary["records"], summary["failed"]) == (466, 6)
     assert run_suite("all", cfg, jobs=2).to_json() == serial
