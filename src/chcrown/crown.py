@@ -807,7 +807,8 @@ class VisibleComponent:
     outside all eight spheres and connect to the hat arc through free
     cells.  The cutting disk is exactly the hat-adjacent visible part of
     the affine disk, so a point failing :meth:`reachable` lies beyond the
-    disk's sphere-cap boundary, up to grid resolution.
+    disk's sphere-cap boundary, up to grid resolution.  A non-finite point
+    is never reachable.
     """
 
     center: complex
@@ -818,7 +819,7 @@ class VisibleComponent:
         nr, nth = self.reach.shape
         offset = complex(z) - self.center
         rho = abs(offset)
-        if rho > self.radius * (1.0 + 1e-9):
+        if not rho <= self.radius * (1.0 + 1e-9):  # NaN fails too
             return False
         i = min(nr - 1, int(rho / self.radius * nr))
         j = int((math.atan2(offset.imag, offset.real) % _TWO_PI) / _TWO_PI * nth) % nth
@@ -847,12 +848,16 @@ def visible_component(config: DirichletConfig, hat: HatArc,
     radius = float(circle.radius)
     rho = (np.arange(nr) + 0.5) / nr * radius
     ang = (np.arange(nth) + 0.5) / nth * _TWO_PI
-    spin = np.exp(1j * ang)[None, :]
-    free = np.empty((nr, nth), dtype=bool)
-    # a few rows at a time: whole-grid temporaries (1-3 MB each) are
-    # page-faulted afresh whenever the allocator has returned their memory,
-    # while blocks this small are reused from call to call
+    spin = np.exp(1j * ang)
+    height = (-plane.coeff_const, -plane.coeff_x, -plane.coeff_y)
+    top, err = config.ring_side_max(center, height, rho, spin)
+    free = top < -err[:, None]
+    unsure = ~(free | (top > err[:, None]))
+    # blocks holding a cell within the guard band are decided on the lifts,
+    # exactly as in_boundary_domain decides them
     for r0 in range(0, nr, _FLOOD_BLOCK_ROWS):
+        if not unsure[r0:r0 + _FLOOD_BLOCK_ROWS].any():
+            continue
         z = center + rho[r0:r0 + _FLOOD_BLOCK_ROWS, None] * spin
         v = -(plane.coeff_const + plane.coeff_x * z.real + plane.coeff_y * z.imag)
         lifts = np.empty(z.shape + (3,), dtype=complex)
@@ -962,7 +967,8 @@ _VISIBLE_TOL = 1e-8
 #: radius rows and angle columns of the flood-fill grid of each affine disk
 _FLOOD_NR = 128
 _FLOOD_NTH = 512
-#: radius rows of the flood-fill grid evaluated together (4096 cells)
+#: radius rows of the flood-fill grid decided together on the lifts when one
+#: of them holds a cell within the ring kernel's guard band (4096 cells)
 _FLOOD_BLOCK_ROWS = 8
 
 

@@ -61,6 +61,9 @@ _Q0_NORM = complex(hermitian_product(Q0, Q0)).real
 
 _SHADOW_PAD = 1.6
 _SHADOW_DOUBLINGS = 12
+#: error bound of :meth:`DirichletConfig.ring_side_max`, relative to the
+#: absolute sums of its ring coefficients
+_RING_GUARD = 1e-10
 
 
 @dataclass(frozen=True)
@@ -219,8 +222,8 @@ class DirichletConfig:
             out[k] = near - _norm2(pts @ s._rv)
         return out.T
 
-    def in_boundary_domain(self, points: np.ndarray, tol: float = 0.0) -> np.ndarray:
-        """Lift points outside or on every sphere: ``max(side_matrix) <= tol``.
+    def in_boundary_domain(self, points: np.ndarray) -> np.ndarray:
+        """Lift points outside or on every sphere: ``max(side_matrix) <= 0``.
 
         Every side value is ``near - |<p, v_k>|^2``, and rounding of a
         difference is monotone in what is subtracted, so the largest side
@@ -233,7 +236,59 @@ class DirichletConfig:
         far = _norm2(pts @ self.spheres[0]._rv)
         for s in self.spheres[1:]:
             np.minimum(far, _norm2(pts @ s._rv), out=far)
-        return near - far <= tol
+        return near - far <= 0.0
+
+    def ring_side_max(self, center: complex, height: Tuple[float, float, float],
+                      rho: np.ndarray, spin: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Largest side value on a polar grid of a lifted plane, with its error bound.
+
+        The grid points are ``z = center + rho_i spin_j`` (``|spin_j| = 1``),
+        lifted at height ``h0 + hx x + hy y`` for ``height = (h0, hx, hy)``.
+        On ring ``i`` the lift's first coordinate ``(-|z|^2 + i v)/2`` is
+        ``A0 + A1 e + A-1 conj(e)`` in ``e = spin_j``, so ``<p, u>`` is
+        ``P0 + P1 e + P-1 conj(e)`` and ``|<p, u>|^2`` is the real
+        trigonometric quadratic ``D0 + 2 Re(D1 e) + 2 Re(D2 e^2)`` with
+
+            D0 = |P0|^2 + |P1|^2 + |P-1|^2,
+            D1 = P0 conj(P-1) + P1 conj(P0),
+            D2 = P1 conj(P-1).
+
+        Each side value is the difference of two such quadratics, so the
+        ``(nr, nth)`` maximum over the eight spheres is eight real
+        ``(nr, 5) @ (5, nth)`` products, and no point is lifted.  Like
+        :meth:`vertical_quadratic`, this is the side function restricted to
+        a curve.  ``err[i]`` bounds how far ring ``i``'s values can lie from
+        ``np.max(side_matrix(lifts), axis=1)`` at the lifted grid points:
+        both round to a few ulps of the coefficients' absolute sums (``D0``
+        bounds ``|D1|`` and ``|D2|``), and ``_RING_GUARD`` is about 10^5 times
+        that.  Non-finite input gives NaN values or bounds, which decide no
+        comparison.
+        """
+        h0, hx, hy = height
+        c = complex(center)
+        rho = np.asarray(rho, dtype=float)
+        a0 = (-(c.real**2 + c.imag**2 + rho**2) + 1j * (h0 + hx * c.real + hy * c.imag)) / 2.0
+        a1 = rho * (complex(hy, hx) / 2.0 - c.conjugate()) / 2.0
+        am = rho * (complex(-hy, hx) / 2.0 - c) / 2.0
+        rows = np.stack([_RU] + [s._rv for s in self.spheres])[:, :, None]
+        p0 = rows[:, 0] * a0 + (rows[:, 1] * c + rows[:, 2])
+        p1 = rows[:, 0] * a1 + rows[:, 1] * rho
+        pm = rows[:, 0] * am
+        d1 = p0 * np.conj(pm) + p1 * np.conj(p0)
+        d2 = p1 * np.conj(pm)
+        # (9, nr, 5): the centre's row first, then the eight spheres'
+        coef = np.stack([_norm2(p0) + _norm2(p1) + _norm2(pm),
+                         2.0 * d1.real, -2.0 * d1.imag, 2.0 * d2.real, -2.0 * d2.imag], axis=-1)
+        spin = np.asarray(spin, dtype=complex)
+        sq = spin * spin
+        basis = np.stack([np.ones(spin.shape), spin.real, spin.imag, sq.real, sq.imag])
+        side = coef[0] - coef[1:]
+        top = side[0] @ basis
+        buf = np.empty_like(top)
+        for s in side[1:]:
+            np.maximum(top, np.matmul(s, basis, out=buf), out=top)
+        size = np.sum(np.abs(coef), axis=-1)
+        return top, _RING_GUARD * (size[0] + np.max(size[1:], axis=0))
 
 
 def _norm2(w: np.ndarray) -> np.ndarray:

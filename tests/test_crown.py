@@ -29,7 +29,7 @@ from chcrown import (
     minimize_clearance,
     table1,
 )
-from chcrown import crown
+from chcrown import crown, dirichlet, heisenberg
 from chcrown.core import hermitian_product
 from chcrown.triangle import coefficients
 
@@ -639,6 +639,83 @@ def test_visible_component_equals_the_reference_at_default_size(config_041):
         got = crown.visible_component(config_041, hat, crown._FLOOD_NR, crown._FLOOD_NTH).reach
         assert got.shape == (128, 512) and got.any()
         assert np.array_equal(got, _visible_component_reference(config_041, hat, 128, 512))
+
+
+def _ring_grid(hat, nr, nth):
+    """The fill's polar grid of ``hat``'s disk: ring kernel inputs and cell lifts."""
+    circle = hat.arc.circle
+    plane = crown.AffineDisk(circle).plane
+    center = complex(circle.center.z)
+    rho = (np.arange(nr) + 0.5) / nr * float(circle.radius)
+    spin = np.exp(1j * (np.arange(nth) + 0.5) / nth * 2.0 * math.pi)
+    height = (-plane.coeff_const, -plane.coeff_x, -plane.coeff_y)
+    z = center + rho[:, None] * spin[None, :]
+    v = -(plane.coeff_const + plane.coeff_x * z.real + plane.coeff_y * z.imag)
+    lifts = np.stack([((-np.abs(z) ** 2 + 1j * v) / 2.0).ravel(),
+                      z.ravel(),
+                      np.ones(nr * nth, dtype=complex)], axis=-1)
+    return (center, height, rho, spin), lifts
+
+
+@given(linked_params, st.sampled_from(ARC_NAMES), st.integers(4, 64), st.integers(8, 256))
+@settings(max_examples=30, deadline=None)
+def test_ring_side_max_is_the_lifted_maximum_within_its_bound(t, name, nr, nth):
+    config = DirichletConfig.build(t)
+    grid, lifts = _ring_grid(arc_report(config, name).hat, nr, nth)
+    top, err = config.ring_side_max(*grid)
+    assert top.shape == (nr, nth) and err.shape == (nr,)
+    assert np.all(np.isfinite(top)) and np.all(err > 0.0)
+    want = np.max(config.side_matrix(lifts), axis=1).reshape(nr, nth)
+    assert np.all(np.abs(top - want) <= err[:, None])
+
+
+@pytest.mark.parametrize("t", [0.4005, 0.41])
+def test_visible_component_on_the_lifts_alone_equals_the_reference(t, monkeypatch):
+    # a guard band covering every cell sends every block to the lifts
+    monkeypatch.setattr(dirichlet, "_RING_GUARD", math.inf)
+    blocks = []
+    decide = DirichletConfig.in_boundary_domain
+
+    def counted(self, points):
+        blocks.append(len(points))
+        return decide(self, points)
+
+    monkeypatch.setattr(DirichletConfig, "in_boundary_domain", counted)
+    config = DirichletConfig.build(t)
+    nr, nth = 37, 96
+    for name in ARC_NAMES:
+        hat = arc_report(config, name).hat
+        blocks.clear()
+        got = crown.visible_component(config, hat, nr, nth).reach
+        assert blocks == [8 * nth] * 4 + [5 * nth]
+        assert np.array_equal(got, _visible_component_reference(config, hat, nr, nth))
+
+
+def test_non_finite_spheres_or_planes_free_no_cell(config_041, monkeypatch):
+    hat = arc_report(config_041, "alpha4").hat
+    grid, _ = _ring_grid(hat, 16, 64)
+    assert crown.visible_component(config_041, hat, 16, 64).reach.any()
+    broken = list(config_041.spheres)
+    broken[2] = dirichlet.SpinalSphere(3, np.array([np.nan, 0.0, 1.0], dtype=complex))
+    bad_sphere = dataclasses.replace(config_041, spheres=tuple(broken))
+    center, (h0, hx, hy), rho, spin = grid
+    with np.errstate(invalid="ignore"):
+        cases = [bad_sphere.ring_side_max(*grid),
+                 config_041.ring_side_max(center, (math.nan, hx, hy), rho, spin)]
+        for top, err in cases:
+            assert not np.any(top < -err[:, None]) and not np.any(top > err[:, None])
+        assert not crown.visible_component(bad_sphere, hat, 16, 64).reach.any()
+        monkeypatch.setattr(heisenberg.ContactPlane, "coeff_const",
+                            property(lambda plane: math.nan))
+        assert not crown.visible_component(config_041, hat, 16, 64).reach.any()
+
+
+@pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.0, math.nan),
+                               complex(math.inf, 0.0), complex(math.inf, math.nan)])
+def test_reachable_is_false_at_non_finite_points(config_041, z):
+    comp = crown.visible_component(config_041, arc_report(config_041, "alpha4").hat, 16, 64)
+    assert comp.reachable(comp.center)
+    assert comp.reachable(z) is False
 
 
 @pytest.mark.parametrize("t", [0.3751, 0.39, 0.4005, 0.41, T_REAL])
