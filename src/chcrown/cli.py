@@ -13,7 +13,6 @@ import click
 
 from . import crown, verify
 from .core import GeometryError
-from .dirichlet import DirichletConfig
 from .triangle import PARAM_MAX, T_REAL
 
 
@@ -116,8 +115,7 @@ def export(kind, t, out_dir, mesh, samples, rim, depth):
 def table1_cmd(t):
     """Print the host-sphere table of the eight crown arcs."""
     try:
-        config = DirichletConfig.build(t)
-        table = crown.table1(config)
+        table = crown.table1(crown.Scene(t))
     except GeometryError as exc:
         raise click.UsageError(str(exc))
     click.echo("arc     minus  plus")

@@ -189,7 +189,10 @@ def solve3(m: np.ndarray, b: np.ndarray):
 
 
 def _cbrt(z):
-    """Principal complex cube root."""
+    """Principal complex cube root, of a scalar or elementwise of an array."""
+    if np.ndim(z):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(z == 0, 0.0, np.exp(np.log(z) / 3.0))
     if z == 0:
         return 0.0 + 0.0j
     return cmath.exp(cmath.log(z) / 3.0)
@@ -199,6 +202,9 @@ def eigvals3(m: np.ndarray):
     """The three eigenvalues of a 3x3 complex matrix, as a list.
 
     Solves the cubic characteristic polynomial in closed form (Cardano).
+    ``m`` may also hold ``n`` matrices as a ``(3, 3, n)`` array, entry
+    ``m[i, j]`` of all of them along the last axis; each eigenvalue is then
+    a length-``n`` array, rounded as elementwise numpy arithmetic rounds.
     """
     tr = m[0, 0] + m[1, 1] + m[2, 2]
     minors = (
@@ -213,6 +219,16 @@ def eigvals3(m: np.ndarray):
     p = minors - 3 * s * s
     q = minors * s - 2 * s**3 - det
     disc = (q / 2) ** 2 + (p / 3) ** 3
+    w = complex(-0.5, math.sqrt(3.0) / 2)
+    if np.ndim(disc):
+        sq = np.sqrt(disc)
+        u = _cbrt(-q / 2 + sq)
+        u = np.where(np.abs(u) < 1e-30, _cbrt(-q / 2 - sq), u)
+        zero = np.abs(u) < 1e-30
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = -p / (3 * u)
+        mus = [u + v, w * u + w.conjugate() * v, w.conjugate() * u + w * v]
+        return [np.where(zero, 0.0, mu) + s for mu in mus]
     sq = cmath.sqrt(disc)
     u = _cbrt(-q / 2 + sq)
     if abs(u) < 1e-30:
@@ -221,7 +237,6 @@ def eigvals3(m: np.ndarray):
         mus = [0 * s, 0 * s, 0 * s]
     else:
         v = -p / (3 * u)
-        w = complex(-0.5, math.sqrt(3.0) / 2)
         mus = [u + v, w * u + w.conjugate() * v, w.conjugate() * u + w * v]
     return [mu + s for mu in mus]
 
@@ -281,7 +296,7 @@ class Classification:
     discriminant: float
 
 
-def trace_discriminant(tau) -> float:
+def trace_discriminant(tau):
     """Discriminant of the characteristic polynomial of an SU(2,1) matrix.
 
     For unit determinant the characteristic polynomial is
@@ -290,31 +305,18 @@ def trace_discriminant(tau) -> float:
     exactly for loxodromic classes, negative for regular elliptic ones and
     zero on the parabolic/boundary locus.  It is invariant under replacing
     ``tau`` by a cube root of unity multiple, so it does not depend on the
-    choice of matrix lift.
+    choice of matrix lift.  A float for one trace, an array for an array.
     """
     a2 = _abs2(tau)
     t3 = tau * tau * tau
-    return float(a2 * a2 - 8 * t3.real + 18 * a2 - 27)
+    disc = a2 * a2 - 8 * t3.real + 18 * a2 - 27
+    return disc if isinstance(disc, np.ndarray) else float(disc)
 
 
-def classify_isometry(g: GroupElement) -> Classification:
-    """Classify an isometry as elliptic, parabolic or loxodromic.
-
-    The sign of the trace discriminant decides the regular cases.  On the
-    degenerate locus (|disc| <= EPS_CLASS) the repeated eigenvalue is examined:
-    a diagonalizable matrix is boundary elliptic (this covers complex
-    reflections and reflections in points), a non-diagonalizable one is
-    parabolic.
-    """
-    tau = g.trace
-    disc = trace_discriminant(tau)
-    if disc > EPS_CLASS:
-        return Classification(IsometryClass.LOXODROMIC, disc)
-    if disc < -EPS_CLASS:
-        return Classification(IsometryClass.ELLIPTIC, disc)
-
-    lams = eigvals3(g.matrix)
-    scale = _max_abs(g.matrix) + 1.0
+def _degenerate_kind(m: np.ndarray) -> IsometryClass:
+    """Elliptic or parabolic, from the repeated eigenvalue of ``m``."""
+    lams = eigvals3(m)
+    scale = _max_abs(m) + 1.0
     gaps = [
         (abs(lams[0] - lams[1]), 2), (abs(lams[1] - lams[2]), 0), (abs(lams[0] - lams[2]), 1),
     ]
@@ -323,15 +325,43 @@ def classify_isometry(g: GroupElement) -> Classification:
     eye = np.eye(3, dtype=complex)
     if spread < 1e-5 * scale:
         lam = (lams[0] + lams[1] + lams[2]) / 3
-        defect = _max_abs(g.matrix - lam * eye)
-        kind = IsometryClass.ELLIPTIC if defect < 1e-8 * scale else IsometryClass.PARABOLIC
-        return Classification(kind, disc)
+        defect = _max_abs(m - lam * eye)
+        return IsometryClass.ELLIPTIC if defect < 1e-8 * scale else IsometryClass.PARABOLIC
     # double root: the two closest eigenvalues
     _, odd = gaps[0]
     lam = sum(lams[i] for i in range(3) if i != odd) / 2
-    adj = adjugate3(g.matrix - lam * eye)
+    adj = adjugate3(m - lam * eye)
     diagonalizable = _max_abs(adj) < 1e-6 * scale * scale
-    kind = IsometryClass.ELLIPTIC if diagonalizable else IsometryClass.PARABOLIC
+    return IsometryClass.ELLIPTIC if diagonalizable else IsometryClass.PARABOLIC
+
+
+def classify_isometry(g) -> Classification:
+    """Classify an isometry as elliptic, parabolic or loxodromic.
+
+    The sign of the trace discriminant decides the regular cases.  On the
+    degenerate locus (|disc| <= EPS_CLASS) the repeated eigenvalue is examined:
+    a diagonalizable matrix is boundary elliptic (this covers complex
+    reflections and reflections in points), a non-diagonalizable one is
+    parabolic.
+
+    ``g`` is a :class:`GroupElement`, or an ``(n, 3, 3)`` array of matrices
+    classified together: then ``kind`` is a length-``n`` object array of
+    :class:`IsometryClass` members and ``discriminant`` a float array.  The
+    discriminants of the stack are one array expression; a row off the
+    regular cases, a NaN one included, is examined as a single matrix is.
+    """
+    if isinstance(g, GroupElement):
+        disc = trace_discriminant(g.trace)
+        if disc > EPS_CLASS:
+            return Classification(IsometryClass.LOXODROMIC, disc)
+        if disc < -EPS_CLASS:
+            return Classification(IsometryClass.ELLIPTIC, disc)
+        return Classification(_degenerate_kind(g.matrix), disc)
+    stack = np.asarray(g)
+    disc = trace_discriminant(stack[:, 0, 0] + stack[:, 1, 1] + stack[:, 2, 2])
+    kind = np.where(disc > EPS_CLASS, IsometryClass.LOXODROMIC, IsometryClass.ELLIPTIC)
+    for i in np.flatnonzero(~(np.abs(disc) > EPS_CLASS)):
+        kind[i] = _degenerate_kind(stack[i])
     return Classification(kind, disc)
 
 
@@ -339,35 +369,88 @@ def classify_isometry(g: GroupElement) -> Classification:
 _MIN_SEPARATION = 1e-6
 
 
-def fixed_points_boundary(g: GroupElement):
+def fixed_points_boundary(g):
     """Attractive and repulsive boundary fixed points of a loxodromic map.
 
     Returns ``(attractive, repulsive)`` as null lifts, unit ``(3,)`` arrays.
     Raises :class:`NearParabolicError` when the extreme eigenvalue moduli
     differ by less than ``_MIN_SEPARATION``: so close to the parabolic locus
     the eigenvectors are too ill-conditioned to certify anything.
+
+    ``g`` may also be an ``(n, 3, 3)`` array of matrices, solved together:
+    ``attractive`` and ``repulsive`` are then ``(n, 3)`` arrays, and a row
+    is NaN where one matrix would raise.  Every check of the single solve is
+    made row by row: the separation and null tests, the adjugate column
+    (a row whose adjugate vanished takes the single solve's fallback) and
+    the Cramer polish step (a row with a singular system keeps its
+    unpolished vector).  Elementwise numpy arithmetic rounds unlike the
+    scalar arithmetic of one matrix, so the two paths agree to rounding,
+    not bit for bit.
     """
-    lams = eigvals3(g.matrix)
-    order = sorted(range(3), key=lambda i: -float(abs(lams[i])))
-    hi, lo = order[0], order[2]
-    sep = float(abs(lams[hi]) - abs(lams[lo]))
-    if sep < _MIN_SEPARATION:
-        raise NearParabolicError(
-            f"eigenvalue moduli differ by {sep:.3e} < {_MIN_SEPARATION:.1e}; "
-            "refusing fixed points this close to the parabolic locus"
-        )
-    att = _eigvec(g.matrix, lams[hi])
-    rep = _eigvec(g.matrix, lams[lo])
-    for v in (att, rep):
-        if norm_type(v) is not NormType.NULL:
-            raise GeometryError("loxodromic fixed point lift is not null")
-    return att, rep
-
-
-def axis_polar(g: GroupElement):
-    """Polar vector of the complex geodesic spanned by a loxodromic axis."""
-    att, rep = fixed_points_boundary(g)
-    return box_product(att, rep)
+    if isinstance(g, GroupElement):
+        lams = eigvals3(g.matrix)
+        order = sorted(range(3), key=lambda i: -float(abs(lams[i])))
+        hi, lo = order[0], order[2]
+        sep = float(abs(lams[hi]) - abs(lams[lo]))
+        if sep < _MIN_SEPARATION:
+            raise NearParabolicError(
+                f"eigenvalue moduli differ by {sep:.3e} < {_MIN_SEPARATION:.1e}; "
+                "refusing fixed points this close to the parabolic locus"
+            )
+        att = _eigvec(g.matrix, lams[hi])
+        rep = _eigvec(g.matrix, lams[lo])
+        for v in (att, rep):
+            if norm_type(v) is not NormType.NULL:
+                raise GeometryError("loxodromic fixed point lift is not null")
+        return att, rep
+    stack = np.asarray(g, dtype=complex)
+    n = len(stack)
+    # 0/0 and inf - inf make NaN rows, which the checks below refuse
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lams = np.stack(eigvals3(stack.transpose(1, 2, 0)), axis=1)
+        mods = np.abs(lams)
+        # a stable sort by decreasing modulus, as ``sorted`` orders one matrix
+        order = np.argsort(-mods, axis=1, kind="stable")
+        rows = np.arange(n)
+        hi, lo = order[:, 0], order[:, 2]
+        near = mods[rows, hi] - mods[rows, lo] < _MIN_SEPARATION
+        # both eigenvectors of every row as one batch: attractive, then repulsive
+        mats = np.concatenate([stack, stack])
+        lam = np.concatenate([lams[rows, hi], lams[rows, lo]])
+        eye = np.eye(3)
+        scale = np.max(np.abs(mats), axis=(1, 2)) + 1.0
+        a = mats - lam[:, None, None] * eye
+        adj = adjugate3(a.transpose(1, 2, 0))
+        norms = _abs2(adj).sum(axis=0)
+        best = np.argmax(norms, axis=0)
+        batch = np.arange(2 * n)
+        vecs = adj[:, best, batch].T
+        vecs = vecs / np.sqrt(_abs2(vecs).sum(axis=1))[:, None]
+        # one step of shifted inverse iteration, by Cramer's rule
+        mod = np.abs(lam)
+        phase = np.divide(lam, mod, out=np.ones_like(lam), where=mod != 0)
+        shift = lam + (64 * _EPS) * scale * phase
+        shifted = (mats - shift[:, None, None] * eye).transpose(1, 2, 0)
+        det = det3(shifted)
+        singular = det == 0
+        cols = []
+        for j in range(3):
+            mj = shifted.copy()
+            mj[:, j] = vecs.T
+            cols.append(det3(mj) / np.where(singular, 1.0, det))
+        y = np.stack(cols, axis=1)
+        y = y / np.sqrt(_abs2(y).sum(axis=1))[:, None]
+        vecs = np.where(singular[:, None], vecs, y)
+        # an adjugate that vanished: the single solve's fallback, row by row
+        for k in np.flatnonzero(~(norms[best, batch] > (_EPS * scale * scale) ** 2)):
+            vecs[k] = _eigvec(mats[k], lam[k])
+        # the null test of ``norm_type``: <v, v> within EPS_ALG of 0 relative to |v|^2
+        size = _abs2(vecs).sum(axis=1)
+        rel = (np.conj(vecs) * (vecs @ SIEGEL)).sum(axis=1).real / size
+        bad = (size == 0) | (np.abs(rel) > EPS_ALG)
+        failed = near | bad[:n] | bad[n:]
+        vecs[np.concatenate([failed, failed])] = np.nan
+    return vecs[:n], vecs[n:]
 
 
 def complex_reflection_from_polar(c) -> GroupElement:

@@ -27,7 +27,6 @@ from .core import (
     GeometryError,
     GroupElement,
     _abs2,
-    axis_polar,
     box_product,
     fixed_points_boundary,
     hermitian_product,
@@ -147,11 +146,15 @@ def linking_alpha_alpha_closed(t: float) -> float:
     return -2.0 * (15.0 * t * t - 11.0 * t + 2.0) / (2.0 * t - 1.0) ** 2
 
 
-def crown_circle_polars(config: DirichletConfig) -> Dict[str, np.ndarray]:
-    """Polar lifts of the eight crown circles, g2-orbits of alpha1/beta1."""
+def crown_circle_polars(config: DirichletConfig,
+                        beta: Tuple[np.ndarray, np.ndarray]) -> Dict[str, np.ndarray]:
+    """Polar lifts of the eight crown circles, g2-orbits of alpha1/beta1.
+
+    ``beta`` is the fixed-point pair of the beta base map ``g2^-1 g3``.
+    """
     g2 = config.gens.g2
     va = alpha1_polar(config.gens.t)
-    vb = axis_polar(config.gens.g2.inverse() @ config.gens.g3)
+    vb = box_product(*beta)
     out: Dict[str, np.ndarray] = {}
     for i in range(4):
         out[f"alpha{i + 1}"] = va
@@ -319,7 +322,13 @@ class CrownArc:
         return s
 
 
-def _crown_arc(config: DirichletConfig, name: str) -> CrownArc:
+def base_map(gens, family: str) -> GroupElement:
+    """The map whose axis carries the family's first arc: g1 for alpha, g2^-1 g3 for beta."""
+    return gens.g1 if family == "alpha" else gens.g2.inverse() @ gens.g3
+
+
+def _crown_arc(config: DirichletConfig, name: str,
+               base: Tuple[np.ndarray, np.ndarray]) -> CrownArc:
     """The named arc: counterclockwise from the attracting end.
 
     The two fixed points sit antipodally on the chart circle, and every
@@ -329,14 +338,14 @@ def _crown_arc(config: DirichletConfig, name: str) -> CrownArc:
     finding.  The counterclockwise half is the one the symmetry transports
     consistently (``g2`` images match, and the carried beta hat abuts the
     alpha hat); :func:`hat_arc` certifies it holds a single in-domain
-    segment.
+    segment.  ``base`` is the fixed-point pair of the family's
+    :func:`base_map`, which ``g2`` carries to the named arc.
     """
     if name not in ARC_NAMES:
         raise GeometryError(f"unknown arc name {name!r}")
     gens = config.gens
-    kind, idx = name[:-1], int(name[-1])
-    base = gens.g1 if kind == "alpha" else gens.g2.inverse() @ gens.g3
-    att, rep = fixed_points_boundary(base)
+    idx = int(name[-1])
+    att, rep = base
     polar = box_product(att, rep)
     for _ in range(idx - 1):
         att = gens.g2.apply(att)
@@ -485,12 +494,14 @@ class ArcReport:
         return True
 
 
-def arc_report(config: DirichletConfig, name: str) -> ArcReport:
+def arc_report(config: DirichletConfig, name: str,
+               base: Tuple[np.ndarray, np.ndarray]) -> ArcReport:
     """Hat, hosts and crossing counts of one arc from a single crossing list.
 
+    ``base`` is the fixed-point pair of the family's :func:`base_map`;
     :func:`hat_arc` certifies the one in-domain segment.
     """
-    arc = _crown_arc(config, name)
+    arc = _crown_arc(config, name, base)
     hits = _sphere_crossing_params(arc, config)
     hat = hat_arc(arc, config, hits)
     counts: Dict[int, int] = {k: 0 for k in range(1, 9)}
@@ -499,35 +510,43 @@ def arc_report(config: DirichletConfig, name: str) -> ArcReport:
     return ArcReport(name, hat.hosts, counts, hat)
 
 
-def table1(config: DirichletConfig) -> Dict[str, Tuple[int, int]]:
+def table1(scene: "Scene") -> Dict[str, Tuple[int, int]]:
     """Host matrix: arc name -> (minus host, plus host), canonical indices."""
-    return {name: arc_report(config, name).hosts for name in ARC_NAMES}
+    return {name: scene.arc_report(name).hosts for name in ARC_NAMES}
 
 
 class Scene:
     """The pipeline of one parameter, shared by everything that reads ``t``.
 
-    The configuration, the crown-circle polars and each crown arc's report
-    are computed on first use and at most once; a sweep builds one scene per
-    ``t`` and drops it when the point is done.
+    The configuration, the fixed points of the two base maps, the
+    crown-circle polars and each crown arc's report are computed on first
+    use and at most once; a sweep builds one scene per ``t`` and drops it
+    when the point is done.
     """
 
     def __init__(self, t: float):
         self.t = t
         self._arcs: Dict[str, ArcReport] = {}
+        self._fixed: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
 
     @cached_property
     def config(self) -> DirichletConfig:
         return DirichletConfig.build(self.t)
 
+    def fixed_points(self, family: str) -> Tuple[np.ndarray, np.ndarray]:
+        """Attracting and repelling fixed points of the family's :func:`base_map`."""
+        if family not in self._fixed:
+            self._fixed[family] = fixed_points_boundary(base_map(self.config.gens, family))
+        return self._fixed[family]
+
     @cached_property
     def polars(self) -> Dict[str, np.ndarray]:
         """:func:`crown_circle_polars` of the configuration."""
-        return crown_circle_polars(self.config)
+        return crown_circle_polars(self.config, self.fixed_points("beta"))
 
     def arc_report(self, name: str) -> ArcReport:
         if name not in self._arcs:
-            self._arcs[name] = arc_report(self.config, name)
+            self._arcs[name] = arc_report(self.config, name, self.fixed_points(name[:-1]))
         return self._arcs[name]
 
 
@@ -777,22 +796,22 @@ def minimize_blocking() -> Tuple[float, float]:
     return golden_minimize(blocking_minimum_at, *_BLOCKING_WINDOW)
 
 
-def honest_chord_blocking(config: DirichletConfig) -> Optional[float]:
+def honest_chord_blocking(t: float, sphere3: SpinalSphere) -> Optional[float]:
     """Cross-check: sample the true 3D chord and test it against sphere 3.
 
     Independent of the closed forms above: the chord comes from
-    :func:`disk_intersection_segment` on the two affine disks at the
-    configuration's parameter, sampled at 513 points, and the returned
-    minimum is the raw (unhalved) side value, so it should land on twice
-    :func:`blocking_minimum_at`.  ``None`` when there is no chord.
+    :func:`disk_intersection_segment` on the two affine disks at ``t``,
+    sampled at 513 points, and the returned minimum is the raw (unhalved)
+    side value against ``sphere3``, the configuration's sphere 3 at ``t``,
+    so it should land on twice :func:`blocking_minimum_at`.  ``None`` when
+    there is no chord.
     """
-    t = config.gens.t
     c1 = ccircle_from_polar(alpha1_polar(t))
     c2 = ccircle_from_polar(alpha2_polar(t))
     seg = disk_intersection_segment(AffineDisk(c1), AffineDisk(c2))
     if seg is None:
         return None
-    return float(np.min(config.sphere(3).side_of_lifts(seg.sample_lifts(513))))
+    return float(np.min(sphere3.side_of_lifts(seg.sample_lifts(513))))
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,8 @@ class SpinalSphere:
     The side function ``|<p,Q0>|^2 - |<p,v>|^2`` is negative on the centre's
     side, positive strictly inside the sphere (the ``v`` side), zero on it.
     ``v`` must have ``Q0``'s self-product for this to be the true
-    equidistance locus; the constructor enforces that.
+    equidistance locus; the constructor enforces that, and refuses a
+    non-finite ``v``, whose self-product is NaN or infinite.
     """
 
     index: int
@@ -82,7 +83,7 @@ class SpinalSphere:
 
     def __post_init__(self):
         nv = complex(hermitian_product(self.v, self.v)).real
-        if abs(nv - _Q0_NORM) > 1e-9 * abs(_Q0_NORM):
+        if not abs(nv - _Q0_NORM) <= 1e-9 * abs(_Q0_NORM):  # NaN fails too
             raise GeometryError("a bisector lift must have the centre's self-product")
         object.__setattr__(self, "_rv", _row_form(self.v))
 
@@ -201,7 +202,7 @@ class DirichletConfig:
     @classmethod
     def build(cls, t: float) -> "DirichletConfig":
         gens = build_generators(t)
-        return cls(gens, tuple(_defining_sphere(gens, k) for k in CANONICAL_INDICES))
+        return cls(gens, tuple(defining_sphere(gens, k) for k in CANONICAL_INDICES))
 
     def sphere(self, k: int) -> SpinalSphere:
         return self.spheres[canonical_index(k) - 1]
@@ -300,7 +301,7 @@ def _norm2(w: np.ndarray) -> np.ndarray:
     return (w * np.conj(w)).real
 
 
-def _defining_sphere(gens: GeneratorSet, k: int) -> SpinalSphere:
+def defining_sphere(gens: GeneratorSet, k: int) -> SpinalSphere:
     """The sphere of the bisector of ``Q0`` and ``w_k Q0``."""
     return SpinalSphere(k, gens.evaluate_word(defining_word(k)).apply(Q0))
 

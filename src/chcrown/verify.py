@@ -29,13 +29,13 @@ from . import crown
 from .core import (
     GeometryError,
     IsometryClass,
-    NearParabolicError,
     classify_isometry,
     fixed_points_boundary,
     matrix_phase_distance,
 )
 from .dirichlet import (
     DirichletConfig,
+    defining_sphere,
     expected_to_meet,
     fixed_point_lifts,
     fixed_point_side_forms,
@@ -456,7 +456,7 @@ def _disks_cell(scene: crown.Scene) -> List[Record]:
     else:
         blocked = crown.blocking_minimum_at(t)
         out.append(_rec("disks", t, "chord-blocking-minimum", blocked, blocked, blocked > 0.0))
-        honest = crown.honest_chord_blocking(config)
+        honest = crown.honest_chord_blocking(t, config.sphere(3))
         if honest is not None:
             res = abs(honest - 2.0 * blocked)
             out.append(_residual_rec("disks", t, "chord-blocking-dual-route", res, 1e-8))
@@ -482,7 +482,8 @@ def _minima_global() -> List[Record]:
                              abs(blocked - 0.3616753), 1e-4))
     out.append(_residual_rec("minima", 0.4, "blocking-argmin", abs(t_star - 0.4), 1e-3))
     for t in (0.405, 0.41, T_REAL):
-        honest = crown.honest_chord_blocking(DirichletConfig.build(t))
+        # sphere 3 alone, built as DirichletConfig.build builds it
+        honest = crown.honest_chord_blocking(t, defining_sphere(build_generators(t), 3))
         quartic = crown.blocking_minimum_at(t)
         res = abs(honest - 2.0 * quartic) if honest is not None else math.inf
         out.append(_residual_rec("minima", t, "blocking-dual-route", res, 1e-8))
@@ -587,8 +588,9 @@ def run_suite(
 # geometry exports (OBJ + JSON manifest)
 
 
-def _obj_vertex(x: float, y: float, v: float) -> str:
-    return f"v {_f17(x)} {_f17(y)} {_f17(v)}"
+def _obj_vertices(rows) -> List[str]:
+    """``v`` lines of ``(x, y, v)`` rows of plain floats; ``%.17g`` is ``_f17``'s format."""
+    return ["v %.17g %.17g %.17g" % (x, y, v) for x, y, v in rows]
 
 
 def _require_size(name: str, value: int, least: int) -> None:
@@ -625,10 +627,9 @@ def export_spheres(t: float, out_dir: str, nx: int = 64, ny: int = 64) -> List[s
     for k in range(1, 9):
         verts, faces = sphere_mesh(config.sphere(k), nx=nx, ny=ny)
         lines.append(f"o sphere-{k}")
-        for x, y, v in np.asarray(verts, dtype=float):
-            lines.append(_obj_vertex(x, y, v))
-        for a, b, c in np.asarray(faces, dtype=int):
-            lines.append(f"f {a + offset} {b + offset} {c + offset}")
+        lines.extend(_obj_vertices(np.asarray(verts, dtype=float).tolist()))
+        lines.extend("f %d %d %d" % (a, b, c)
+                     for a, b, c in (np.asarray(faces, dtype=int) + offset).tolist())
         offset += len(verts)
     obj = _write(os.path.join(out_dir, "spheres.obj"), "\n".join(lines) + "\n")
     man = _manifest(out_dir, "spheres", t, [obj], {"nx": nx, "ny": ny, "objects": 8})
@@ -647,9 +648,8 @@ def export_arcs(t: float, out_dir: str, samples: int = 257) -> List[str]:
         hat = scene.arc_report(name).hat
         hosts[name] = list(hat.hosts)
         lines.append(f"o hat-{name}")
-        for lift in hat.sample_lifts(samples):
-            p = HeisenbergPoint.from_lift(lift)
-            lines.append(_obj_vertex(p.z.real, p.z.imag, p.v))
+        points = [HeisenbergPoint.from_lift(lift) for lift in hat.sample_lifts(samples)]
+        lines.extend(_obj_vertices((p.z.real, p.z.imag, p.v) for p in points))
         chain = " ".join(str(offset + i + 1) for i in range(samples))
         lines.append(f"l {chain}")
         offset += samples
@@ -672,14 +672,11 @@ def export_disks(t: float, out_dir: str, rim: int = 96) -> List[str]:
         r = disk.circle.radius
         plane = disk.plane
         lines.append(f"o disk-{name}")
-        lines.append(_obj_vertex(c.real, c.imag, plane.height_at(c)))
-        for i in range(rim):
-            z = c + r * complex(math.cos(2 * math.pi * i / rim), math.sin(2 * math.pi * i / rim))
-            lines.append(_obj_vertex(z.real, z.imag, plane.height_at(z)))
-        for i in range(rim):
-            a = offset + 2 + i
-            b = offset + 2 + (i + 1) % rim
-            lines.append(f"f {offset + 1} {a} {b}")
+        fan = [c] + [c + r * complex(math.cos(2 * math.pi * i / rim), math.sin(2 * math.pi * i / rim))
+                     for i in range(rim)]
+        lines.extend(_obj_vertices((z.real, z.imag, plane.height_at(z)) for z in fan))
+        lines.extend("f %d %d %d" % (offset + 1, offset + 2 + i, offset + 2 + (i + 1) % rim)
+                     for i in range(rim))
         offset += rim + 1
     obj = _write(os.path.join(out_dir, "disks.obj"), "\n".join(lines) + "\n")
     certs = crown.disk_disjointness_certificates(scene)
@@ -711,47 +708,62 @@ def limit_set_points(t: float, depth: int = 5) -> np.ndarray:
     Loxodromic fixed points accumulate on the limit set, so this cloud is
     a cheap, fully deterministic sketch of it.  Points at infinity and
     near-parabolic words are skipped; duplicates are collapsed on a 1e-9
-    grid.  A word and its inverse share their fixed pair (swapped), so only
-    the first of the two to be visited is solved.  Rows are ``(x, y, v)``
-    Heisenberg coordinates, sorted.
+    grid, in the preorder of the word tree.  A word and its inverse share
+    their fixed pair (swapped), so only the first of the two in preorder
+    is solved.  Rows are ``(x, y, v)`` Heisenberg coordinates, sorted.
+
+    The words of each length are one ``(n, 3, 3)`` stack in lexicographic
+    order, ``parents[idx] @ tokens[tok]``, and all of them are classified,
+    and the loxodromic ones solved, as stacks.
     """
     _require_size("depth", depth, 1)
     gens = build_generators(t)
-    elements = {token: gens.element(token) for token in _LIMITSET_TOKENS}
-    solved = set()
+    tokens = np.stack([gens.element(token).matrix for token in _LIMITSET_TOKENS])
+    letters = len(tokens)
+    inverse = np.array([_LIMITSET_TOKENS.index(_INVERSE_TOKEN[tok]) for tok in _LIMITSET_TOKENS])
+    # nodes of a subtree whose root has r letters still to add below it
+    subtree = [1]
+    for _ in range(depth - 1):
+        subtree.append(1 + (letters - 1) * subtree[-1])
+    mats, last = tokens, np.arange(letters)
+    # a word and its inverse as base-6 numbers: equal lengths compare as in preorder
+    code, inv_code = last, inverse
+    pre = last * subtree[depth - 1]
+    solved, solved_pre = [], []
+    for length in range(1, depth + 1):
+        if length > 1:
+            idx, tok = np.nonzero(inverse[last][:, None] != np.arange(letters))
+            mats = mats[idx] @ tokens[tok]
+            rank = tok - (tok > inverse[last[idx]])
+            pre = pre[idx] + 1 + rank * subtree[depth - length]
+            code = code[idx] * letters + tok
+            inv_code = inverse[tok] * letters ** (length - 1) + inv_code[idx]
+            last = tok
+        lox = classify_isometry(mats).kind == IsometryClass.LOXODROMIC
+        # the inverse was solved first when it comes first and is loxodromic
+        keep = lox & ((code < inv_code) | ~lox[np.searchsorted(code, inv_code)])
+        solved.append(mats[keep])
+        solved_pre.append(pre[keep])
+    order = np.argsort(np.concatenate(solved_pre))
+    att, rep = fixed_points_boundary(np.concatenate(solved)[order])
+    # per word its attracting point, then its repelling one; a NaN row
+    # (a word the solve refused) fails the test at infinity too
+    lifts = np.stack([att, rep], axis=1).reshape(-1, 3)
+    finite = np.abs(lifts[:, 2]) > 1e-9 * np.max(np.abs(lifts), axis=1)
+    w = lifts[finite] / lifts[finite, 2:]
     seen = set()
     rows = []
-
-    def visit(element, word: Tuple[str, ...], remaining: int):
-        inverse = tuple(_INVERSE_TOKEN[token] for token in reversed(word))
-        if inverse not in solved and classify_isometry(element).kind is IsometryClass.LOXODROMIC:
-            solved.add(word)
-            try:
-                for u in fixed_points_boundary(element):
-                    if abs(u[2]) > 1e-9 * float(np.max(np.abs(u))):
-                        p = HeisenbergPoint.from_lift(u)
-                        x, y, v = p.z.real, p.z.imag, p.v
-                        key = (round(x, 9), round(y, 9), round(v, 9))
-                        if key not in seen:
-                            seen.add(key)
-                            rows.append((x, y, v))
-            except (NearParabolicError, GeometryError):
-                pass
-        if remaining == 0:
-            return
-        for token in _LIMITSET_TOKENS:
-            if token == _INVERSE_TOKEN[word[-1]]:
-                continue
-            visit(element @ elements[token], word + (token,), remaining - 1)
-
-    for token in _LIMITSET_TOKENS:
-        visit(elements[token], (token,), depth - 1)
+    for row in np.stack([w[:, 1].real, w[:, 1].imag, 2.0 * w[:, 0].imag], axis=1).tolist():
+        key = (round(row[0], 9), round(row[1], 9), round(row[2], 9))
+        if key not in seen:
+            seen.add(key)
+            rows.append(row)
     return np.array(sorted(rows), dtype=float).reshape(-1, 3)
 
 
 def export_limitset(t: float, out_dir: str, depth: int = 5) -> List[str]:
     points = limit_set_points(t, depth=depth)
-    lines = [_obj_vertex(x, y, v) for x, y, v in points]
+    lines = _obj_vertices(points.tolist())
     lines.append("p " + " ".join(str(i + 1) for i in range(len(points))))
     obj = _write(os.path.join(out_dir, "limitset.obj"), "\n".join(lines) + "\n")
     man = _manifest(out_dir, "limitset", t, [obj], {"depth": depth, "points": len(points)})

@@ -101,9 +101,9 @@ def test_a05_host_table_and_sweep_stability():
         "alpha1": (3, 2), "alpha2": (5, 4), "alpha3": (7, 6), "alpha4": (1, 8),
         "beta1": (3, 4), "beta2": (5, 6), "beta3": (7, 8), "beta4": (1, 2),
     }
-    assert table1(DirichletConfig.build(T_REAL)) == expected
+    assert table1(Scene(T_REAL)) == expected
     for t in SWEEP:
-        assert table1(DirichletConfig.build(t)) == expected, t
+        assert table1(Scene(t)) == expected, t
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"stability sweep took {elapsed:.1f}s"
     print(f"host table stable across {len(SWEEP)} points: PASS ({elapsed:.1f}s)")

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chcrown import (
+    PARAM_MIN,
     GeometryError,
+    GroupElement,
     IsometryClass,
     NearParabolicError,
     build_generators,
@@ -22,7 +24,6 @@ from chcrown.core import (
     SIEGEL,
     _eigvec,
     adjugate3,
-    axis_polar,
     box_product,
     det3,
     eigvals3,
@@ -118,10 +119,51 @@ def test_fixed_points_near_parabolic_raises():
         fixed_points_boundary(gens.g1)
 
 
-def test_axis_polar_is_orthogonal_to_fixed_points():
+def _stack(elements):
+    return np.stack([g.matrix for g in elements])
+
+
+def test_stacked_classification_matches_one_matrix_at_a_time():
+    # the stack's regular rows are read off its discriminant array; the
+    # degenerate ones (the identity, the parabolic endpoint, NaN) are
+    # examined as one matrix is
+    gens = build_generators(0.39)
+    elements = [gens.g1, gens.g2, gens.evaluate_word("I1 I1"), build_generators(PARAM_MIN).g1,
+                gens.g1 @ gens.g3, gens.g2 @ gens.g3.inverse(),
+                GroupElement(np.full((3, 3), np.nan, dtype=complex))]
+    got = classify_isometry(_stack(elements))
+    want = [classify_isometry(g) for g in elements]
+    assert list(got.kind) == [w.kind for w in want]
+    assert np.allclose(got.discriminant, [w.discriminant for w in want],
+                       rtol=0.0, atol=1e-12, equal_nan=True)
+
+
+def test_stacked_fixed_points_match_one_matrix_at_a_time():
+    # a row the single solve refuses (an elliptic word, the near-parabolic
+    # g1) is NaN; diag(4, 4, 1/4) has a vanished adjugate and takes the
+    # single solve's fallback
+    gens = build_generators(0.41)
+    elements = [gens.g1, gens.g1 @ gens.g3, gens.g3.inverse() @ gens.g1 @ gens.g2,
+                build_generators(0.375).g1, GroupElement(np.diag([4.0, 4.0, 0.25]).astype(complex))]
+    att, rep = fixed_points_boundary(_stack(elements))
+    assert att.shape == rep.shape == (len(elements), 3)
+    refused = 0
+    for k, g in enumerate(elements):
+        try:
+            want = fixed_points_boundary(g)
+        except GeometryError:
+            refused += 1
+            assert np.isnan(att[k]).all() and np.isnan(rep[k]).all()
+            continue
+        for got, vec in zip((att[k], rep[k]), want):
+            assert projective_distance(got, vec) < 1e-10
+    assert refused == 2
+
+
+def test_box_product_of_fixed_points_is_orthogonal_to_them():
     gens = build_generators(0.41)
     att, rep = fixed_points_boundary(gens.g1)
-    pol = axis_polar(gens.g1)
+    pol = box_product(att, rep)
     assert abs(complex(hermitian_product(pol, att))) < 1e-8
     assert abs(complex(hermitian_product(pol, rep))) < 1e-8
 

@@ -30,7 +30,7 @@ from chcrown import (
     table1,
 )
 from chcrown import crown, dirichlet, heisenberg
-from chcrown.core import hermitian_product
+from chcrown.core import fixed_points_boundary, hermitian_product
 from chcrown.triangle import coefficients
 
 R2 = math.sqrt(2.0)
@@ -39,6 +39,12 @@ V0 = math.sqrt(2.0 * R2 - 1.0)
 
 params = st.floats(min_value=0.3751, max_value=PARAM_MAX,
                    allow_nan=False, allow_infinity=False)
+
+
+def _report(config, name):
+    """The arc's report, its family's base map solved here rather than by a scene."""
+    base = fixed_points_boundary(crown.base_map(config.gens, name[:-1]))
+    return arc_report(config, name, base)
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +62,8 @@ def test_polar_radius_closed_forms(t):
 
 
 def test_crown_circle_polars_are_a_g2_orbit(config_041):
-    polars = crown.crown_circle_polars(config_041)
+    beta = fixed_points_boundary(crown.base_map(config_041.gens, "beta"))
+    polars = crown.crown_circle_polars(config_041, beta)
     assert list(polars) == ["alpha1", "beta1", "alpha2", "beta2",
                             "alpha3", "beta3", "alpha4", "beta4"]
     g2 = config_041.gens.g2
@@ -204,13 +211,13 @@ def test_sphere1_constant_term_closed_form():
 def test_host_patterns_and_crossing_counts(t):
     config = DirichletConfig.build(t)
     for name in ARC_NAMES:
-        rep = arc_report(config, name)
+        rep = _report(config, name)
         assert rep.pattern_ok, (t, name, rep.hosts, rep.crossing_counts)
         assert rep.hat.interior_margin > 0.0
 
 
-def test_table1_host_matrix(config_real):
-    got = table1(config_real)
+def test_table1_host_matrix():
+    got = table1(Scene(T_REAL))
     assert got == {
         "alpha1": (3, 2), "alpha2": (5, 4), "alpha3": (7, 6), "alpha4": (1, 8),
         "beta1": (3, 4), "beta2": (5, 6), "beta3": (7, 8), "beta4": (1, 2),
@@ -222,7 +229,7 @@ def test_mirror_symmetry_of_alpha_arcs(config_041):
     # exactly; beta circles realize the symmetry only after relabeling,
     # so they are not checked here
     for name in ("alpha1", "alpha3"):
-        arc = arc_report(config_041, name).hat.arc
+        arc = _report(config_041, name).hat.arc
         other = dataclasses.replace(arc, sweep=arc.sweep - 2.0 * math.pi)
         mine = crown._sphere_crossing_params(arc, config_041)
         theirs = crown._sphere_crossing_params(other, config_041)
@@ -260,7 +267,7 @@ def test_flip_carries_each_alpha_hat_onto_the_mirror_half_of_its_image(t):
 
 
 def test_hat_sample_lifts_stay_in_domain(config_041):
-    hat = arc_report(config_041, "alpha2").hat
+    hat = _report(config_041, "alpha2").hat
     lifts = hat.sample_lifts(33)
     sides = config_041.side_matrix(lifts)
     # interior samples touch no sphere from outside; endpoints sit on hosts
@@ -289,7 +296,7 @@ def test_real_point_crossing_closed_forms(config_real):
 
 
 def test_real_point_alpha4_hat_endpoints(config_real):
-    hat = arc_report(config_real, "alpha4").hat
+    hat = _report(config_real, "alpha4").hat
     x1, y1 = math.sqrt(8.0 * R2 - 11.0), 2.0 * R2 - 2.0
     em, ep = hat.endpoint_chart("-"), hat.endpoint_chart("+")
     assert max(abs(em[0] - x1), abs(em[1] + y1)) < 1e-9
@@ -304,7 +311,7 @@ def test_real_point_alpha4_hat_endpoints(config_real):
 
 
 def test_real_point_beta1_circle_frame(config_real):
-    hat = arc_report(config_real, "beta1").hat
+    hat = _report(config_real, "beta1").hat
     circle = hat.arc.circle
     center = complex(circle.center.z)
     assert center.real == pytest.approx(0.768220064233, abs=1e-9)
@@ -482,7 +489,7 @@ def test_blocking_minimum_pin_and_argmin():
 def test_blocking_dual_route(t):
     # sampling the honest chord against the blocking sphere must reproduce
     # exactly twice the normalized quartic minimum
-    honest = crown.honest_chord_blocking(DirichletConfig.build(t))
+    honest = crown.honest_chord_blocking(t, DirichletConfig.build(t).sphere(3))
     assert honest is not None and honest > 0.0
     assert honest == pytest.approx(2.0 * blocking_minimum_at(t), abs=1e-8)
 
@@ -628,14 +635,14 @@ linked_params = st.floats(min_value=0.4005, max_value=PARAM_MAX,
 @settings(max_examples=30, deadline=None)
 def test_visible_component_equals_the_reference(t, name, nr, nth):
     config = DirichletConfig.build(t)
-    hat = arc_report(config, name).hat
+    hat = _report(config, name).hat
     got = crown.visible_component(config, hat, nr, nth).reach
     assert np.array_equal(got, _visible_component_reference(config, hat, nr, nth))
 
 
 def test_visible_component_equals_the_reference_at_default_size(config_041):
     for name in ARC_NAMES:
-        hat = arc_report(config_041, name).hat
+        hat = _report(config_041, name).hat
         got = crown.visible_component(config_041, hat, crown._FLOOD_NR, crown._FLOOD_NTH).reach
         assert got.shape == (128, 512) and got.any()
         assert np.array_equal(got, _visible_component_reference(config_041, hat, 128, 512))
@@ -661,7 +668,7 @@ def _ring_grid(hat, nr, nth):
 @settings(max_examples=30, deadline=None)
 def test_ring_side_max_is_the_lifted_maximum_within_its_bound(t, name, nr, nth):
     config = DirichletConfig.build(t)
-    grid, lifts = _ring_grid(arc_report(config, name).hat, nr, nth)
+    grid, lifts = _ring_grid(_report(config, name).hat, nr, nth)
     top, err = config.ring_side_max(*grid)
     assert top.shape == (nr, nth) and err.shape == (nr,)
     assert np.all(np.isfinite(top)) and np.all(err > 0.0)
@@ -684,7 +691,7 @@ def test_visible_component_on_the_lifts_alone_equals_the_reference(t, monkeypatc
     config = DirichletConfig.build(t)
     nr, nth = 37, 96
     for name in ARC_NAMES:
-        hat = arc_report(config, name).hat
+        hat = _report(config, name).hat
         blocks.clear()
         got = crown.visible_component(config, hat, nr, nth).reach
         assert blocks == [8 * nth] * 4 + [5 * nth]
@@ -692,11 +699,15 @@ def test_visible_component_on_the_lifts_alone_equals_the_reference(t, monkeypatc
 
 
 def test_non_finite_spheres_or_planes_free_no_cell(config_041, monkeypatch):
-    hat = arc_report(config_041, "alpha4").hat
+    hat = _report(config_041, "alpha4").hat
     grid, _ = _ring_grid(hat, 16, 64)
     assert crown.visible_component(config_041, hat, 16, 64).reach.any()
     broken = list(config_041.spheres)
-    broken[2] = dirichlet.SpinalSphere(3, np.array([np.nan, 0.0, 1.0], dtype=complex))
+    # the constructor refuses a NaN lift, so overwrite a valid sphere's
+    broken[2] = dataclasses.replace(broken[2])
+    nan_lift = np.array([np.nan, 0.0, 1.0], dtype=complex)
+    object.__setattr__(broken[2], "v", nan_lift)
+    object.__setattr__(broken[2], "_rv", dirichlet._row_form(nan_lift))
     bad_sphere = dataclasses.replace(config_041, spheres=tuple(broken))
     center, (h0, hx, hy), rho, spin = grid
     with np.errstate(invalid="ignore"):
@@ -713,7 +724,7 @@ def test_non_finite_spheres_or_planes_free_no_cell(config_041, monkeypatch):
 @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.0, math.nan),
                                complex(math.inf, 0.0), complex(math.inf, math.nan)])
 def test_reachable_is_false_at_non_finite_points(config_041, z):
-    comp = crown.visible_component(config_041, arc_report(config_041, "alpha4").hat, 16, 64)
+    comp = crown.visible_component(config_041, _report(config_041, "alpha4").hat, 16, 64)
     assert comp.reachable(comp.center)
     assert comp.reachable(z) is False
 
@@ -724,7 +735,7 @@ def test_seed_columns_from_arc_angles_equal_the_lifted_ones(t):
     # be the columns of the lifted hat points about the circle centre
     config = DirichletConfig.build(t)
     for name in ARC_NAMES:
-        hat = arc_report(config, name).hat
+        hat = _report(config, name).hat
         center = complex(hat.arc.circle.center.z)
         lifts = hat.sample_lifts(400)
         for nth in (8, 256, 512):

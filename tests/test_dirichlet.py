@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from chcrown import (
     DirichletConfig,
+    GeometryError,
     PARAM_MAX,
     PARAM_MIN,
     expected_to_meet,
@@ -13,6 +14,7 @@ from chcrown import (
     sphere_mesh,
 )
 from chcrown.dirichlet import (
+    SpinalSphere,
     canonical_index,
     defining_word,
     fixed_point_lifts,
@@ -44,6 +46,14 @@ def test_sphere_words_generate_the_spheres(config_041):
         image = s.v
         assert float(s.side_of_lifts(np.array([image]))[0]) > 0.1
         assert abs(projective_distance(Q0, image)) > 1e-3
+
+
+@pytest.mark.parametrize("v", [[np.nan, 0.0, 1.0], [0.0, np.nan, 1.0], [-1.0, 0.0, np.inf]])
+def test_a_non_finite_bisector_lift_is_refused(v):
+    # its self-product is NaN or infinite, which the constructor's check
+    # must refuse rather than let through
+    with np.errstate(invalid="ignore"), pytest.raises(GeometryError):
+        SpinalSphere(3, np.array(v, dtype=complex))
 
 
 @given(params)

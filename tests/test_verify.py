@@ -216,9 +216,9 @@ def test_one_point_builds_each_arc_and_the_linking_values_once(monkeypatch):
     arcs, links = Counter(), Counter()
     build_arc, link_report = crown.arc_report, crown.linked_pair_report
 
-    def counted_arc(config, name):
+    def counted_arc(config, name, base):
         arcs[(config.gens.t, name)] += 1
-        return build_arc(config, name)
+        return build_arc(config, name, base)
 
     def counted_links(scene):
         links[scene.t] += 1
@@ -238,9 +238,9 @@ def test_one_disks_cell_and_one_disks_export_build_the_crown_polars_once(monkeyp
     counts = []
     polars = crown.crown_circle_polars
 
-    def counted(config):
+    def counted(config, beta):
         counts[-1] += 1
-        return polars(config)
+        return polars(config, beta)
 
     monkeypatch.setattr(crown, "crown_circle_polars", counted)
     counts.append(0)
@@ -351,17 +351,21 @@ def test_limit_set_points_are_deduplicated_and_sorted():
     assert len({tuple(np.round(row, 9)) for row in pts}) == len(pts)
 
 
-def _limit_set_points_every_word(t, depth):
-    """Reference limit set: solves every loxodromic word, inverses included.
+def _limit_set_points_word_by_word(t, depth, skip_inverses):
+    """Reference limit set, one word at a time with ``GroupElement`` products.
 
-    Returns the rows and the number of fixed-point solves.
+    With ``skip_inverses`` a word whose inverse came first in preorder and
+    was solved is skipped, as ``limit_set_points`` does; without, every
+    loxodromic word is solved.  Returns the rows and the number of solves.
     """
     gens = build_generators(t)
-    seen, rows, solves = set(), [], [0]
+    seen, solved, rows = set(), set(), []
 
-    def visit(element, last, remaining):
-        if classify_isometry(element).kind is IsometryClass.LOXODROMIC:
-            solves[0] += 1
+    def visit(element, word, remaining):
+        inverse = tuple(_INVERSE_TOKEN[token] for token in reversed(word))
+        skipped = skip_inverses and inverse in solved
+        if not skipped and classify_isometry(element).kind is IsometryClass.LOXODROMIC:
+            solved.add(word)
             try:
                 for vec in fixed_points_boundary(element):
                     u = np.asarray(vec, dtype=complex)
@@ -376,26 +380,41 @@ def _limit_set_points_every_word(t, depth):
                 pass
         if remaining:
             for token in _LIMITSET_TOKENS:
-                if token != _INVERSE_TOKEN[last]:
-                    visit(element @ gens.element(token), token, remaining - 1)
+                if token != _INVERSE_TOKEN[word[-1]]:
+                    visit(element @ gens.element(token), word + (token,), remaining - 1)
 
     for token in _LIMITSET_TOKENS:
-        visit(gens.element(token), token, depth - 1)
-    return np.array(sorted(rows), dtype=float).reshape(-1, 3), solves[0]
+        visit(gens.element(token), (token,), depth - 1)
+    return np.array(sorted(rows), dtype=float).reshape(-1, 3), len(solved)
+
+
+def _limit_set_points_every_word(t, depth):
+    """Reference limit set that solves every loxodromic word, inverses included."""
+    return _limit_set_points_word_by_word(t, depth, skip_inverses=False)
+
+
+def _rows_match(got, want, tol=1e-10):
+    """Every row of each array lies within ``tol`` of a row of the other, in the max-norm."""
+    gap = np.max(np.abs(got[:, None, :] - want[None, :, :]), axis=-1)
+    return float(gap.min(axis=1).max()) <= tol and float(gap.min(axis=0).max()) <= tol
 
 
 def test_limit_set_solves_each_inverse_pair_once(monkeypatch):
-    solves = []
+    # the loxodromic words go to one stacked solve; a word and its inverse
+    # share their fixed pair, so half the reference's solves are handed in
+    solved = []
 
-    def counted(element):
-        solves.append(element)
-        return fixed_points_boundary(element)
+    def counted(stack):
+        solved.append(len(stack))
+        return fixed_points_boundary(stack)
 
     monkeypatch.setattr(verify, "fixed_points_boundary", counted)
     got = limit_set_points(0.41, depth=4)
     want, want_solves = _limit_set_points_every_word(0.41, 4)
-    assert 2 * len(solves) == want_solves
-    assert np.array_equal(got, want)
+    assert len(solved) == 1
+    assert 2 * solved[0] == want_solves
+    assert len(got) == len(want)
+    assert _rows_match(got, want)
 
 
 def test_limit_set_only_drops_near_duplicate_rows():
@@ -404,10 +423,34 @@ def test_limit_set_only_drops_near_duplicate_rows():
     got = limit_set_points(0.37517)
     want, _ = _limit_set_points_every_word(0.37517, 5)
     assert len(got) < len(want)
-    kept = {tuple(row) for row in want}
-    assert all(tuple(row) in kept for row in got)
+    gap = np.max(np.abs(got[:, None, :] - want[None, :, :]), axis=-1)
+    assert float(gap.min(axis=1).max()) <= 1e-10
     gap = np.min(np.linalg.norm(want[:, None, :] - got[None, :, :], axis=-1), axis=1)
     assert float(gap.max()) < 1e-7
+
+
+@given(st.floats(min_value=0.3751, max_value=PARAM_MAX), st.integers(3, 4))
+@settings(max_examples=20, deadline=None)
+def test_stacked_limit_set_matches_the_word_by_word_reference(t, depth):
+    # the stacked words, classification and solve round unlike the scalar
+    # products and solves of one word, but no further than 1e-10
+    got = limit_set_points(t, depth=depth)
+    want, _ = _limit_set_points_word_by_word(t, depth, skip_inverses=True)
+    assert len(got) == len(want)
+    assert _rows_match(got, want)
+
+
+def test_limit_set_export_enters_the_classification_and_solve_spans(monkeypatch, tmp_path):
+    # the benchmark times export limitset inside these two core functions
+    calls = Counter()
+    for name in ("classify_isometry", "fixed_points_boundary"):
+        def counted(g, _name=name, _fn=getattr(verify, name)):
+            calls[_name] += 1
+            return _fn(g)
+
+        monkeypatch.setattr(verify, name, counted)
+    export_geometry("limitset", 0.41, str(tmp_path), depth=3)
+    assert calls == Counter({"classify_isometry": 3, "fixed_points_boundary": 1})
 
 
 def test_small_all_sweep_report_is_pinned():
@@ -455,7 +498,7 @@ _PINNED_EXPORTS = {
         "disks_manifest.json": "f0a2c9f0be02e82a990aea86e3975e7253f1fbe652579f41729a45c2e08278ba",
     },
     ("limitset", 0.39): {
-        "limitset.obj": "dbf28a1be88e7a59f53161cf1cf90a89e792541a7572c6066483cab38ff079bd",
+        "limitset.obj": "f4fa13d4a0c9bcebaa0635a027b0c8ae93600bb7d06ee0c103c0eae945795710",
         "limitset_manifest.json": "ddab713cc2ffbc8ae71e6c5b0c10318dfaeac60d63e5f96225bd30c69d8d4859",
     },
     ("spheres", 0.39): {
@@ -467,7 +510,7 @@ _PINNED_EXPORTS = {
         "spheres_manifest.json": "aafd30b2b9b693918ba34bd058c11415caac88e43dd5ab67471bc65b8322788f",
     },
     ("limitset", 0.41): {
-        "limitset.obj": "c24f495c48f5df1e14e70cb6dacacc11fcd7fe1d370a98b2568638cb155e837a",
+        "limitset.obj": "7635625c484861e2581965834b08e087f142ca7b25bab3e2d8f10eb61fd6526f",
         "limitset_manifest.json": "7721c1d5dd6010a6163a8bf1b13da8c83cb23819de928a5a42a31ba769e21ba2",
     },
 }
