@@ -34,10 +34,8 @@ _EPS = 2.220446049250313e-16
 # Tolerance policy (shared across the package):
 #   EPS_ALG     algebraic identities that hold exactly in exact arithmetic
 #   EPS_CLASS   trace-polynomial discriminant cutoff for classification
-#   EPS_TANGENT separating "tangent" from "meets"/"disjoint" in sphere tests
 EPS_ALG = 1e-10
 EPS_CLASS = 1e-8
-EPS_TANGENT = 1e-5
 
 
 class GeometryError(ValueError):

@@ -16,16 +16,18 @@ so that the rotation g2 acts as k -> k + 2 (mod 8).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .core import (
-    EPS_TANGENT,
     GeometryError,
     SIEGEL,
+    box_product,
+    det3,
     hermitian_product,
     matrix_phase_distance,
     projective_distance,
@@ -58,6 +60,9 @@ def _row_form(u: np.ndarray) -> np.ndarray:
 #: the row form of the centre lift, shared by every sphere
 _RU = _row_form(Q0)
 _Q0_NORM = complex(hermitian_product(Q0, Q0)).real
+#: ``|det[Q0, v_j, v_k]|`` over the product of the three lengths below this
+#: puts the two defining points on one complex line with the centre
+_COLLINEAR = 1e-9
 
 _SHADOW_PAD = 1.6
 _SHADOW_DOUBLINGS = 12
@@ -153,34 +158,6 @@ class SpinalSphere:
                 return cx, cy, half
             half *= 2.0
         raise GeometryError("could not bound the sphere's shadow")
-
-    def sample_points(self, n: int = 48) -> np.ndarray:
-        """Lift samples covering the sphere: both vertical roots per site."""
-        cx, cy, half = self.shadow_window()
-        xs = np.linspace(cx - half, cx + half, n)
-        ys = np.linspace(cy - half, cy + half, n)
-        X, Y = np.meshgrid(xs, ys)
-        z = (X + 1j * Y).ravel()
-        A, B, C = self.vertical_quadratic(z)
-        disc = B * B - 4.0 * A * C
-        keep = disc >= 0.0
-        if not np.any(keep):
-            raise GeometryError("no sphere points found in the shadow window")
-        z = z[keep]
-        B, C = B[keep], C[keep]
-        root = np.sqrt(disc[keep])
-        if abs(A) < 1e-14:
-            vs = [-C / np.where(np.abs(B) < 1e-300, 1.0, B)]
-        else:
-            vs = [(-B - root) / (2 * A), (-B + root) / (2 * A)]
-        blocks = []
-        for v in vs:
-            lifts = np.empty((z.size, 3), dtype=complex)
-            lifts[:, 0] = (-(z.real**2 + z.imag**2) + 1j * v) / 2.0
-            lifts[:, 1] = z
-            lifts[:, 2] = 1.0
-            blocks.append(lifts)
-        return np.concatenate(blocks, axis=0)
 
 
 def _window_frame(cx: float, cy: float, half: float, n: int) -> np.ndarray:
@@ -374,58 +351,87 @@ def giraud_order3_certificate(config: DirichletConfig) -> float:
     return worst
 
 
+def _torus_margin(p: np.ndarray, r: np.ndarray) -> float:
+    """Giraud's test for the coequidistant bisectors of ``(Q0, p)`` and ``(Q0, r)``.
+
+    A point of both is ``x(a, b) = box(p - e^{ia} Q0, r - e^{ib} Q0)``, which is
+    ``b0 - e^{-ia} b1 - e^{-ib} w`` (``box`` is conjugate-bilinear), and the
+    closures meet iff ``<x, x> <= 0`` somewhere on the torus.  Over ``b`` its
+    minimum is ``h - 2|c|`` with ``h = h0 - 2 Re(h1 e^{ia})``, ``c = c0 - e^{-ia} c1``.
+    Where ``h > 0`` that has the sign of ``F = h^2 - 4|c|^2``, a trigonometric
+    polynomial ``sum f_n e^{ina}`` of degree 2, least at a unit-circle root of
+    ``sum n f_n z^{n+2}``.  The margin, ``(h - 2|c|)/(h + 2|c|)`` there, is free
+    of the lifts' scales and positive iff the spheres miss; it is -1 if ``h``
+    is somewhere not positive, and NaN on non-finite input.
+    """
+    b0, b1, w = box_product(p, r), box_product(Q0, r), box_product(p, Q0)
+    h0 = (hermitian_product(b0, b0) + hermitian_product(b1, b1) + hermitian_product(w, w)).real
+    h1, c0, c1 = hermitian_product(b0, b1), hermitian_product(b0, w), hermitian_product(b1, w)
+    if not np.all(np.isfinite([h0, h1, c0, c1])):
+        return math.nan
+    if h0 <= 2.0 * abs(h1):
+        return -1.0
+    f1, f2 = 4.0 * c0 * np.conj(c1) - 2.0 * h0 * h1, h1 * h1
+    roots = np.roots([2.0 * f2, f1, 0.0, -np.conj(f1), -2.0 * np.conj(f2)])
+    z = np.append(np.exp(1j * np.angle(roots)), 1.0)
+    h = h0 - 2.0 * (h1 * z).real
+    c2 = 2.0 * np.abs(c0 - c1 * np.conj(z))
+    i = int(np.argmin(h * h - c2 * c2))
+    return float((h[i] - c2[i]) / (h[i] + c2[i]))
+
+
+def _interleave_margin(s: SpinalSphere, other: SpinalSphere) -> float:
+    """Spheres whose defining points lie on one complex line ``L`` with ``Q0``.
+
+    Each bisector is the preimage of its spine under projection to ``L``, so
+    the two meet iff the spine endpoints interleave on ``∂L``, where ``X``
+    sits at angle ``arg(<X, e> / <X, Q0>)`` for ``e`` the part of ``s.v``
+    orthogonal to ``Q0``.  The margin is the least angle between an endpoint
+    of each spine, negated if they interleave.
+    """
+    e = s.v - hermitian_product(s.v, Q0) / _Q0_NORM * Q0
+    lo, hi, *ends = (float(np.angle(hermitian_product(x, e) / hermitian_product(x, Q0)))
+                     for sphere in (s, other) for x in sphere.spine_endpoints())
+    lo, hi = sorted((lo, hi))
+    gap = min(abs(math.remainder(x - y, 2.0 * math.pi)) for x in ends for y in (lo, hi))
+    return -gap if (lo < ends[0] < hi) != (lo < ends[1] < hi) else gap
+
+
 @dataclass(frozen=True)
 class PairRelation:
-    """Outcome of probing sphere j with a sample cloud of sphere k."""
+    """How spheres j and k sit: a scale-free margin, positive iff they miss.
+    A NaN margin reads as not meeting; a record must fail on the NaN itself."""
 
     j: int
     k: int
     separation: int  # circular index distance, 1..4
-    meets: bool
-    min_side: float
-    max_side: float
+    margin: float
 
     @property
-    def margin(self) -> float:
-        """Distance of the sampled side values from zero (disjoint case)."""
-        if self.meets:
-            return 0.0
-        return min(abs(self.min_side), abs(self.max_side))
+    def meets(self) -> bool:
+        return self.margin <= 0.0
 
 
-def pair_relation(config: DirichletConfig, j: int, k: int,
-                  clouds: Mapping[int, np.ndarray]) -> PairRelation:
-    """Classify how spheres j and k sit relative to each other.
+def pair_relation(config: DirichletConfig, j: int, k: int) -> PairRelation:
+    """Decide whether spheres j and k meet, in closed form.
 
-    Probes each sphere's side function with the other's sample cloud;
-    a sign change (or a value within ``EPS_TANGENT`` of zero) in either
-    direction means the spheres meet.  Running both directions makes the
-    verdict independent of which window covers better.  ``clouds`` maps
-    canonical indices to their ``sample_points`` clouds.
+    Where ``Q0``, ``v_j`` and ``v_k`` span one complex line (relative
+    determinant below ``_COLLINEAR``) the torus collapses and the spine
+    endpoints decide; otherwise Giraud's torus does.  The pair is taken in
+    ascending order, so ``(j, k)`` and ``(k, j)`` give the same relation.
     """
-    j = canonical_index(j)
-    k = canonical_index(k)
-    lo = math.inf
-    hi = -math.inf
-    for a, b in ((j, k), (k, j)):
-        vals = config.sphere(a).side_of_lifts(clouds[b])
-        lo = min(lo, float(np.min(vals)))
-        hi = max(hi, float(np.max(vals)))
-    meets = (lo <= EPS_TANGENT and hi >= -EPS_TANGENT)
-    d = abs(j - k) % 8
-    sep = min(d, 8 - d)
-    return PairRelation(j, k, sep, meets, lo, hi)
+    j, k = sorted((canonical_index(j), canonical_index(k)))
+    m = np.stack([Q0, config.sphere(j).v, config.sphere(k).v])
+    if abs(det3(m)) < _COLLINEAR * np.prod(np.linalg.norm(m, axis=1)):
+        margin = _interleave_margin(config.sphere(j), config.sphere(k))
+    else:
+        margin = _torus_margin(m[1], m[2])
+    return PairRelation(j, k, min(k - j, 8 - k + j), margin)
 
 
 def pairwise_relations(config: DirichletConfig) -> List[PairRelation]:
-    """All 28 pair relations; each sphere is sampled once and probed seven times."""
-    clouds = {s.index: s.sample_points() for s in config.spheres}
-    out = []
-    for j in CANONICAL_INDICES:
-        for k in CANONICAL_INDICES:
-            if j < k:
-                out.append(pair_relation(config, j, k, clouds))
-    return out
+    """All 28 pair relations, in ascending ``(j, k)`` order."""
+    return [pair_relation(config, j, k) for j, k in itertools.combinations(CANONICAL_INDICES, 2)]
 
 
 def expected_to_meet(separation: int) -> bool:

@@ -192,21 +192,12 @@ class ChordSegment:
     x_hi: float
     plane: ContactPlane
 
-    def point_at(self, x: float) -> HeisenbergPoint:
-        z = self.point + x * self.direction
-        return HeisenbergPoint(z, self.plane.height_at(z))
-
-    def sample(self, n: int):
-        if n < 2:
-            raise GeometryError("need at least two samples")
-        xs = np.linspace(self.x_lo, self.x_hi, n)
-        return [self.point_at(float(x)) for x in xs]
-
     def sample_lifts(self, n: int) -> np.ndarray:
-        """(n, 3) standard lifts of :meth:`sample`, equal to theirs bit for bit.
+        """(n, 3) standard lifts of ``n`` evenly spaced points of the segment.
 
-        ``|z|^2`` is Python's ``abs(z) ** 2`` per point, as in
-        :meth:`HeisenbergPoint.lift`; ``np.abs`` rounds differently.
+        Each row equals :meth:`HeisenbergPoint.lift` of its point, at height
+        ``plane.height_at(z)``, bit for bit: ``|z|^2`` is Python's
+        ``abs(z) ** 2`` per point, as there; ``np.abs`` rounds differently.
         """
         if n < 2:
             raise GeometryError("need at least two samples")

@@ -319,10 +319,12 @@ def _dirichlet_cell(scene: crown.Scene) -> List[Record]:
     out = []
     rels = pairwise_relations(config)
     for rel in rels:
-        ok = rel.meets == expected_to_meet(rel.separation)
-        out.append(_rec("dirichlet", t, f"sphere-pair:{rel.j}-{rel.k}",
-                        rel.min_side, rel.margin, ok))
-    sep3 = min(r.margin for r in rels if r.separation == 3)
+        # the record's margin is negated for pairs that should meet, so it
+        # points toward the expected verdict
+        expected = expected_to_meet(rel.separation)
+        out.append(_rec("dirichlet", t, f"sphere-pair:{rel.j}-{rel.k}", rel.margin,
+                        -rel.margin if expected else rel.margin, rel.meets == expected))
+    sep3 = _worst([r.margin for r in rels if r.separation == 3])
     out.append(_rec("dirichlet", t, "sep3-min-margin", sep3, sep3, sep3 > 0.0))
     for key, fn in (
         ("symmetry-rotation", symmetry_certificate),

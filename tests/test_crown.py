@@ -464,7 +464,7 @@ def test_chord_bounds_are_honest(t):
     d2 = AffineDisk(ccircle_from_polar(crown.alpha2_polar(t)))
     seg = disk_intersection_segment(d1, d2)
     lo, hi = crown._chord_bounds(coefficients(t))
-    got = sorted(complex(seg.point_at(x).z).real for x in (seg.x_lo, seg.x_hi))
+    got = sorted((seg.point + x * seg.direction).real for x in (seg.x_lo, seg.x_hi))
     assert got[0] == pytest.approx(lo, abs=1e-9)
     assert got[1] == pytest.approx(hi, abs=1e-9)
 

@@ -2,16 +2,12 @@
 
 import ast
 import pathlib
-import re
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "chcrown"
 
 #: click calls the command callbacks; nothing in the package names them
 CLI_COMMANDS = {"cli.verify_cmd", "cli.export", "cli.table1_cmd", "cli.report"}
-
-#: a Sphinx cross-reference such as :meth:`sample` or :func:`core.det3`
-_ROLE = re.compile(r":(?:func|meth|class|attr):`~?([\w.]+)`")
 
 
 def _definitions(tree):
@@ -26,15 +22,13 @@ def _definitions(tree):
 
 
 def _references(tree):
-    """(name, line) of every identifier, attribute and docstring cross-reference."""
+    """(name, line) of every identifier and attribute; a docstring's
+    cross-reference such as :meth:`lift` is no use of what it names."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
             yield node.attr, node.lineno
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            for target in _ROLE.findall(node.value):
-                yield target.split(".")[-1], node.lineno
 
 
 def test_every_definition_is_referenced_in_the_package():

@@ -1,5 +1,8 @@
 """The eight spinal spheres: side functions, pair relations, meshes."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +16,13 @@ from chcrown import (
     pairwise_relations,
     sphere_mesh,
 )
+from chcrown import verify
+from chcrown.crown import Scene
 from chcrown.dirichlet import (
     SpinalSphere,
+    _COLLINEAR,
+    _interleave_margin,
+    _torus_margin,
     canonical_index,
     defining_word,
     fixed_point_lifts,
@@ -30,6 +38,31 @@ from chcrown.triangle import Q0
 
 params = st.floats(min_value=PARAM_MIN + 1e-4, max_value=PARAM_MAX,
                    allow_nan=False, allow_infinity=False)
+
+
+def _sample_points(sphere, n=48):
+    """Lift samples covering the sphere: both vertical roots per grid site."""
+    cx, cy, half = sphere.shadow_window()
+    X, Y = np.meshgrid(np.linspace(cx - half, cx + half, n), np.linspace(cy - half, cy + half, n))
+    z = (X + 1j * Y).ravel()
+    A, B, C = sphere.vertical_quadratic(z)
+    disc = B * B - 4.0 * A * C
+    keep = disc >= 0.0
+    assert np.any(keep) and abs(A) >= 1e-14
+    z, B, root = z[keep], B[keep], np.sqrt(disc[keep])
+    blocks = []
+    for v in ((-B - root) / (2 * A), (-B + root) / (2 * A)):
+        blocks.append(np.stack([(-(z.real**2 + z.imag**2) + 1j * v) / 2.0, z, np.ones_like(z)],
+                               axis=-1))
+    return np.concatenate(blocks)
+
+
+def _sampled_meets(config, clouds, j, k):
+    """The sampled reference: each sphere's side values on the other's samples
+    change sign, or come within the 1e-5 tangency band of zero."""
+    vals = np.concatenate([config.sphere(j).side_of_lifts(clouds[k]),
+                           config.sphere(k).side_of_lifts(clouds[j])])
+    return bool(vals.min() <= 1e-5 and vals.max() >= -1e-5)
 
 
 def test_index_maps_are_mutually_inverse():
@@ -81,7 +114,7 @@ def test_in_boundary_domain_is_the_side_matrix_maximum(t):
     z = rng.normal(scale=2.0, size=512) + 1j * rng.normal(scale=2.0, size=512)
     v = rng.normal(scale=4.0, size=512)
     cloud = np.stack([(-np.abs(z) ** 2 + 1j * v) / 2.0, z, np.ones_like(z)], axis=-1)
-    pts = np.concatenate([s.sample_points(24) for s in config.spheres] + [cloud])
+    pts = np.concatenate([_sample_points(s, 24) for s in config.spheres] + [cloud])
     want = np.max(config.side_matrix(pts), axis=1) <= 0.0
     assert np.array_equal(config.in_boundary_domain(pts), want)
 
@@ -125,23 +158,90 @@ def test_expected_to_meet_cutoff():
 
 
 def test_pair_relation_is_symmetric(config_041):
-    clouds = {k: config_041.sphere(k).sample_points(96) for k in (2, 5)}
-    a = pair_relation(config_041, 2, 5, clouds)
-    b = pair_relation(config_041, 5, 2, clouds)
-    assert a.separation == b.separation
+    a = pair_relation(config_041, 2, 5)
+    b = pair_relation(config_041, 5, 2)
+    assert a.separation == b.separation == 3
     assert a.meets == b.meets
+    assert a == b
 
 
 def test_sep3_margin_shrinks_toward_parabolic_end():
-    # near t = 3/8 the distance-3 spheres almost touch; with the side
-    # function normalized on the center lift of square -2 the margin at
-    # 3/8 + 1e-4 comes out just above 0.05 and grows monotonically with t
+    # near t = 3/8 the distance-3 spheres almost touch: the torus margin
+    # (h - 2|c|)/(h + 2|c|) is 3.56e-4 at 3/8 + 1e-4 and grows monotonically
+    # with t, to 0.244 at sqrt(2) - 1
     margins = []
     for t in (0.3751, 0.39, 0.41, PARAM_MAX):
         rels = pairwise_relations(DirichletConfig.build(t))
         margins.append(min(r.margin for r in rels if r.separation == 3))
-    assert 0.0 < margins[0] < 0.06
+    assert 0.0 < margins[0] < 1e-3
     assert margins == sorted(margins)
+
+
+@given(params)
+@settings(max_examples=12, deadline=None)
+def test_torus_verdicts_equal_the_sampled_reference(t):
+    config = DirichletConfig.build(t)
+    clouds = {s.index: _sample_points(s) for s in config.spheres}
+    for rel in pairwise_relations(config):
+        assert rel.meets == _sampled_meets(config, clouds, rel.j, rel.k), (t, rel)
+
+
+@given(params)
+@settings(max_examples=20, deadline=None)
+def test_opposite_pairs_are_collinear_and_do_not_interleave(t):
+    # for separation 4 the centre and both defining points span one complex
+    # line, so the spines decide; no other pair comes near that line, and no
+    # opposite pair's spine endpoints interleave (1.68 rad apart at least)
+    config = DirichletConfig.build(t)
+    for j, k in itertools.combinations(range(1, 9), 2):
+        m = np.stack([Q0, config.sphere(j).v, config.sphere(k).v])
+        rel_det = abs(np.linalg.det(m)) / np.prod(np.linalg.norm(m, axis=1))
+        margin = pair_relation(config, j, k).margin
+        if k - j == 4:
+            assert rel_det < 1e-14 < _COLLINEAR
+            assert margin == _interleave_margin(config.sphere(j), config.sphere(k)) > 1.5
+        else:
+            assert rel_det > 0.2 > _COLLINEAR
+            assert margin == _torus_margin(m[1], m[2])
+
+
+@pytest.mark.parametrize("t", [0.39, 0.41, PARAM_MAX])
+def test_torus_margin_matches_a_torus_grid(t):
+    # over b, <x, x> runs between h - 2|c| and h + 2|c|; read both off a grid
+    # of the torus and take their ratio where their product is least
+    config = DirichletConfig.build(t)
+    a = np.linspace(0.0, 2.0 * np.pi, 361)
+    ea, eb = np.exp(1j * a)[:, None, None], np.exp(1j * a)[None, :, None]
+    for j, k in itertools.combinations(range(1, 9), 2):
+        if k - j == 4:
+            continue
+        p, r = config.sphere(j).v, config.sphere(k).v
+        # box(u, w) is the form's transform of conj(u x w), with the same self-product
+        x = np.cross(p - ea * Q0, r - eb * Q0)
+        xx = (2.0 * x[..., 0] * np.conj(x[..., 2])).real + np.abs(x[..., 1]) ** 2
+        lo, hi = xx.min(axis=1), xx.max(axis=1)
+        i = np.argmin(lo * hi)
+        assert _torus_margin(p, r) == pytest.approx(lo[i] / hi[i], abs=1e-4), (j, k)
+
+
+def test_non_finite_torus_input_gives_nan_and_fails_the_record(config_041, monkeypatch):
+    bad = config_041.sphere(1).v.copy()
+    bad[0] = np.nan
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(_torus_margin(bad, config_041.sphere(4).v))
+        assert math.isnan(_torus_margin(config_041.sphere(1).v, bad * np.inf))
+    # a NaN from the kernel for the pairs with sphere 8 must fail exactly
+    # their records, whatever their separation (4-8 is decided by its spines),
+    # and the separation-3 minimum, though other separation-3 pairs are finite
+    v8, kernel = config_041.sphere(8).v, _torus_margin
+    monkeypatch.setattr("chcrown.dirichlet._torus_margin",
+                        lambda p, r: math.nan if np.array_equal(r, v8) else kernel(p, r))
+    recs = {r.key: r for r in verify._dirichlet_cell(Scene(0.41))}
+    pairs = [r for key, r in recs.items() if key.startswith("sphere-pair:")]
+    assert len(pairs) == 28
+    for r in pairs:
+        assert r.passed == (not r.key.endswith("-8") or r.key == "sphere-pair:4-8"), r.key
+    assert not recs["sep3-min-margin"].passed
 
 
 @given(params)
@@ -179,7 +279,7 @@ def test_sphere_mesh_lies_on_the_sphere(config_041):
 
 def test_mesh_equivariance(config_041):
     # g2 carries the samples of sphere 1 onto sphere 3
-    imgs = config_041.sphere(1).sample_points(16) @ config_041.gens.g2.matrix.T
+    imgs = _sample_points(config_041.sphere(1), 16) @ config_041.gens.g2.matrix.T
     imgs = imgs[np.abs(imgs[:, 2]) > 1e-12]
     vals = config_041.sphere(3).side_of_lifts(imgs / imgs[:, 2:3])
     assert float(np.max(np.abs(vals))) < 1e-8

@@ -459,7 +459,7 @@ def test_small_all_sweep_report_is_pinned():
     cfg = SweepConfig(t_min=0.39, t_max=0.41, steps=5)
     serial = run_suite("all", cfg).to_json()
     assert hashlib.sha256(serial.encode()).hexdigest() == (
-        "4e4b43300ad301d3fe9b66dc7a3db78e2b806476203c9b956ed0526f5a8d7cb6")
+        "feca65a101bc37922063fe0ff1e7471ba7309c450ffb5952f9485b452badaab1")
     summary = json.loads(serial)["summary"]
     assert (summary["records"], summary["failed"]) == (466, 6)
     assert run_suite("all", cfg, jobs=2).to_json() == serial
