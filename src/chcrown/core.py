@@ -12,7 +12,9 @@ isometries as 3x3 matrices, a closed-form eigensolver for 3x3 complex
 matrices, trace-based classification of isometries, boundary fixed points,
 complex reflections, and projective comparison of vectors and matrices.
 Everything here works in double precision: ``complex128`` arrays and
-``float``/``complex`` scalars.
+``float``/``complex`` scalars.  The eigen arithmetic has one path: matrices
+are classified and solved as ``(n, 3, 3)`` stacks, and a single
+:class:`GroupElement` as the one-row stack of its matrix.
 The form, group products, inverses, ``det3``, complex reflections and the
 trace discriminant use plain arithmetic only, so they also run on object
 arrays of extended-precision scalars; the extended path of
@@ -21,7 +23,6 @@ arrays of extended-precision scalars; the extended path of
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -43,7 +44,7 @@ class GeometryError(ValueError):
 
 
 class NearParabolicError(GeometryError):
-    """Fixed-point extraction refused because eigenvalue moduli nearly tie."""
+    """Fixed-point extraction refused: the eigenvalue moduli nearly tie, or a lift is not null."""
 
 
 class NormType(enum.Enum):
@@ -173,36 +174,19 @@ def adjugate3(m: np.ndarray) -> np.ndarray:
     return np.array(c, dtype=complex)
 
 
-def solve3(m: np.ndarray, b: np.ndarray):
-    """Cramer solve of a 3x3 system."""
-    d = det3(m)
-    if abs(d) == 0:
-        raise ZeroDivisionError("singular 3x3 system")
-    cols = []
-    for j in range(3):
-        mj = m.copy()
-        mj[:, j] = b
-        cols.append(det3(mj) / d)
-    return np.array(cols, dtype=complex)
-
-
-def _cbrt(z):
-    """Principal complex cube root, of a scalar or elementwise of an array."""
-    if np.ndim(z):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(z == 0, 0.0, np.exp(np.log(z) / 3.0))
-    if z == 0:
-        return 0.0 + 0.0j
-    return cmath.exp(cmath.log(z) / 3.0)
+def _cbrt(z: np.ndarray) -> np.ndarray:
+    """Principal complex cube root, elementwise; 0 where ``z`` is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(z == 0, 0.0, np.exp(np.log(z) / 3.0))
 
 
 def eigvals3(m: np.ndarray):
-    """The three eigenvalues of a 3x3 complex matrix, as a list.
+    """The eigenvalues of ``n`` complex 3x3 matrices, as a list of three arrays.
 
-    Solves the cubic characteristic polynomial in closed form (Cardano).
-    ``m`` may also hold ``n`` matrices as a ``(3, 3, n)`` array, entry
-    ``m[i, j]`` of all of them along the last axis; each eigenvalue is then
-    a length-``n`` array, rounded as elementwise numpy arithmetic rounds.
+    ``m`` is a ``(3, 3, n)`` array, entry ``m[i, j]`` of all ``n`` matrices
+    along the last axis, and each eigenvalue is a length-``n`` array.  The
+    cubic characteristic polynomial is solved in closed form (Cardano), in
+    elementwise numpy arithmetic.
     """
     tr = m[0, 0] + m[1, 1] + m[2, 2]
     minors = (
@@ -218,63 +202,33 @@ def eigvals3(m: np.ndarray):
     q = minors * s - 2 * s**3 - det
     disc = (q / 2) ** 2 + (p / 3) ** 3
     w = complex(-0.5, math.sqrt(3.0) / 2)
-    if np.ndim(disc):
-        sq = np.sqrt(disc)
-        u = _cbrt(-q / 2 + sq)
-        u = np.where(np.abs(u) < 1e-30, _cbrt(-q / 2 - sq), u)
-        zero = np.abs(u) < 1e-30
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = -p / (3 * u)
-        mus = [u + v, w * u + w.conjugate() * v, w.conjugate() * u + w * v]
-        return [np.where(zero, 0.0, mu) + s for mu in mus]
-    sq = cmath.sqrt(disc)
+    sq = np.sqrt(disc)
     u = _cbrt(-q / 2 + sq)
-    if abs(u) < 1e-30:
-        u = _cbrt(-q / 2 - sq)
-    if abs(u) < 1e-30:
-        mus = [0 * s, 0 * s, 0 * s]
-    else:
+    u = np.where(np.abs(u) < 1e-30, _cbrt(-q / 2 - sq), u)
+    zero = np.abs(u) < 1e-30
+    with np.errstate(divide="ignore", invalid="ignore"):
         v = -p / (3 * u)
-        mus = [u + v, w * u + w.conjugate() * v, w.conjugate() * u + w * v]
-    return [mu + s for mu in mus]
+    mus = [u + v, w * u + w.conjugate() * v, w.conjugate() * u + w * v]
+    return [np.where(zero, 0.0, mu) + s for mu in mus]
 
 
-def _eigvec(m: np.ndarray, lam) -> np.ndarray:
-    """Unit eigenvector of ``m`` for the eigenvalue ``lam``.
+def _eigvec(a: np.ndarray, scale: float) -> np.ndarray:
+    """An eigenvector where the adjugate of ``a = m - lam*I`` vanished.
 
-    Taken from the adjugate of ``m - lam*I`` and polished by one step of
-    shifted inverse iteration; the norm is Euclidean.
+    The eigenvalue then has a 2-dim eigenspace, and any vector annihilated
+    by the largest row of ``a`` lies in it.  ``scale`` is the largest entry
+    modulus of ``m`` plus one.
     """
-    eps = _EPS
-    scale = _max_abs(m) + 1.0
-    eye = np.eye(3, dtype=complex)
-    a = m - lam * eye
-    adj = adjugate3(a)
-    norms = [float(sum(_abs2(adj[i, j]) for i in range(3))) for j in range(3)]
-    jbest = int(np.argmax(norms))
-    if norms[jbest] > (eps * scale * scale) ** 2:
-        v = adj[:, jbest].copy()
-    else:
-        # Adjugate vanished: the eigenvalue has a 2-dim eigenspace. Take any
-        # vector annihilated by the largest row of a.
-        rn = [float(sum(_abs2(a[i, j]) for j in range(3))) for i in range(3)]
-        i = int(np.argmax(rn))
-        r = a[i]
-        if rn[i] <= (eps * scale) ** 2:
-            return np.array([1, 0, 0], dtype=complex)  # a ~ 0: anything works
-        k = int(np.argmax([_abs2(x) for x in r]))
-        v = np.zeros(3, dtype=complex)
-        k2 = (k + 1) % 3
-        v[k] = -r[k2]
-        v[k2] = r[k]
-    v = v / math.sqrt(sum(_abs2(x) for x in v))
-    # One step of shifted inverse iteration to polish.
-    shift = lam + (64 * eps * scale) * (1 if abs(lam) == 0 else lam / abs(lam))
-    try:
-        y = solve3(m - shift * eye, v)
-        v = y / math.sqrt(sum(_abs2(x) for x in y))
-    except ZeroDivisionError:
-        pass
+    rn = _abs2(a).sum(axis=1)
+    i = int(np.argmax(rn))
+    if rn[i] <= (_EPS * scale) ** 2:
+        return np.array([1, 0, 0], dtype=complex)  # a ~ 0: anything works
+    r = a[i]
+    k = int(np.argmax(_abs2(r)))
+    k2 = (k + 1) % 3
+    v = np.zeros(3, dtype=complex)
+    v[k] = -r[k2]
+    v[k2] = r[k]
     return v
 
 
@@ -313,7 +267,7 @@ def trace_discriminant(tau):
 
 def _degenerate_kind(m: np.ndarray) -> IsometryClass:
     """Elliptic or parabolic, from the repeated eigenvalue of ``m``."""
-    lams = eigvals3(m)
+    lams = [lam[0] for lam in eigvals3(m[..., None])]
     scale = _max_abs(m) + 1.0
     gaps = [
         (abs(lams[0] - lams[1]), 2), (abs(lams[1] - lams[2]), 0), (abs(lams[0] - lams[2]), 1),
@@ -334,32 +288,28 @@ def _degenerate_kind(m: np.ndarray) -> IsometryClass:
 
 
 def classify_isometry(g) -> Classification:
-    """Classify an isometry as elliptic, parabolic or loxodromic.
+    """Classify isometries as elliptic, parabolic or loxodromic.
 
-    The sign of the trace discriminant decides the regular cases.  On the
-    degenerate locus (|disc| <= EPS_CLASS) the repeated eigenvalue is examined:
-    a diagonalizable matrix is boundary elliptic (this covers complex
-    reflections and reflections in points), a non-diagonalizable one is
-    parabolic.
+    ``g`` is an ``(n, 3, 3)`` array of matrices: ``kind`` is then a
+    length-``n`` object array of :class:`IsometryClass` members and
+    ``discriminant`` a float array.  A :class:`GroupElement` is classified
+    as the one-row stack of its matrix, and answered with one member and
+    one float.
 
-    ``g`` is a :class:`GroupElement`, or an ``(n, 3, 3)`` array of matrices
-    classified together: then ``kind`` is a length-``n`` object array of
-    :class:`IsometryClass` members and ``discriminant`` a float array.  The
-    discriminants of the stack are one array expression; a row off the
-    regular cases, a NaN one included, is examined as a single matrix is.
+    The sign of the trace discriminant decides the regular cases, as one
+    array expression.  On the degenerate locus (|disc| <= EPS_CLASS, or NaN)
+    the repeated eigenvalue of the row is examined: a diagonalizable matrix
+    is boundary elliptic (this covers complex reflections and reflections in
+    points), a non-diagonalizable one is parabolic.
     """
-    if isinstance(g, GroupElement):
-        disc = trace_discriminant(g.trace)
-        if disc > EPS_CLASS:
-            return Classification(IsometryClass.LOXODROMIC, disc)
-        if disc < -EPS_CLASS:
-            return Classification(IsometryClass.ELLIPTIC, disc)
-        return Classification(_degenerate_kind(g.matrix), disc)
-    stack = np.asarray(g)
+    one = isinstance(g, GroupElement)
+    stack = g.matrix[None] if one else np.asarray(g)
     disc = trace_discriminant(stack[:, 0, 0] + stack[:, 1, 1] + stack[:, 2, 2])
     kind = np.where(disc > EPS_CLASS, IsometryClass.LOXODROMIC, IsometryClass.ELLIPTIC)
     for i in np.flatnonzero(~(np.abs(disc) > EPS_CLASS)):
         kind[i] = _degenerate_kind(stack[i])
+    if one:
+        return Classification(kind[0], float(disc[0]))
     return Classification(kind, disc)
 
 
@@ -368,50 +318,34 @@ _MIN_SEPARATION = 1e-6
 
 
 def fixed_points_boundary(g):
-    """Attractive and repulsive boundary fixed points of a loxodromic map.
+    """Attractive and repulsive boundary fixed points of loxodromic maps.
 
-    Returns ``(attractive, repulsive)`` as null lifts, unit ``(3,)`` arrays.
-    Raises :class:`NearParabolicError` when the extreme eigenvalue moduli
-    differ by less than ``_MIN_SEPARATION``: so close to the parabolic locus
-    the eigenvectors are too ill-conditioned to certify anything.
+    ``g`` is an ``(n, 3, 3)`` array of matrices, solved together:
+    ``attractive`` and ``repulsive`` are ``(n, 3)`` arrays of unit null
+    lifts.  A row is NaN where its extreme eigenvalue moduli differ by less
+    than ``_MIN_SEPARATION`` (so close to the parabolic locus the
+    eigenvectors are too ill-conditioned to certify anything), where a lift
+    is not null within ``EPS_ALG``, or where the matrix is not finite.  A
+    :class:`GroupElement` is solved as the one-row stack of its matrix and
+    answered with two ``(3,)`` arrays, or :class:`NearParabolicError` where
+    its row is NaN.
 
-    ``g`` may also be an ``(n, 3, 3)`` array of matrices, solved together:
-    ``attractive`` and ``repulsive`` are then ``(n, 3)`` arrays, and a row
-    is NaN where one matrix would raise.  Every check of the single solve is
-    made row by row: the separation and null tests, the adjugate column
-    (a row whose adjugate vanished takes the single solve's fallback) and
-    the Cramer polish step (a row with a singular system keeps its
-    unpolished vector).  Elementwise numpy arithmetic rounds unlike the
-    scalar arithmetic of one matrix, so the two paths agree to rounding,
-    not bit for bit.
+    Each eigenvector is the largest column of the adjugate of ``m - lam*I``,
+    or :func:`_eigvec` where that adjugate vanished, polished by one step of
+    shifted inverse iteration (a row with a singular system keeps its
+    unpolished vector); the norm is Euclidean.
     """
-    if isinstance(g, GroupElement):
-        lams = eigvals3(g.matrix)
-        order = sorted(range(3), key=lambda i: -float(abs(lams[i])))
-        hi, lo = order[0], order[2]
-        sep = float(abs(lams[hi]) - abs(lams[lo]))
-        if sep < _MIN_SEPARATION:
-            raise NearParabolicError(
-                f"eigenvalue moduli differ by {sep:.3e} < {_MIN_SEPARATION:.1e}; "
-                "refusing fixed points this close to the parabolic locus"
-            )
-        att = _eigvec(g.matrix, lams[hi])
-        rep = _eigvec(g.matrix, lams[lo])
-        for v in (att, rep):
-            if norm_type(v) is not NormType.NULL:
-                raise GeometryError("loxodromic fixed point lift is not null")
-        return att, rep
-    stack = np.asarray(g, dtype=complex)
+    one = isinstance(g, GroupElement)
+    stack = np.asarray(g.matrix[None] if one else g, dtype=complex)
     n = len(stack)
     # 0/0 and inf - inf make NaN rows, which the checks below refuse
     with np.errstate(divide="ignore", invalid="ignore"):
         lams = np.stack(eigvals3(stack.transpose(1, 2, 0)), axis=1)
         mods = np.abs(lams)
-        # a stable sort by decreasing modulus, as ``sorted`` orders one matrix
         order = np.argsort(-mods, axis=1, kind="stable")
         rows = np.arange(n)
         hi, lo = order[:, 0], order[:, 2]
-        near = mods[rows, hi] - mods[rows, lo] < _MIN_SEPARATION
+        near = ~(mods[rows, hi] - mods[rows, lo] >= _MIN_SEPARATION)
         # both eigenvectors of every row as one batch: attractive, then repulsive
         mats = np.concatenate([stack, stack])
         lam = np.concatenate([lams[rows, hi], lams[rows, lo]])
@@ -423,6 +357,8 @@ def fixed_points_boundary(g):
         best = np.argmax(norms, axis=0)
         batch = np.arange(2 * n)
         vecs = adj[:, best, batch].T
+        for k in np.flatnonzero(norms[best, batch] <= (_EPS * scale * scale) ** 2):
+            vecs[k] = _eigvec(a[k], scale[k])
         vecs = vecs / np.sqrt(_abs2(vecs).sum(axis=1))[:, None]
         # one step of shifted inverse iteration, by Cramer's rule
         mod = np.abs(lam)
@@ -439,16 +375,24 @@ def fixed_points_boundary(g):
         y = np.stack(cols, axis=1)
         y = y / np.sqrt(_abs2(y).sum(axis=1))[:, None]
         vecs = np.where(singular[:, None], vecs, y)
-        # an adjugate that vanished: the single solve's fallback, row by row
-        for k in np.flatnonzero(~(norms[best, batch] > (_EPS * scale * scale) ** 2)):
-            vecs[k] = _eigvec(mats[k], lam[k])
         # the null test of ``norm_type``: <v, v> within EPS_ALG of 0 relative to |v|^2
-        size = _abs2(vecs).sum(axis=1)
-        rel = (np.conj(vecs) * (vecs @ SIEGEL)).sum(axis=1).real / size
-        bad = (size == 0) | (np.abs(rel) > EPS_ALG)
+        rel = (np.conj(vecs) * (vecs @ SIEGEL)).sum(axis=1).real / _abs2(vecs).sum(axis=1)
+        bad = ~(np.abs(rel) <= EPS_ALG)
         failed = near | bad[:n] | bad[n:]
         vecs[np.concatenate([failed, failed])] = np.nan
+    if one:
+        return _fixed_row(vecs[:n], vecs[n:], 0)
     return vecs[:n], vecs[n:]
+
+
+def _fixed_row(att: np.ndarray, rep: np.ndarray, k: int):
+    """Row ``k`` of a stacked :func:`fixed_points_boundary`, refusing a NaN row."""
+    if np.isnan(att[k]).any() or np.isnan(rep[k]).any():
+        raise NearParabolicError(
+            f"no boundary fixed points: the extreme eigenvalue moduli differ by less "
+            f"than {_MIN_SEPARATION:.1e}, or a fixed point lift is not null"
+        )
+    return att[k], rep[k]
 
 
 def complex_reflection_from_polar(c) -> GroupElement:

@@ -27,6 +27,7 @@ from .core import (
     GeometryError,
     GroupElement,
     _abs2,
+    _fixed_row,
     box_product,
     fixed_points_boundary,
     hermitian_product,
@@ -527,17 +528,22 @@ class Scene:
     def __init__(self, t: float):
         self.t = t
         self._arcs: Dict[str, ArcReport] = {}
-        self._fixed: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
 
     @cached_property
     def config(self) -> DirichletConfig:
         return DirichletConfig.build(self.t)
 
+    @cached_property
+    def _base_fixed(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Both base maps solved as one two-row stack: alpha, then beta."""
+        gens = self.config.gens
+        return fixed_points_boundary(np.stack([base_map(gens, family).matrix
+                                               for family in ("alpha", "beta")]))
+
     def fixed_points(self, family: str) -> Tuple[np.ndarray, np.ndarray]:
-        """Attracting and repelling fixed points of the family's :func:`base_map`."""
-        if family not in self._fixed:
-            self._fixed[family] = fixed_points_boundary(base_map(self.config.gens, family))
-        return self._fixed[family]
+        """Attracting and repelling fixed points of the family's :func:`base_map`,
+        or ``NearParabolicError`` where its row of the stack is NaN."""
+        return _fixed_row(*self._base_fixed, 0 if family == "alpha" else 1)
 
     @cached_property
     def polars(self) -> Dict[str, np.ndarray]:

@@ -19,6 +19,7 @@ only when that path runs.
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import math
 from dataclasses import dataclass
@@ -32,7 +33,6 @@ from .core import (
     GeometryError,
     GroupElement,
     IsometryClass,
-    _cbrt,
     classify_isometry,
     complex_reflection_from_polar,
     det3,
@@ -273,7 +273,7 @@ def _renormalize_det(g: GroupElement, extended: bool) -> GroupElement:
 
         r = mpmath.cbrt(d)
     else:
-        r = _cbrt(d)
+        r = cmath.exp(cmath.log(d) / 3.0)
     return GroupElement(g.matrix / r)
 
 

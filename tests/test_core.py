@@ -1,4 +1,4 @@
-"""Scalar kernels: Hermitian form, 3x3 eigen machinery, classification."""
+"""Kernels: Hermitian form, 3x3 eigen machinery, classification."""
 
 import cmath
 
@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from chcrown import (
     PARAM_MIN,
-    GeometryError,
     GroupElement,
     IsometryClass,
     NearParabolicError,
@@ -22,7 +21,6 @@ from chcrown.core import (
     EPS_ALG,
     NormType,
     SIEGEL,
-    _eigvec,
     adjugate3,
     box_product,
     det3,
@@ -77,14 +75,16 @@ def test_det_and_adjugate_agree_with_numpy():
 
 
 def test_eig3_reproduces_eigenpairs():
-    # the closed-form eigenvalues and the adjugate eigenvectors that
-    # fixed_points_boundary solves with
+    # the closed-form eigenvalues of a (3, 3, n) stack, against LAPACK's;
+    # diag(4, 4, 1/4) has a double root
     rng = np.random.default_rng(11)
-    for _ in range(20):
-        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        lams = eigvals3(m)
-        for lam, vec in zip(lams, [_eigvec(m, lam) for lam in lams]):
-            assert float(np.linalg.norm(m @ vec - lam * vec)) < 1e-8 * np.linalg.norm(m)
+    m = rng.normal(size=(20, 3, 3)) + 1j * rng.normal(size=(20, 3, 3))
+    m[-1] = np.diag([4.0, 4.0, 0.25])
+    got = np.stack(eigvals3(m.transpose(1, 2, 0)), axis=1)
+    want = np.linalg.eigvals(m)
+    gap = np.abs(got[:, :, None] - want[:, None, :])
+    tol = 1e-12 * np.linalg.norm(m, axis=(1, 2))[:, None]
+    assert (gap.min(axis=2) < tol).all() and (gap.min(axis=1) < tol).all()
 
 
 def test_trace_discriminant_signs():
@@ -115,7 +115,7 @@ def test_fixed_points_are_fixed_and_null():
 
 def test_fixed_points_near_parabolic_raises():
     gens = build_generators(0.375)
-    with pytest.raises((NearParabolicError, GeometryError)):
+    with pytest.raises(NearParabolicError):
         fixed_points_boundary(gens.g1)
 
 
@@ -126,38 +126,46 @@ def _stack(elements):
 def test_stacked_classification_matches_one_matrix_at_a_time():
     # the stack's regular rows are read off its discriminant array; the
     # degenerate ones (the identity, the parabolic endpoint, NaN) are
-    # examined as one matrix is
+    # examined row by row; the discriminant is prod (lam_i - lam_j)^2 of
+    # LAPACK's eigenvalues
     gens = build_generators(0.39)
     elements = [gens.g1, gens.g2, gens.evaluate_word("I1 I1"), build_generators(PARAM_MIN).g1,
                 gens.g1 @ gens.g3, gens.g2 @ gens.g3.inverse(),
                 GroupElement(np.full((3, 3), np.nan, dtype=complex))]
     got = classify_isometry(_stack(elements))
-    want = [classify_isometry(g) for g in elements]
-    assert list(got.kind) == [w.kind for w in want]
-    assert np.allclose(got.discriminant, [w.discriminant for w in want],
-                       rtol=0.0, atol=1e-12, equal_nan=True)
+    lox, ell, par = IsometryClass.LOXODROMIC, IsometryClass.ELLIPTIC, IsometryClass.PARABOLIC
+    assert list(got.kind) == [lox, ell, ell, par, lox, lox, par]
+    lam = np.linalg.eigvals(_stack(elements[:-1]))
+    want = ((lam[:, 0] - lam[:, 1]) * (lam[:, 1] - lam[:, 2]) * (lam[:, 0] - lam[:, 2])) ** 2
+    assert np.allclose(got.discriminant[:-1], want.real, rtol=0.0, atol=1e-12)
+    assert np.isnan(got.discriminant[-1])
+    for k, g in enumerate(elements):
+        one = classify_isometry(g)
+        assert one.kind is got.kind[k]
+        assert one.discriminant == got.discriminant[k] or np.isnan(one.discriminant)
 
 
 def test_stacked_fixed_points_match_one_matrix_at_a_time():
-    # a row the single solve refuses (an elliptic word, the near-parabolic
-    # g1) is NaN; diag(4, 4, 1/4) has a vanished adjugate and takes the
-    # single solve's fallback
+    # the fixed points are LAPACK's eigenvectors of the extreme-modulus
+    # eigenvalues; a refused row (an elliptic word, the near-parabolic g1) is
+    # NaN, and raises as a single matrix; diag(4, 4, 1/4) has a vanished
+    # adjugate and takes the fallback vector
     gens = build_generators(0.41)
     elements = [gens.g1, gens.g1 @ gens.g3, gens.g3.inverse() @ gens.g1 @ gens.g2,
                 build_generators(0.375).g1, GroupElement(np.diag([4.0, 4.0, 0.25]).astype(complex))]
     att, rep = fixed_points_boundary(_stack(elements))
     assert att.shape == rep.shape == (len(elements), 3)
-    refused = 0
-    for k, g in enumerate(elements):
-        try:
-            want = fixed_points_boundary(g)
-        except GeometryError:
-            refused += 1
-            assert np.isnan(att[k]).all() and np.isnan(rep[k]).all()
-            continue
-        for got, vec in zip((att[k], rep[k]), want):
-            assert projective_distance(got, vec) < 1e-10
-    assert refused == 2
+    lam, vec = np.linalg.eig(_stack(elements))
+    for k in (0, 1, 4):
+        mods = np.abs(lam[k])
+        assert projective_distance(att[k], vec[k][:, np.argmax(mods)]) < 1e-10
+        assert projective_distance(rep[k], vec[k][:, np.argmin(mods)]) < 1e-10
+        one = fixed_points_boundary(elements[k])
+        assert np.array_equal(one[0], att[k]) and np.array_equal(one[1], rep[k])
+    for k in (2, 3):
+        assert np.isnan(att[k]).all() and np.isnan(rep[k]).all()
+        with pytest.raises(NearParabolicError):
+            fixed_points_boundary(elements[k])
 
 
 def test_box_product_of_fixed_points_is_orthogonal_to_them():

@@ -283,6 +283,15 @@ def test_crown_is_fundamental(t):
     assert cert["translate_residual"] < 1e-9
 
 
+def test_scene_refuses_fixed_points_at_the_parabolic_endpoint():
+    # at t = 3/8 both base maps are parabolic: the scene's two-row solve
+    # has NaN rows, which must raise, never come back as fixed points
+    scene = Scene(0.375)
+    for family in ("alpha", "beta"):
+        with pytest.raises(GeometryError):
+            scene.fixed_points(family)
+
+
 def test_real_point_crossing_closed_forms(config_real):
     chart = crown.alpha4_chart(T_REAL)
     x1, y1 = math.sqrt(8.0 * R2 - 11.0), 2.0 * R2 - 2.0

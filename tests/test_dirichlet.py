@@ -205,23 +205,38 @@ def test_opposite_pairs_are_collinear_and_do_not_interleave(t):
             assert margin == _torus_margin(m[1], m[2])
 
 
+def _torus_self_products(p, r):
+    """<x, x> on a 361x361 grid of the torus, a along axis 0 and b along axis 1."""
+    a = np.linspace(0.0, 2.0 * np.pi, 361)
+    ea, eb = np.exp(1j * a)[:, None, None], np.exp(1j * a)[None, :, None]
+    # box(u, w) is the form's transform of conj(u x w), with the same self-product
+    x = np.cross(p - ea * Q0, r - eb * Q0)
+    return (2.0 * x[..., 0] * np.conj(x[..., 2])).real + np.abs(x[..., 1]) ** 2
+
+
 @pytest.mark.parametrize("t", [0.39, 0.41, PARAM_MAX])
 def test_torus_margin_matches_a_torus_grid(t):
     # over b, <x, x> runs between h - 2|c| and h + 2|c|; read both off a grid
     # of the torus and take their ratio where their product is least
     config = DirichletConfig.build(t)
-    a = np.linspace(0.0, 2.0 * np.pi, 361)
-    ea, eb = np.exp(1j * a)[:, None, None], np.exp(1j * a)[None, :, None]
     for j, k in itertools.combinations(range(1, 9), 2):
         if k - j == 4:
             continue
         p, r = config.sphere(j).v, config.sphere(k).v
-        # box(u, w) is the form's transform of conj(u x w), with the same self-product
-        x = np.cross(p - ea * Q0, r - eb * Q0)
-        xx = (2.0 * x[..., 0] * np.conj(x[..., 2])).real + np.abs(x[..., 1]) ** 2
+        xx = _torus_self_products(p, r)
         lo, hi = xx.min(axis=1), xx.max(axis=1)
         i = np.argmin(lo * hi)
         assert _torus_margin(p, r) == pytest.approx(lo[i] / hi[i], abs=1e-4), (j, k)
+
+
+def test_torus_margin_is_minus_one_where_h_is_not_positive():
+    # no coequidistant pair of the family reaches h0 <= 2|h1|, but arbitrary
+    # lifts do: here h0 = 23.5 and |h1| = 11.9, so h = h0 - 2 Re(h1 e^{ia})
+    # is negative for some a, and the bisectors meet
+    p = np.array([-0.65 + 1.49j, -0.13 - 1.26j, 0.78 + 1.51j])
+    r = np.array([1.35 - 0.31j, 0.78 + 1.46j, 0.26 + 1.96j])
+    assert _torus_margin(p, r) == -1.0
+    assert _torus_self_products(p, r).min() <= 0.0
 
 
 def test_non_finite_torus_input_gives_nan_and_fails_the_record(config_041, monkeypatch):

@@ -459,7 +459,7 @@ def test_small_all_sweep_report_is_pinned():
     cfg = SweepConfig(t_min=0.39, t_max=0.41, steps=5)
     serial = run_suite("all", cfg).to_json()
     assert hashlib.sha256(serial.encode()).hexdigest() == (
-        "feca65a101bc37922063fe0ff1e7471ba7309c450ffb5952f9485b452badaab1")
+        "cb7cf44ee76a6048bfe1d95b9af4611e0dff3c34ba405ccec0aab6201833bbdd")
     summary = json.loads(serial)["summary"]
     assert (summary["records"], summary["failed"]) == (466, 6)
     assert run_suite("all", cfg, jobs=2).to_json() == serial
@@ -480,21 +480,21 @@ def test_extended_relations_restore_mpmath_precision():
 
 _PINNED_EXPORTS = {
     ("arcs", 0.39): {
-        "arcs.obj": "c3d931bab17f7c3ef7c5c1a7ffdcbc6f1ab891c78e32e172707955dc12356cbb",
+        "arcs.obj": "9489469850b34f3dc74a6b2815c0441c4c9637af902914719fe42a28b52b6dda",
         "arcs_manifest.json": "393d4064b7848bfd2e0203e6822d0567fc4208dcc109bb3c392c5ed9aaad3101",
     },
     ("arcs", 0.41): {
-        "arcs.obj": "c3e3d3ce6eff0420c70b9e121aa92f2998babad9a14f6a35263fa5cb403588d5",
+        "arcs.obj": "66216bab3cff223c93131732a4acc870131a395bf9be972759a8d19eccdc0c2c",
         "arcs_manifest.json": "5dff5fedf3aec7d0bacbfaf69c6c0fe2d5a915af5c672e811f9638b2c95c15c4",
     },
     ("disks", 0.39): {
-        "disk_certificates.jsonl": "155a6039cef3c2e1515d4868f766ae539a7a9137d845e4b03bcf9a8fc659fdbb",
-        "disks.obj": "d9b21275051f66ec626c5dc45660cb8846f8be677d5606c2c071f757c9dd029d",
+        "disk_certificates.jsonl": "e92c1ad3e78f3dae11a440d8d85f9117700875330ae554038ba9750e7ab8641d",
+        "disks.obj": "5250bb842a2d4b47558f9e314d24f47d343b402c59a49eb60f9416417ed923f1",
         "disks_manifest.json": "bcff74dd37a26ea9ddd283ceafb6239775d5b6fed8debd046be5dc7b830defa2",
     },
     ("disks", 0.41): {
-        "disk_certificates.jsonl": "4a93b457eaddbf26f7c7cf4ac436dc0c1aa18c7d9f8bce03bba893d9c3506a32",
-        "disks.obj": "44e7069e9d2cf4b8b463307d27b0bbdcce3098ddf169d79a340c2397792460ef",
+        "disk_certificates.jsonl": "1fcfb002b810c1716b6208f91bd31bd3a52228e281b5d5b301041e47c2c274ae",
+        "disks.obj": "329097cb995b2f271094e4f97aba58d8e4d86e529c65c94260c392b948b6bd9b",
         "disks_manifest.json": "f0a2c9f0be02e82a990aea86e3975e7253f1fbe652579f41729a45c2e08278ba",
     },
     ("limitset", 0.39): {
