@@ -5,7 +5,7 @@ ideal boundary consists of the null lines.  Everything is measured against
 one Hermitian form, the **Siegel** form ``SIEGEL`` of signature (2,1) with
 anti-diagonal blocks, where the boundary minus a point at infinity carries
 Heisenberg coordinates (see :mod:`chcrown.heisenberg`).  Vectors of C^3 are
-plain ``(3,)`` arrays.
+plain ``(3,)`` arrays, and stacks of them ``(n, 3)`` arrays.
 
 This module provides the form, Hermitian/box products, holomorphic
 isometries as 3x3 matrices, a closed-form eigensolver for 3x3 complex
@@ -14,7 +14,9 @@ complex reflections, and projective comparison of vectors and matrices.
 Everything here works in double precision: ``complex128`` arrays and
 ``float``/``complex`` scalars.  The eigen arithmetic has one path: matrices
 are classified and solved as ``(n, 3, 3)`` stacks, and a single
-:class:`GroupElement` as the one-row stack of its matrix.
+:class:`GroupElement` as the one-row stack of its matrix.  The products and
+distances take stacks row by row too, and round each row as they round a
+lone vector or matrix.
 The form, group products, inverses, ``det3``, complex reflections and the
 trace discriminant use plain arithmetic only, so they also run on object
 arrays of extended-precision scalars; the extended path of
@@ -26,6 +28,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -64,11 +67,21 @@ def _data(v) -> np.ndarray:
     return a
 
 
+def _vectors(v) -> np.ndarray:
+    """``v`` as 3-vectors on the last axis: one ``(3,)`` vector or a stack of them."""
+    a = np.asarray(v)
+    if a.ndim == 0 or a.shape[-1] != 3:
+        raise GeometryError(f"expected 3-vectors, got shape {a.shape}")
+    return a
+
+
 def hermitian_product(v, w):
-    """<v, w> = w^H J v (linear in v, conjugate-linear in w)."""
-    v = _data(v)
-    w = _data(w)
-    return (np.conj(w) * (SIEGEL @ v)).sum()
+    """<v, w> = w^H J v (linear in v, conjugate-linear in w).
+
+    Of two 3-vectors, or row by row of two stacks of them.  ``J`` reverses
+    the coordinates, so ``J v`` is read off ``v`` without a matrix product.
+    """
+    return (np.conj(_vectors(w)) * _vectors(v)[..., ::-1]).sum(axis=-1)
 
 
 def _abs2(x):
@@ -96,23 +109,33 @@ def norm_type(v) -> NormType:
     return NormType.NULL
 
 
+def _cross_rows(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The cross product ``v x w`` of each row of two ``(..., 3)`` arrays,
+    each product rounded as a product of two complex scalars rounds."""
+    ahead, behind = [1, 2, 0], [2, 0, 1]
+    return _cmul(v[..., ahead], w[..., behind]) - _cmul(v[..., behind], w[..., ahead])
+
+
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Complex product rounded as a product of two complex scalars rounds.
+
+    numpy's array loop may fuse the multiply-add of a complex product; this
+    forms each part from separately rounded real products.
+    """
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 def box_product(v, w):
     """Hermitian cross product: a vector orthogonal to both v and w.
 
     For distinct null vectors v, w it is the polar vector of the unique
-    complex geodesic joining the two boundary points.
+    complex geodesic joining the two boundary points.  Of two 3-vectors, or
+    row by row of two stacks of them.
     """
-    v = _data(v)
-    w = _data(w)
-    cross = np.array(
-        [
-            v[1] * w[2] - v[2] * w[1],
-            v[2] * w[0] - v[0] * w[2],
-            v[0] * w[1] - v[1] * w[0],
-        ],
-        dtype=complex,
-    )
-    return SIEGEL @ np.conj(cross)
+    return np.conj(_cross_rows(_vectors(v), _vectors(w)))[..., ::-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,11 +153,19 @@ class GroupElement:
         return GroupElement(SIEGEL @ mh @ SIEGEL)
 
     def apply(self, v):
-        return self.matrix @ _data(v)
+        """The image of a 3-vector, or of each row of a stack of them."""
+        return _apply(self.matrix, _vectors(v))
 
     @property
     def trace(self):
         return self.matrix[0, 0] + self.matrix[1, 1] + self.matrix[2, 2]
+
+
+def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``m @ v`` row by row: a matrix or an ``(n, 3, 3)`` stack applied to a
+    ``(3,)`` vector or an ``(n, 3)`` stack; every row is one matrix-vector
+    product, so it rounds as a lone vector's does."""
+    return (m @ v[..., None])[..., 0]
 
 
 def identity_element() -> GroupElement:
@@ -244,7 +275,8 @@ class IsometryClass(enum.Enum):
 
 @dataclass(frozen=True)
 class Classification:
-    kind: IsometryClass
+    #: ``None`` where the matrix is not finite: such a row has no class
+    kind: Optional[IsometryClass]
     discriminant: float
 
 
@@ -300,13 +332,18 @@ def classify_isometry(g) -> Classification:
     array expression.  On the degenerate locus (|disc| <= EPS_CLASS, or NaN)
     the repeated eigenvalue of the row is examined: a diagonalizable matrix
     is boundary elliptic (this covers complex reflections and reflections in
-    points), a non-diagonalizable one is parabolic.
+    points), a non-diagonalizable one is parabolic.  A row with a NaN or
+    infinite entry gets no class: its kind is ``None`` and its discriminant
+    NaN, so no test for a class passes on it.
     """
     one = isinstance(g, GroupElement)
     stack = g.matrix[None] if one else np.asarray(g)
+    finite = np.isfinite(stack).all(axis=(1, 2))
     disc = trace_discriminant(stack[:, 0, 0] + stack[:, 1, 1] + stack[:, 2, 2])
+    disc = np.where(finite, disc, np.nan)
     kind = np.where(disc > EPS_CLASS, IsometryClass.LOXODROMIC, IsometryClass.ELLIPTIC)
-    for i in np.flatnonzero(~(np.abs(disc) > EPS_CLASS)):
+    kind[~finite] = None
+    for i in np.flatnonzero(finite & ~(np.abs(disc) > EPS_CLASS)):
         kind[i] = _degenerate_kind(stack[i])
     if one:
         return Classification(kind[0], float(disc[0]))
@@ -412,30 +449,45 @@ def complex_reflection_from_polar(c) -> GroupElement:
 # Projective comparison
 
 
-def projective_distance(v, w) -> float:
-    """Scale-invariant distance between lines: ||v x w|| / (||v|| ||w||)."""
-    v = _data(v)
-    w = _data(w)
-    cross = np.array(
-        [
-            v[1] * w[2] - v[2] * w[1],
-            v[2] * w[0] - v[0] * w[2],
-            v[0] * w[1] - v[1] * w[0],
-        ]
-    )
-    nv = math.sqrt(sum(_abs2(x) for x in v))
-    nw = math.sqrt(sum(_abs2(x) for x in w))
-    nc = math.sqrt(sum(_abs2(x) for x in cross))
-    return float(nc / (nv * nw))
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean length of each row, the squares summed left to right."""
+    s = _abs2(v)
+    return np.sqrt(s[:, 0] + s[:, 1] + s[:, 2])
+
+
+def projective_distance(v, w):
+    """Scale-invariant distance between lines: ||v x w|| / (||v|| ||w||).
+
+    ``v`` and ``w`` are ``(n, 3)`` stacks, answered with an array of ``n``
+    distances, or ``(3,)`` vectors, answered as a one-row stack with a float.
+    The cross product is taken in real arithmetic, so each entry rounds as
+    a product of two complex scalars does, never fused.
+    """
+    one = np.ndim(v) == 1 and np.ndim(w) == 1
+    v, w = _vectors(v).reshape(-1, 3), _vectors(w).reshape(-1, 3)
+    out = _row_norms(_cross_rows(v, w)) / (_row_norms(v) * _row_norms(w))
+    return float(out[0]) if one else out
 
 
 _CUBE_ROOTS = (1.0 + 0.0j, complex(-0.5, np.sqrt(3) / 2), complex(-0.5, -np.sqrt(3) / 2))
 
 
-def matrix_phase_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Distance between SU(2,1) matrices up to a cube-root-of-unity phase."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    scale = max(_max_abs(a), _max_abs(b), 1e-300)
-    return min(_max_abs(a - w * b) for w in _CUBE_ROOTS) / scale
+def matrix_phase_distance(a, b):
+    """Distance between SU(2,1) matrices up to a cube-root-of-unity phase.
 
+    ``a`` and ``b`` are ``(n, 3, 3)`` stacks (one of them may be a single
+    matrix, broadcast), answered with an array of ``n`` distances, or two
+    ``(3, 3)`` matrices, answered as a one-row stack with a float.  Each
+    modulus is ``hypot`` of the parts, as ``abs`` of one complex scalar is,
+    and a NaN anywhere in a row makes its distance NaN.
+    """
+    one = np.ndim(a) == 2 and np.ndim(b) == 2
+    a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
+    a, b = a.reshape(-1, 3, 3), b.reshape(-1, 3, 3)
+    # rows: a, b, then a - w b for the three cube roots w
+    m = np.concatenate([a[None], b[None], a - np.reshape(_CUBE_ROOTS, (3, 1, 1, 1)) * b])
+    big = np.max(np.hypot(m.real, m.imag), axis=(2, 3))
+    scale = np.maximum(np.maximum(big[0], big[1]), 1e-300)
+    dist = np.min(big[2:], axis=0)
+    out = dist / scale
+    return float(out[0]) if one else out

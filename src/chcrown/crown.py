@@ -189,11 +189,14 @@ def linked_pair_report(scene: Scene) -> List[LinkReport]:
 # chart normalization
 
 
-def standard_chart_lift(t: float, x: float, y: float) -> np.ndarray:
-    """Lift of the standard-circle point over chart position (x, y)."""
+def standard_chart_lift(t: float, x, y) -> np.ndarray:
+    """Lifts of the standard-circle points over chart positions (x, y).
+
+    Floats give one ``(3,)`` lift, equal-length arrays an ``(n, 3)`` stack.
+    """
     r = math.sqrt(2.0 * (8.0 * t - 3.0))
-    z = r * complex(x, y)
-    return np.array([(-(abs(z) ** 2)) / 2.0, z, 1.0], dtype=complex)
+    zx, zy = r * np.asarray(x, dtype=float), r * np.asarray(y, dtype=float)
+    return _vectors(-(np.hypot(zx, zy) ** 2) / 2.0, 0.0, zx, zy, 1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -239,18 +242,32 @@ class ChartedCircle:
             raise GeometryError(f"point is off the chart circle (|xy| = {n:.6f})")
         return math.atan2(y, x)
 
-    def from_chart(self, x: float, y: float) -> np.ndarray:
-        """Lift of the actual boundary point over chart position (x, y)."""
-        img = self.backward.apply(standard_chart_lift(self.t, x, y))
-        return img / img[2]
+    def from_chart(self, x, y) -> np.ndarray:
+        """Lifts of the actual boundary points over chart positions (x, y).
 
-    def line_of_sphere(self, sphere: SpinalSphere) -> "ChartLine":
-        f = lambda x, y: float(sphere.side_of_lifts(self.from_chart(x, y))[0])
-        f10, fm10, f01 = f(1.0, 0.0), f(-1.0, 0.0), f(0.0, 1.0)
+        Floats give one ``(3,)`` lift, equal-length arrays an ``(n, 3)`` stack.
+        """
+        img = self.backward.apply(standard_chart_lift(self.t, x, y))
+        return img / img[..., 2:]
+
+    def sphere_lines(self, config: DirichletConfig) -> Tuple["ChartLine", ...]:
+        """The chart lines of the eight spheres, sphere ``k`` at index ``k - 1``.
+
+        Each affine side function is read off its values at the chart points
+        (1, 0), (-1, 0) and (0, 1): the three are lifted as one stack, and
+        one :meth:`DirichletConfig.side_matrix` call evaluates all eight
+        spheres there.
+        """
+        f10, fm10, f01 = config.side_matrix(self.from_chart(_PROBE_X, _PROBE_Y))
         k0 = (f10 + fm10) / 2.0
         k1 = (f10 - fm10) / 2.0
         k2 = f01 - k0
-        return ChartLine(k0, k1, k2)
+        return tuple(ChartLine(*line) for line in zip(k0.tolist(), k1.tolist(), k2.tolist()))
+
+
+#: the chart points whose side values give a sphere's chart line
+_PROBE_X = np.array([1.0, -1.0, 0.0])
+_PROBE_Y = np.array([0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -362,8 +379,7 @@ def _crown_arc(config: DirichletConfig, name: str,
 def _sphere_crossing_params(arc: CrownArc, config: DirichletConfig):
     """Sorted arc parameters of on-arc sphere crossings, with sphere index."""
     hits: List[Tuple[float, int]] = []
-    for sphere in config.spheres:
-        line = arc.chart.line_of_sphere(sphere)
+    for sphere, line in zip(config.spheres, arc.chart.sphere_lines(config)):
         for theta in line.circle_crossings():
             s = arc.param_of_angle(theta)
             if 0.0 <= s <= 1.0:
@@ -378,17 +394,14 @@ def _in_domain_segments(arc: CrownArc, config: DirichletConfig,
 
     ``hits`` are the arc's sphere crossings from ``_sphere_crossing_params``;
     a piece is outside when its midpoint's largest side value is below
-    ``-1e-12``.
+    ``-1e-12``.  The midpoints of all pieces are lifted and evaluated as one
+    stack.
     """
     cuts = [0.0] + [s for s, _ in hits] + [1.0]
-    segments = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi - lo < 1e-12:
-            continue
-        mid = (lo + hi) / 2.0
-        vals = config.side_matrix(arc.lift_at(mid))
-        if float(np.max(vals)) < -1e-12:
-            segments.append((lo, hi))
+    pieces = [(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi - lo >= 1e-12]
+    theta = arc.angle_at(np.array([(lo + hi) / 2.0 for lo, hi in pieces]))
+    sides = config.side_matrix(arc.chart.from_chart(np.cos(theta), np.sin(theta)))
+    segments = [piece for piece, top in zip(pieces, np.max(sides, axis=1)) if top < -1e-12]
     # merge adjacent segments split by a crossing that does not change sign
     merged: List[Tuple[float, float]] = []
     for seg in segments:
@@ -423,8 +436,9 @@ class HatArc:
         return math.cos(th), math.sin(th)
 
     def sample_lifts(self, n: int) -> np.ndarray:
-        ss = np.linspace(self.s_minus, self.s_plus, n)
-        return np.stack([self.arc.lift_at(float(s)) for s in ss])
+        """``(n, 3)`` lifts of ``n`` evenly spaced hat points, lifted as one stack."""
+        theta = self.sample_angles(n)
+        return self.arc.chart.from_chart(np.cos(theta), np.sin(theta))
 
     def sample_angles(self, n: int) -> np.ndarray:
         """Chart angles of the points of :meth:`sample_lifts`, without lifting."""
@@ -575,7 +589,7 @@ def clearance_objective(t):
     a float, or a 1-d array of parameters, answered with an array, and both
     take one pass over the generator stacks: sphere 5's side values at the
     chart points (1, 0), (-1, 0) and (0, 1) give its chart line, as in
-    :meth:`ChartedCircle.line_of_sphere`.
+    :meth:`ChartedCircle.sphere_lines`.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     co = _coefficient_arrays(ts)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -26,13 +27,15 @@ import numpy as np
 from .core import (
     GeometryError,
     SIEGEL,
+    _apply,
+    _cmul,
     box_product,
     det3,
     hermitian_product,
     matrix_phase_distance,
     projective_distance,
 )
-from .triangle import Q0, GeneratorSet, build_generators
+from .triangle import Q0, GeneratorSet, build_generators, involution_word
 
 CANONICAL_INDICES = tuple(range(1, 9))
 
@@ -179,10 +182,21 @@ class DirichletConfig:
     @classmethod
     def build(cls, t: float) -> "DirichletConfig":
         gens = build_generators(t)
-        return cls(gens, tuple(defining_sphere(gens, k) for k in CANONICAL_INDICES))
+        return cls(gens, defining_spheres(gens, CANONICAL_INDICES))
 
     def sphere(self, k: int) -> SpinalSphere:
         return self.spheres[canonical_index(k) - 1]
+
+    @cached_property
+    def lifts(self) -> np.ndarray:
+        """(8, 3) stack of the spheres' lifts ``v_k``, row ``k - 1``."""
+        return np.stack([s.v for s in self.spheres])
+
+    @cached_property
+    def involutions(self) -> np.ndarray:
+        """(8, 3, 3) stack of the involutions ``A_k`` (:func:`involution_word`),
+        row ``k - 1``, evaluated as one stack on first use."""
+        return self.gens.evaluate_words([involution_word(k) for k in CANONICAL_INDICES])
 
     def side_matrix(self, points: np.ndarray) -> np.ndarray:
         """(n, 8) side values of lift points against all spheres.
@@ -278,9 +292,11 @@ def _norm2(w: np.ndarray) -> np.ndarray:
     return (w * np.conj(w)).real
 
 
-def defining_sphere(gens: GeneratorSet, k: int) -> SpinalSphere:
-    """The sphere of the bisector of ``Q0`` and ``w_k Q0``."""
-    return SpinalSphere(k, gens.evaluate_word(defining_word(k)).apply(Q0))
+def defining_spheres(gens: GeneratorSet, ks: Tuple[int, ...]) -> Tuple[SpinalSphere, ...]:
+    """The spheres of the bisectors of ``Q0`` and ``w_k Q0``, their words
+    evaluated as one stack."""
+    lifts = _apply(gens.evaluate_words([defining_word(k) for k in ks]), Q0)
+    return tuple(SpinalSphere(k, v) for k, v in zip(ks, lifts))
 
 
 def symmetry_certificate(config: DirichletConfig) -> float:
@@ -288,33 +304,30 @@ def symmetry_certificate(config: DirichletConfig) -> float:
 
     Checks, for all n and k, that ``g2^n u_k ~ u_{2n+k}`` and
     ``g2^n I2 u_k ~ u_{2n+3-k}`` where ``u_k = w_k Q0``, plus that ``Q0``
-    itself is fixed by ``g2`` and flipped to itself by ``I2``.
+    itself is fixed by ``g2`` and flipped to itself by ``I2``.  The eight
+    lifts move as one stack, four rotations deep.
     """
-    g2 = config.gens.g2
-    i2 = config.gens.i2
-    us = {k: config.sphere(k).v for k in CANONICAL_INDICES}
-    worst = max(projective_distance(g2.apply(Q0), Q0), projective_distance(i2.apply(Q0), Q0))
-    for k in CANONICAL_INDICES:
-        rotated = us[k]
-        flipped = i2.apply(us[k])
-        for n in range(4):
-            if n > 0:
-                rotated = g2.apply(rotated)
-                flipped = g2.apply(flipped)
-            worst = max(worst, projective_distance(rotated, us[canonical_index(2 * n + k)]))
-            worst = max(worst, projective_distance(flipped, us[canonical_index(2 * n + 3 - k)]))
-    return worst
+    g2 = config.gens.g2.matrix
+    i2 = config.gens.i2.matrix
+    u = config.lifts
+    k = np.arange(8)
+    # rows 0-7 rotate u_k, rows 8-15 rotate I2 u_k
+    moved = np.concatenate([u, _apply(i2, u)])
+    got = [_apply(np.stack([g2, i2]), Q0)]
+    want = [np.stack([Q0, Q0])]
+    for n in range(4):
+        if n > 0:
+            moved = _apply(g2, moved)
+        got.append(moved)
+        want += [u[(2 * n + k) % 8], u[(2 * n + 1 - k) % 8]]
+    return float(np.max(projective_distance(np.concatenate(got), np.concatenate(want))))
 
 
 def involution_certificate(config: DirichletConfig) -> float:
     """The word-level sphere involutions square to 1 and move Q0 like w_k."""
-    gens = config.gens
-    worst = 0.0
-    for k in CANONICAL_INDICES:
-        a = gens.involution_a(k)
-        worst = max(worst, matrix_phase_distance((a @ a).matrix, np.eye(3, dtype=complex)))
-        worst = max(worst, projective_distance(a.apply(Q0), config.sphere(k).v))
-    return worst
+    a = config.involutions
+    return float(np.max([matrix_phase_distance(a @ a, np.eye(3, dtype=complex)),
+                         projective_distance(_apply(a, Q0), config.lifts)]))
 
 
 def side_pairing_certificate(config: DirichletConfig) -> float:
@@ -327,34 +340,30 @@ def side_pairing_certificate(config: DirichletConfig) -> float:
     """
     gens = config.gens
     g1, g2 = gens.g1, gens.g2
-    worst = matrix_phase_distance((g1 @ g2 @ gens.g3.inverse()).matrix, g2.matrix)
-    gamma = g1
-    for n in range(4):
-        if n > 0:
-            gamma = g2 @ gamma @ g2.inverse()
-        src = canonical_index(4 + 2 * n)
-        tgt = canonical_index(1 + 2 * n)
-        worst = max(worst, projective_distance(gamma.apply(Q0), config.sphere(tgt).v))
-        worst = max(worst, projective_distance(gamma.apply(config.sphere(src).v), Q0))
-    return worst
+    word = matrix_phase_distance((g1 @ g2 @ gens.g3.inverse()).matrix, g2.matrix)
+    g2m, g2inv = g2.matrix, g2.inverse().matrix
+    gammas = [g1.matrix]
+    for _ in range(3):
+        gammas.append(g2m @ gammas[-1] @ g2inv)
+    gamma = np.stack(gammas)
+    n = np.arange(4)
+    u = config.lifts
+    return float(np.max([np.full(4, word), projective_distance(_apply(gamma, Q0), u[2 * n]),
+                         projective_distance(_apply(gamma, u[(3 + 2 * n) % 8]), Q0)]))
 
 
 def giraud_order3_certificate(config: DirichletConfig) -> float:
     """(A_k A_{k+1})^3 = 1 up to phase for the eight adjacent pairs."""
-    gens = config.gens
-    worst = 0.0
-    for k in CANONICAL_INDICES:
-        a = gens.involution_a(k)
-        b = gens.involution_a(canonical_index(k + 1))
-        ab = a @ b
-        worst = max(worst, matrix_phase_distance((ab @ ab @ ab).matrix, np.eye(3, dtype=complex)))
-    return worst
+    a = config.involutions
+    ab = a @ np.roll(a, -1, axis=0)
+    return float(np.max(matrix_phase_distance(ab @ ab @ ab, np.eye(3, dtype=complex))))
 
 
-def _torus_margin(p: np.ndarray, r: np.ndarray) -> float:
+def _torus_margins(p: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Giraud's test for the coequidistant bisectors of ``(Q0, p)`` and ``(Q0, r)``.
 
-    A point of both is ``x(a, b) = box(p - e^{ia} Q0, r - e^{ib} Q0)``, which is
+    ``p`` and ``r`` are ``(n, 3)`` stacks, one pair per row.  A point of both
+    bisectors is ``x(a, b) = box(p - e^{ia} Q0, r - e^{ib} Q0)``, which is
     ``b0 - e^{-ia} b1 - e^{-ib} w`` (``box`` is conjugate-bilinear), and the
     closures meet iff ``<x, x> <= 0`` somewhere on the torus.  Over ``b`` its
     minimum is ``h - 2|c|`` with ``h = h0 - 2 Re(h1 e^{ia})``, ``c = c0 - e^{-ia} c1``.
@@ -363,44 +372,74 @@ def _torus_margin(p: np.ndarray, r: np.ndarray) -> float:
     ``sum n f_n z^{n+2}``.  The margin, ``(h - 2|c|)/(h + 2|c|)`` there, is free
     of the lifts' scales and positive iff the spheres miss; it is -1 if ``h``
     is somewhere not positive, and NaN on non-finite input.
+
+    The quartics' roots are the eigenvalues of one ``(m, 4, 4)`` companion
+    stack, built as :func:`numpy.roots` builds each.  Where the leading
+    coefficient ``2 h1^2`` is zero, ``numpy.roots`` strips it (and the
+    trailing one, its conjugate) and solves the rest; those rows take its
+    roots, padded with zeros, whose unit-circle projection is the candidate
+    ``z = 1`` that every row already has.
     """
-    b0, b1, w = box_product(p, r), box_product(Q0, r), box_product(p, Q0)
-    h0 = (hermitian_product(b0, b0) + hermitian_product(b1, b1) + hermitian_product(w, w)).real
-    h1, c0, c1 = hermitian_product(b0, b1), hermitian_product(b0, w), hermitian_product(b1, w)
-    if not np.all(np.isfinite([h0, h1, c0, c1])):
-        return math.nan
-    if h0 <= 2.0 * abs(h1):
-        return -1.0
-    f1, f2 = 4.0 * c0 * np.conj(c1) - 2.0 * h0 * h1, h1 * h1
-    roots = np.roots([2.0 * f2, f1, 0.0, -np.conj(f1), -2.0 * np.conj(f2)])
-    z = np.append(np.exp(1j * np.angle(roots)), 1.0)
-    h = h0 - 2.0 * (h1 * z).real
-    c2 = 2.0 * np.abs(c0 - c1 * np.conj(z))
-    i = int(np.argmin(h * h - c2 * c2))
-    return float((h[i] - c2[i]) / (h[i] + c2[i]))
+    q = np.broadcast_to(Q0, p.shape)
+    b0, b1, w = box_product(np.stack([p, q, p]), np.stack([r, r, q]))
+    b00, b11, ww, h1, c0, c1 = hermitian_product(np.stack([b0, b1, w, b0, b0, b1]),
+                                                 np.stack([b0, b1, w, b1, w, w]))
+    h0 = (b00 + b11 + ww).real
+    out = np.full(h0.shape, math.nan)
+    finite = np.isfinite(h0) & np.isfinite(np.stack([h1, c0, c1])).all(axis=0)
+    low = finite & (h0 <= 2.0 * np.hypot(h1.real, h1.imag))
+    out[low] = -1.0
+    rows = finite & ~low
+    h0, h1, c0, c1 = h0[rows], h1[rows], c0[rows], c1[rows]
+    f1 = _cmul(4.0 * c0, np.conj(c1)) - 2.0 * h0 * h1
+    f2 = _cmul(h1, h1)
+    poly = np.stack([2.0 * f2, f1, np.zeros_like(f1), -np.conj(f1), -2.0 * np.conj(f2)], axis=1)
+    roots = np.zeros((len(poly), 4), dtype=complex)
+    companion = np.zeros((len(poly), 4, 4), dtype=complex)
+    companion[:, 1:, :-1] = np.eye(3)
+    lead = poly[:, 0] != 0.0
+    companion[lead, 0] = -poly[lead, 1:] / poly[lead, :1]
+    roots[lead] = np.linalg.eigvals(companion[lead])
+    for i in np.flatnonzero(~lead):
+        found = np.roots(poly[i])
+        roots[i, :len(found)] = found
+    z = np.concatenate([np.exp(1j * np.angle(roots)), np.ones((len(poly), 1))], axis=1)
+    h = h0[:, None] - 2.0 * (h1[:, None] * z).real
+    c2 = 2.0 * np.abs(c0[:, None] - c1[:, None] * np.conj(z))
+    best = np.arange(len(h)), np.argmin(h * h - c2 * c2, axis=1)
+    out[rows] = (h[best] - c2[best]) / (h[best] + c2[best])
+    return out
 
 
-def _interleave_margin(s: SpinalSphere, other: SpinalSphere) -> float:
-    """Spheres whose defining points lie on one complex line ``L`` with ``Q0``.
+def _interleave_margins(config: DirichletConfig, j: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Pairs of spheres whose defining points lie on one complex line ``L`` with ``Q0``.
 
     Each bisector is the preimage of its spine under projection to ``L``, so
     the two meet iff the spine endpoints interleave on ``∂L``, where ``X``
-    sits at angle ``arg(<X, e> / <X, Q0>)`` for ``e`` the part of ``s.v``
+    sits at angle ``arg(<X, e> / <X, Q0>)`` for ``e`` the part of ``v_j``
     orthogonal to ``Q0``.  The margin is the least angle between an endpoint
-    of each spine, negated if they interleave.
+    of each spine, negated if they interleave.  ``j`` and ``k`` are index
+    arrays, one pair per row; the four endpoints of every row are placed by
+    one stack of Hermitian products.
     """
-    e = s.v - hermitian_product(s.v, Q0) / _Q0_NORM * Q0
-    lo, hi, *ends = (float(np.angle(hermitian_product(x, e) / hermitian_product(x, Q0)))
-                     for sphere in (s, other) for x in sphere.spine_endpoints())
-    lo, hi = sorted((lo, hi))
-    gap = min(abs(math.remainder(x - y, 2.0 * math.pi)) for x in ends for y in (lo, hi))
-    return -gap if (lo < ends[0] < hi) != (lo < ends[1] < hi) else gap
+    v = config.lifts[j - 1]
+    e = v - (hermitian_product(v, Q0) / _Q0_NORM)[:, None] * Q0
+    ends = np.array([config.sphere(a).spine_endpoints() + config.sphere(b).spine_endpoints()
+                     for a, b in zip(j.tolist(), k.tolist())], dtype=complex).reshape(-1, 4, 3)
+    angles = np.angle(hermitian_product(ends, e[:, None]) / hermitian_product(ends, Q0))
+    out = []
+    for lo, hi, *rest in angles.tolist():
+        lo, hi = sorted((lo, hi))
+        gap = min(abs(math.remainder(x - y, 2.0 * math.pi)) for x in rest for y in (lo, hi))
+        out.append(-gap if (lo < rest[0] < hi) != (lo < rest[1] < hi) else gap)
+    return np.array(out)
 
 
 @dataclass(frozen=True)
 class PairRelation:
     """How spheres j and k sit: a scale-free margin, positive iff they miss.
-    A NaN margin reads as not meeting; a record must fail on the NaN itself."""
+    A NaN margin reads as not meeting; a record must fail on the NaN itself.
+    Each field holds one pair's value, or an array of them for a stack of pairs."""
 
     j: int
     k: int
@@ -408,30 +447,47 @@ class PairRelation:
     margin: float
 
     @property
-    def meets(self) -> bool:
+    def meets(self):
         return self.margin <= 0.0
 
 
-def pair_relation(config: DirichletConfig, j: int, k: int) -> PairRelation:
+#: the 28 pairs ``j < k`` in ascending order, as two index arrays
+_PAIRS = np.array(list(itertools.combinations(CANONICAL_INDICES, 2))).T
+
+
+def pair_relation(config: DirichletConfig, j, k) -> PairRelation:
     """Decide whether spheres j and k meet, in closed form.
 
-    Where ``Q0``, ``v_j`` and ``v_k`` span one complex line (relative
-    determinant below ``_COLLINEAR``) the torus collapses and the spine
-    endpoints decide; otherwise Giraud's torus does.  The pair is taken in
-    ascending order, so ``(j, k)`` and ``(k, j)`` give the same relation.
+    ``j`` and ``k`` are two sphere indices, answered with one relation of
+    scalars, or two equal-length index arrays, answered with one relation of
+    arrays; a single pair is the one-row stack.  Where ``Q0``, ``v_j`` and
+    ``v_k`` span one complex line (relative determinant below
+    ``_COLLINEAR``) the torus collapses and the spine endpoints decide;
+    every other row is one row of :func:`_torus_margins`.  Each pair is
+    taken in ascending order, so ``(j, k)`` and ``(k, j)`` give the same
+    relation.
     """
-    j, k = sorted((canonical_index(j), canonical_index(k)))
-    m = np.stack([Q0, config.sphere(j).v, config.sphere(k).v])
-    if abs(det3(m)) < _COLLINEAR * np.prod(np.linalg.norm(m, axis=1)):
-        margin = _interleave_margin(config.sphere(j), config.sphere(k))
-    else:
-        margin = _torus_margin(m[1], m[2])
-    return PairRelation(j, k, min(k - j, 8 - k + j), margin)
+    one = np.ndim(j) == 0 and np.ndim(k) == 0
+    j, k = ((np.atleast_1d(x) - 1) % 8 + 1 for x in (j, k))
+    j, k = np.minimum(j, k), np.maximum(j, k)
+    p, r = config.lifts[j - 1], config.lifts[k - 1]
+    m = np.stack([np.broadcast_to(Q0, p.shape), p, r], axis=1)
+    collinear = (np.abs(det3(m.transpose(1, 2, 0)))
+                 < _COLLINEAR * np.prod(np.linalg.norm(m, axis=2), axis=1))
+    margin = np.empty(len(j))
+    margin[~collinear] = _torus_margins(p[~collinear], r[~collinear])
+    margin[collinear] = _interleave_margins(config, j[collinear], k[collinear])
+    separation = np.minimum(k - j, 8 - k + j)
+    if one:
+        return PairRelation(int(j[0]), int(k[0]), int(separation[0]), float(margin[0]))
+    return PairRelation(j, k, separation, margin)
 
 
 def pairwise_relations(config: DirichletConfig) -> List[PairRelation]:
-    """All 28 pair relations, in ascending ``(j, k)`` order."""
-    return [pair_relation(config, j, k) for j, k in itertools.combinations(CANONICAL_INDICES, 2)]
+    """All 28 pair relations, in ascending ``(j, k)`` order, from one stack."""
+    rel = pair_relation(config, *_PAIRS)
+    return [PairRelation(*row) for row in zip(rel.j.tolist(), rel.k.tolist(),
+                                              rel.separation.tolist(), rel.margin.tolist())]
 
 
 def expected_to_meet(separation: int) -> bool:

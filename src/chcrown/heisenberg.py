@@ -36,10 +36,6 @@ class HeisenbergPoint:
     v: float = 0.0
     at_infinity: bool = False
 
-    @staticmethod
-    def infinity() -> "HeisenbergPoint":
-        return HeisenbergPoint(0j, 0.0, True)
-
     def lift(self) -> np.ndarray:
         """Standard null lift (zero horospherical height)."""
         if self.at_infinity:
@@ -48,22 +44,27 @@ class HeisenbergPoint:
         first = complex(-(abs(z) ** 2), self.v) / 2.0
         return np.array([first, z, 1.0], dtype=complex)
 
-    @staticmethod
-    def from_lift(vec) -> "HeisenbergPoint":
-        """Recover ``[z, v]`` from any null lift (projectively)."""
-        data = np.asarray(vec, dtype=complex)
-        scale = float(np.max(np.abs(data)))
-        if scale == 0.0:
-            raise GeometryError("zero vector is not a lift")
-        if abs(data[2]) < 1e-12 * scale:
-            return HeisenbergPoint.infinity()
-        w = data / data[2]
-        return HeisenbergPoint(complex(w[1]), float(2.0 * w[0].imag))
-
     def __repr__(self):
         if self.at_infinity:
             return "HeisenbergPoint(inf)"
         return f"HeisenbergPoint(z={self.z:.6g}, v={self.v:.6g})"
+
+
+def heisenberg_coordinates(lifts) -> np.ndarray:
+    """Rows ``(x, y, v)`` of the boundary points ``[x + iy, v]`` of an
+    ``(n, 3)`` stack of null lifts, each at any scale (projectively).
+
+    A lift whose last coordinate is below ``1e-12`` of its largest one is
+    the point at infinity, and gets the coordinates ``(0, 0, 0)`` that a
+    :class:`HeisenbergPoint` at infinity carries; a zero lift is refused.
+    """
+    data = np.asarray(lifts, dtype=complex)
+    scale = np.max(np.abs(data), axis=1)
+    if np.any(scale == 0.0):
+        raise GeometryError("zero vector is not a lift")
+    finite = ~(np.hypot(data[:, 2].real, data[:, 2].imag) < 1e-12 * scale)
+    w = np.divide(data, data[:, 2:], out=np.zeros_like(data), where=finite[:, None])
+    return np.stack([w[:, 1].real, w[:, 1].imag, 2.0 * w[:, 0].imag], axis=1)
 
 
 def translation_element(w: complex, s: float) -> GroupElement:

@@ -23,7 +23,7 @@ import cmath
 import contextlib
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -232,29 +232,47 @@ class GeneratorSet:
         Accepts a whitespace-separated string (``"g2^-1 g1 g2"``) or any
         iterable of tokens.  The empty word gives the identity.  The result
         is renormalized to determinant 1, which can matter for long words.
+        One word is the one-row stack of :meth:`evaluate_words`.
         """
-        tokens = word.split() if isinstance(word, str) else list(word)
-        out = identity_element()
-        for tok in tokens:
-            out = out @ self.element(tok)
-        return _renormalize_det(out, self.extended)
+        return GroupElement(self.evaluate_words([word])[0])
 
-    def involution_a(self, k: int) -> GroupElement:
-        """The k-th of the eight involutions bounding the Dirichlet domain.
+    def evaluate_words(self, words: Sequence[str | Sequence[str]]) -> np.ndarray:
+        """``(n, 3, 3)`` stack of the words' matrices, each as :meth:`evaluate_word` gives it.
 
-        Indices are cyclic mod 8 (k = 1..8 after reduction).  Odd k gives
-        ``g2^((k-1)/2) I3 g2^-((k-1)/2)``, written out in reflections; even k
-        conjugates ``I2 I3 I2`` instead.
+        Every word is the identity times its tokens, multiplied from the
+        left; shorter words are padded in front with more identities, which
+        leave every product exact, so the stack is multiplied one token
+        position at a time and each row rounds as its word alone would.
         """
-        k = (int(k) - 1) % 8 + 1
-        if k % 2 == 1:
-            half = (k - 1) // 2
-            core = ["I3"]
-        else:
-            half = (k - 2) // 2
-            core = ["I2", "I3", "I2"]
-        word = ["I2", "I1"] * half + core + ["I1", "I2"] * half
-        return self.evaluate_word(word)
+        tokens = [word.split() if isinstance(word, str) else list(word) for word in words]
+        length = max(map(len, tokens), default=0)
+        # row 0 of the table is the identity, row i the i-th distinct token
+        rows: Dict[str, int] = {}
+        index = np.zeros((length, len(tokens)), dtype=int)
+        for n, toks in enumerate(tokens):
+            index[length - len(toks):, n] = [rows.setdefault(tok, len(rows) + 1) for tok in toks]
+        table = np.stack([identity_element().matrix] + [self.element(tok).matrix for tok in rows])
+        out = table[np.zeros(len(tokens), dtype=int)]
+        for factors in table[index]:
+            out = out @ factors
+        return np.stack([_renormalize_det(GroupElement(m), self.extended).matrix for m in out])
+
+
+def involution_word(k: int) -> List[str]:
+    """Tokens of the k-th of the eight involutions bounding the Dirichlet domain.
+
+    Indices are cyclic mod 8 (k = 1..8 after reduction).  Odd k gives
+    ``g2^((k-1)/2) I3 g2^-((k-1)/2)``, written out in reflections; even k
+    conjugates ``I2 I3 I2`` instead.
+    """
+    k = (int(k) - 1) % 8 + 1
+    if k % 2 == 1:
+        half = (k - 1) // 2
+        core = ["I3"]
+    else:
+        half = (k - 2) // 2
+        core = ["I2", "I3", "I2"]
+    return ["I2", "I1"] * half + core + ["I1", "I2"] * half
 
 
 def _parse_token(token: str):
@@ -339,11 +357,8 @@ class RelationReport:
 
 def relation_certificate(gens: GeneratorSet) -> RelationReport:
     """The six presentation relations as projective identities; they pass below ``EPS_ALG``."""
-    eye = np.eye(3, dtype=complex)
-    residuals = {}
-    for word in RELATION_WORDS:
-        m = gens.evaluate_word(word).matrix
-        residuals[word] = matrix_phase_distance(np.asarray(m, dtype=complex), eye)
+    words = np.asarray(gens.evaluate_words(RELATION_WORDS), dtype=complex)
+    residuals = dict(zip(RELATION_WORDS, matrix_phase_distance(words, np.eye(3)).tolist()))
     worst = max(residuals.values())
     return RelationReport(gens.t, residuals, worst, worst < EPS_ALG)
 

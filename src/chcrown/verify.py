@@ -35,7 +35,7 @@ from .core import (
 )
 from .dirichlet import (
     DirichletConfig,
-    defining_sphere,
+    defining_spheres,
     expected_to_meet,
     fixed_point_lifts,
     fixed_point_side_forms,
@@ -46,7 +46,7 @@ from .dirichlet import (
     sphere_mesh,
     symmetry_certificate,
 )
-from .heisenberg import AffineDisk, HeisenbergPoint, ccircle_from_polar
+from .heisenberg import AffineDisk, ccircle_from_polar, heisenberg_coordinates
 from .triangle import (
     PARAM_MAX,
     PARAM_MIN,
@@ -336,7 +336,8 @@ def _dirichlet_cell(scene: crown.Scene) -> List[Record]:
     forms = fixed_point_side_forms(t)
     _p_attract, p_repel = fixed_point_lifts(config)
     sides = config.side_matrix(p_repel)[0]
-    res = max(abs(sides[int(k[1:]) - 1] - v) for k, v in forms.items())
+    # np.max, unlike max, lets a NaN side value through to the record
+    res = np.max([abs(sides[int(k[1:]) - 1] - v) for k, v in forms.items()])
     out.append(_residual_rec("dirichlet", t, "fixed-point-side-forms", res, 1e-8))
     return out
 
@@ -378,10 +379,11 @@ def _arcs_global() -> List[Record]:
     x2 = math.sqrt(16.0 * r2 + 13.0) / 7.0
     y2 = (4.0 * r2 - 2.0) / 7.0
     out = []
+    lines = chart.sphere_lines(config)
     # closed-form crossing points of the alpha4 circle with four spheres,
     # upper-half representatives on the chart
     for k, wx, wy in ((1, x1, y1), (2, x2, y2), (7, -x2, y2), (8, -x1, y1)):
-        line = chart.line_of_sphere(config.sphere(k))
+        line = lines[k - 1]
         pts = [(math.cos(th), math.sin(th)) for th in line.circle_crossings()]
         px, py = max(pts, key=lambda p: p[1])
         res = max(abs(px - wx), abs(py - wy))
@@ -485,7 +487,7 @@ def _minima_global() -> List[Record]:
     out.append(_residual_rec("minima", 0.4, "blocking-argmin", abs(t_star - 0.4), 1e-3))
     for t in (0.405, 0.41, T_REAL):
         # sphere 3 alone, built as DirichletConfig.build builds it
-        honest = crown.honest_chord_blocking(t, defining_sphere(build_generators(t), 3))
+        honest = crown.honest_chord_blocking(t, defining_spheres(build_generators(t), (3,))[0])
         quartic = crown.blocking_minimum_at(t)
         res = abs(honest - 2.0 * quartic) if honest is not None else math.inf
         out.append(_residual_rec("minima", t, "blocking-dual-route", res, 1e-8))
@@ -650,8 +652,7 @@ def export_arcs(t: float, out_dir: str, samples: int = 257) -> List[str]:
         hat = scene.arc_report(name).hat
         hosts[name] = list(hat.hosts)
         lines.append(f"o hat-{name}")
-        points = [HeisenbergPoint.from_lift(lift) for lift in hat.sample_lifts(samples)]
-        lines.extend(_obj_vertices((p.z.real, p.z.imag, p.v) for p in points))
+        lines.extend(_obj_vertices(heisenberg_coordinates(hat.sample_lifts(samples)).tolist()))
         chain = " ".join(str(offset + i + 1) for i in range(samples))
         lines.append(f"l {chain}")
         offset += samples
@@ -709,7 +710,8 @@ def limit_set_points(t: float, depth: int = 5) -> np.ndarray:
 
     Loxodromic fixed points accumulate on the limit set, so this cloud is
     a cheap, fully deterministic sketch of it.  Points at infinity and
-    near-parabolic words are skipped; duplicates are collapsed on a 1e-9
+    near-parabolic words are skipped, and a word with a non-finite matrix
+    raises ``GeometryError`` rather than pass for a non-loxodromic one; duplicates are collapsed on a 1e-9
     grid, in the preorder of the word tree.  A word and its inverse share
     their fixed pair (swapped), so only the first of the two in preorder
     is solved.  Rows are ``(x, y, v)`` Heisenberg coordinates, sorted.
@@ -741,7 +743,11 @@ def limit_set_points(t: float, depth: int = 5) -> np.ndarray:
             code = code[idx] * letters + tok
             inv_code = inverse[tok] * letters ** (length - 1) + inv_code[idx]
             last = tok
-        lox = classify_isometry(mats).kind == IsometryClass.LOXODROMIC
+        kind = classify_isometry(mats).kind
+        if np.equal(kind, None).any():
+            raise GeometryError(f"a word of {length} letters has a non-finite matrix, "
+                                "so it has no class")
+        lox = kind == IsometryClass.LOXODROMIC
         # the inverse was solved first when it comes first and is loxodromic
         keep = lox & ((code < inv_code) | ~lox[np.searchsorted(code, inv_code)])
         solved.append(mats[keep])

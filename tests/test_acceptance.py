@@ -86,8 +86,9 @@ def test_a04_alpha4_crossing_closed_forms():
         (7, -math.sqrt(16.0 * R2 + 13.0) / 7.0, (4.0 * R2 - 2.0) / 7.0),
     )
     worst = 0.0
+    lines = chart.sphere_lines(config)
     for k, wx, wy in targets:
-        line = chart.line_of_sphere(config.sphere(k))
+        line = lines[k - 1]
         pts = [(math.cos(th), math.sin(th)) for th in line.circle_crossings()]
         px, py = max(pts, key=lambda p: p[1])
         worst = max(worst, abs(px - wx), abs(py - wy))

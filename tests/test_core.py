@@ -125,24 +125,27 @@ def _stack(elements):
 
 def test_stacked_classification_matches_one_matrix_at_a_time():
     # the stack's regular rows are read off its discriminant array; the
-    # degenerate ones (the identity, the parabolic endpoint, NaN) are
-    # examined row by row; the discriminant is prod (lam_i - lam_j)^2 of
-    # LAPACK's eigenvalues
+    # degenerate ones (the identity, the parabolic endpoint) are examined
+    # row by row; a non-finite row gets no class at all; the discriminant
+    # is prod (lam_i - lam_j)^2 of LAPACK's eigenvalues
     gens = build_generators(0.39)
+    inf_entry = np.eye(3, dtype=complex)
+    inf_entry[0, 2] = np.inf
     elements = [gens.g1, gens.g2, gens.evaluate_word("I1 I1"), build_generators(PARAM_MIN).g1,
                 gens.g1 @ gens.g3, gens.g2 @ gens.g3.inverse(),
-                GroupElement(np.full((3, 3), np.nan, dtype=complex))]
+                GroupElement(np.full((3, 3), np.nan, dtype=complex)), GroupElement(inf_entry)]
     got = classify_isometry(_stack(elements))
     lox, ell, par = IsometryClass.LOXODROMIC, IsometryClass.ELLIPTIC, IsometryClass.PARABOLIC
-    assert list(got.kind) == [lox, ell, ell, par, lox, lox, par]
-    lam = np.linalg.eigvals(_stack(elements[:-1]))
+    assert list(got.kind) == [lox, ell, ell, par, lox, lox, None, None]
+    lam = np.linalg.eigvals(_stack(elements[:-2]))
     want = ((lam[:, 0] - lam[:, 1]) * (lam[:, 1] - lam[:, 2]) * (lam[:, 0] - lam[:, 2])) ** 2
-    assert np.allclose(got.discriminant[:-1], want.real, rtol=0.0, atol=1e-12)
-    assert np.isnan(got.discriminant[-1])
+    assert np.allclose(got.discriminant[:-2], want.real, rtol=0.0, atol=1e-12)
+    assert np.isnan(got.discriminant[-2:]).all()
     for k, g in enumerate(elements):
         one = classify_isometry(g)
         assert one.kind is got.kind[k]
         assert one.discriminant == got.discriminant[k] or np.isnan(one.discriminant)
+    assert classify_isometry(elements[-2]).kind not in list(IsometryClass)
 
 
 def test_stacked_fixed_points_match_one_matrix_at_a_time():
@@ -191,3 +194,24 @@ def test_projectively_equal_scales():
     v = np.array([1.0, 2.0j, -3.0])
     assert projective_distance(v, (0.3 - 0.4j) * v) < EPS_ALG
     assert not projective_distance(v, v + np.array([0, 0, 1.0])) < EPS_ALG
+
+
+def test_projective_and_phase_distances_take_stacks():
+    # a single pair is the one-row stack, answered with a float
+    gens = build_generators(0.41)
+    mats = np.stack([gens.g1.matrix, gens.g2.matrix, gens.g3.matrix])
+    vecs = mats[:, :, 0]
+    turned = np.stack([vecs[1], (0.3 - 0.4j) * vecs[1], vecs[0]])
+    dist = projective_distance(vecs, turned)
+    assert dist.shape == (3,) and dist[1] < EPS_ALG and dist[0] > 1e-3
+    for k in range(3):
+        assert projective_distance(vecs[k], turned[k]) == dist[k]
+    w = cmath.exp(2j * cmath.pi / 3.0)
+    phase = matrix_phase_distance(mats, np.stack([w * mats[0], mats[1], mats[0]]))
+    assert phase[0] < 1e-12 and phase[1] == 0.0 and phase[2] > 0.1
+    assert matrix_phase_distance(mats[2], mats[0]) == phase[2]
+    assert matrix_phase_distance(mats, np.eye(3)).shape == (3,)
+    nan = mats.copy()
+    nan[1, 2, 2] = np.nan
+    assert np.isnan(matrix_phase_distance(nan, mats)).tolist() == [False, True, False]
+    assert np.isnan(projective_distance(nan[:, 2], vecs)).tolist() == [False, True, False]

@@ -31,7 +31,7 @@ from chcrown import (
 )
 from chcrown import crown, dirichlet, heisenberg
 from chcrown.core import fixed_points_boundary, hermitian_product
-from chcrown.triangle import coefficients
+from chcrown.triangle import Q0, coefficients
 
 R2 = math.sqrt(2.0)
 U0 = math.sqrt(3.0 * R2 - 4.0)
@@ -153,9 +153,7 @@ def test_spheres_restrict_to_chart_lines(t):
     config = DirichletConfig.build(t)
     chart = crown.alpha4_chart(t)
     worst = 0.0
-    for k in range(1, 9):
-        sphere = config.sphere(k)
-        line = chart.line_of_sphere(sphere)
+    for sphere, line in zip(config.spheres, chart.sphere_lines(config)):
         for theta in np.linspace(0.3, 2.0 * math.pi, 7, endpoint=False):
             x, y = math.cos(theta), math.sin(theta)
             val = float(sphere.side_of_lifts(chart.from_chart(x, y))[0])
@@ -183,8 +181,7 @@ def test_sphere_lines_one_and_two_are_parallel(config_041):
     # (1-2t)/(4t-1) for the direction and (1-2t) for the constant term
     t = config_041.gens.t
     chart = crown.alpha4_chart(t)
-    l1 = chart.line_of_sphere(config_041.sphere(1))
-    l2 = chart.line_of_sphere(config_041.sphere(2))
+    l1, l2 = chart.sphere_lines(config_041)[:2]
     cross = l1.k1 * l2.k2 - l1.k2 * l2.k1
     scale = max(l1.direction_norm * l2.direction_norm, 1e-30)
     ratio_dir = (1.0 - 2.0 * t) / (4.0 * t - 1.0)
@@ -197,7 +194,7 @@ def test_sphere_lines_one_and_two_are_parallel(config_041):
 def test_sphere1_constant_term_closed_form():
     for t in (0.39, 0.41):
         config = DirichletConfig.build(t)
-        line = crown.alpha4_chart(t).line_of_sphere(config.sphere(1))
+        line = crown.alpha4_chart(t).sphere_lines(config)[0]
         scale = (4.0 * t - 1.0 - 2.0 * t * coefficients(t).a) / 2.0
         printed = (6.0 * t - 2.0) * (8.0 * t - 3.0) / (2.0 * t - 1.0)
         assert line.k0 * scale == pytest.approx(printed, rel=1e-9)
@@ -275,6 +272,45 @@ def test_hat_sample_lifts_stay_in_domain(config_041):
     assert float(np.max(np.abs(sides[[0, -1]].max(axis=1)))) < 1e-8
 
 
+@given(params, st.sampled_from(crown.ARC_NAMES), st.integers(min_value=2, max_value=40))
+@settings(max_examples=20, deadline=None)
+def test_hat_sample_lifts_equal_one_lift_at_a_time(t, name, n):
+    # the stacked chart lift rounds as one lift at a time: one
+    # matrix-vector product and one division per row
+    hat = _report(DirichletConfig.build(t), name).hat
+    want = np.stack([hat.arc.lift_at(float(s)) for s in np.linspace(hat.s_minus, hat.s_plus, n)])
+    assert np.array_equal(hat.sample_lifts(n), want)
+
+
+def _three_probe_line(chart, sphere):
+    """The reference chart line: the sphere's side values at (1, 0), (-1, 0)
+    and (0, 1), one lift and one ``side_of_lifts`` call at a time; with the
+    largest ``|<p, Q0>|^2 + |<p, v>|^2`` of the three, the size of the terms
+    each side value is the difference of."""
+    lifts = [chart.from_chart(x, y) for x, y in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0))]
+    f10, fm10, f01 = (float(sphere.side_of_lifts(lift)[0]) for lift in lifts)
+    k0 = (f10 + fm10) / 2.0
+    size = max(abs(hermitian_product(lift, Q0)) ** 2 + abs(hermitian_product(lift, sphere.v)) ** 2
+               for lift in lifts)
+    return (k0, (f10 - fm10) / 2.0, f01 - k0), size
+
+
+@given(params, st.sampled_from(crown.ARC_NAMES))
+@settings(max_examples=20, deadline=None)
+def test_sphere_lines_equal_the_three_probe_definition(t, name):
+    # one side_matrix call on the three stacked probes rounds its inner
+    # products unlike three one-point calls, so the lines agree to a few
+    # ulps of the terms of the side values, not bit for bit
+    config = DirichletConfig.build(t)
+    chart = _report(config, name).hat.arc.chart
+    lines = chart.sphere_lines(config)
+    assert len(lines) == 8
+    for sphere, line in zip(config.spheres, lines):
+        want, size = _three_probe_line(chart, sphere)
+        got = (line.k0, line.k1, line.k2)
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-14 * size, (t, name, sphere.index)
+
+
 @pytest.mark.parametrize("t", [0.39, 0.41, T_REAL])
 def test_crown_is_fundamental(t):
     cert = crown_fundamental_certificate(Scene(t))
@@ -296,8 +332,9 @@ def test_real_point_crossing_closed_forms(config_real):
     chart = crown.alpha4_chart(T_REAL)
     x1, y1 = math.sqrt(8.0 * R2 - 11.0), 2.0 * R2 - 2.0
     x2, y2 = math.sqrt(16.0 * R2 + 13.0) / 7.0, (4.0 * R2 - 2.0) / 7.0
+    lines = chart.sphere_lines(config_real)
     for k, want in ((1, (x1, y1)), (2, (x2, y2)), (7, (-x2, y2)), (8, (-x1, y1))):
-        line = chart.line_of_sphere(config_real.sphere(k))
+        line = lines[k - 1]
         pts = [(math.cos(th), math.sin(th)) for th in line.circle_crossings()]
         got = max(pts, key=lambda p: p[1])
         assert got[0] == pytest.approx(want[0], abs=1e-10)
@@ -364,7 +401,7 @@ def test_golden_searches_are_pinned_bit_for_bit():
 def _clearance_reference(t):
     """The clearance from the configuration's sphere 5 and the alpha4 chart:
     the squared distance of the sphere's chart line from the chart origin."""
-    line = crown.alpha4_chart(t).line_of_sphere(DirichletConfig.build(t).sphere(5))
+    line = crown.alpha4_chart(t).sphere_lines(DirichletConfig.build(t))[4]
     return line.k0 ** 2 / (line.k1 ** 2 + line.k2 ** 2)
 
 

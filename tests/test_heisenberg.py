@@ -12,6 +12,7 @@ from chcrown.heisenberg import (
     AffineDisk,
     dilation_element,
     disk_intersection_segment,
+    heisenberg_coordinates,
     translation_element,
 )
 from chcrown import crown
@@ -26,9 +27,15 @@ def _polar(center: HeisenbergPoint, radius: float) -> np.ndarray:
     return np.array([complex(radius ** 2 - abs(z0) ** 2, v0) / 2.0, z0, 1.0], dtype=complex)
 
 
+def _point(lift) -> HeisenbergPoint:
+    """The finite boundary point of one null lift."""
+    x, y, v = heisenberg_coordinates(np.asarray(lift)[None])[0]
+    return HeisenbergPoint(complex(x, y), v)
+
+
 def _moved(g, p: HeisenbergPoint) -> HeisenbergPoint:
     """The boundary action of an isometry on a point."""
-    return HeisenbergPoint.from_lift(g.apply(p.lift()))
+    return _point(g.apply(p.lift()))
 
 
 def _circle_point(circle, theta: float) -> HeisenbergPoint:
@@ -62,19 +69,36 @@ def test_lift_roundtrip(x, y, v):
     lift = p.lift()
     # lifts are null
     assert abs(complex(hermitian_product(lift, lift))) < 1e-9 * (1 + x * x + y * y) ** 2
-    q = HeisenbergPoint.from_lift(lift)
+    q = _point(lift)
     assert q.z == pytest.approx(p.z, abs=1e-12)
     assert q.v == pytest.approx(p.v, abs=1e-12)
 
 
-def test_from_lift_accepts_any_scale_and_infinity():
+def test_heisenberg_coordinates_accept_any_scale_and_infinity():
+    # each row at its own scale; a lift at infinity reads (0, 0, 0), the
+    # coordinates a HeisenbergPoint at infinity carries; a zero lift is refused
     p = HeisenbergPoint(1.5 - 0.5j, 2.0)
-    scaled = 3.7j * p.lift()
-    q = HeisenbergPoint.from_lift(scaled)
-    assert q.z == pytest.approx(p.z) and q.v == pytest.approx(p.v)
-    assert HeisenbergPoint.from_lift(np.array([1.0, 0, 0], dtype=complex)).at_infinity
+    rows = heisenberg_coordinates(np.stack([3.7j * p.lift(), p.lift(),
+                                            HeisenbergPoint(at_infinity=True).lift(),
+                                            np.array([2.0, 1.0, 1e-13], dtype=complex)]))
+    assert rows[0] == pytest.approx([1.5, -0.5, 2.0]) and rows[1] == pytest.approx(rows[0])
+    assert rows[2:].tolist() == [[0.0, 0.0, 0.0]] * 2
+    want = HeisenbergPoint(at_infinity=True)
+    assert [want.z.real, want.z.imag, want.v] == [0.0, 0.0, 0.0]
     with pytest.raises(GeometryError):
-        HeisenbergPoint.from_lift(np.zeros(3, dtype=complex))
+        heisenberg_coordinates(np.stack([p.lift(), np.zeros(3, dtype=complex)]))
+
+
+@given(coords, coords, coords, st.floats(min_value=0.1, max_value=10.0))
+@settings(max_examples=40)
+def test_heisenberg_coordinates_match_one_lift_at_a_time(x, y, v, scale):
+    # the rows round as the scalar recovery w = lift / lift[2] rounds them
+    lifts = np.stack([HeisenbergPoint(complex(x, y), v).lift() * scale,
+                      HeisenbergPoint(complex(y, v), x).lift() * 1j])
+    rows = heisenberg_coordinates(lifts)
+    for lift, row in zip(lifts, rows):
+        w = lift / lift[2]
+        assert row.tolist() == [w[1].real, w[1].imag, float(2.0 * w[0].imag)]
 
 
 def test_translation_realizes_group_law():

@@ -1,6 +1,7 @@
 """Sweep plumbing: configs, records, deterministic serialization, exports."""
 
 import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import math
@@ -19,7 +20,7 @@ from chcrown import (
     ARC_NAMES,
     EXPORT_KINDS,
     GeometryError,
-    HeisenbergPoint,
+    GroupElement,
     IsometryClass,
     NearParabolicError,
     PARAM_MAX,
@@ -35,7 +36,8 @@ from chcrown import (
     limit_set_points,
     run_suite,
 )
-from chcrown import crown, verify
+from chcrown import crown, triangle, verify
+from chcrown.heisenberg import heisenberg_coordinates
 from chcrown.verify import (
     _INVERSE_TOKEN,
     _LIMITSET_TOKENS,
@@ -370,8 +372,7 @@ def _limit_set_points_word_by_word(t, depth, skip_inverses):
                 for vec in fixed_points_boundary(element):
                     u = np.asarray(vec, dtype=complex)
                     if abs(u[2]) > 1e-9 * float(np.max(np.abs(u))):
-                        p = HeisenbergPoint.from_lift(u)
-                        x, y, v = p.z.real, p.z.imag, p.v
+                        x, y, v = heisenberg_coordinates(u[None])[0].tolist()
                         key = (round(x, 9), round(y, 9), round(v, 9))
                         if key not in seen:
                             seen.add(key)
@@ -440,6 +441,32 @@ def test_stacked_limit_set_matches_the_word_by_word_reference(t, depth):
     assert _rows_match(got, want)
 
 
+def _with_nan_entry(gens, name):
+    """``gens`` with one NaN entry in generator ``name``."""
+    m = getattr(gens, name).matrix.copy()
+    m[0, 0] = np.nan
+    return dataclasses.replace(gens, **{name: GroupElement(m)})
+
+
+def test_a_non_finite_word_in_the_limit_set_raises(monkeypatch):
+    # a NaN word has no class; it must not be dropped as non-loxodromic
+    build = verify.build_generators
+    monkeypatch.setattr(verify, "build_generators", lambda t: _with_nan_entry(build(t), "g3"))
+    with pytest.raises(GeometryError, match="non-finite"):
+        limit_set_points(0.41, depth=2)
+
+
+def test_a_non_finite_g1_fails_its_loxodromic_record(monkeypatch):
+    # the relations cell records an unclassifiable g1 as a failed check
+    build = triangle._generator_set
+    monkeypatch.setattr(triangle, "_generator_set",
+                        lambda t, mp: _with_nan_entry(build(t, mp), "g1"))
+    recs = {r.key: r for r in verify._relations_cell(crown.Scene(0.41), False)}
+    assert not recs["g1-loxodromic"].passed and math.isnan(recs["g1-loxodromic"].value)
+    assert not recs["conjugate-g3"].passed
+    assert all(r.passed for key, r in recs.items() if key.startswith("relation:"))
+
+
 def test_limit_set_export_enters_the_classification_and_solve_spans(monkeypatch, tmp_path):
     # the benchmark times export limitset inside these two core functions
     calls = Counter()
@@ -459,7 +486,7 @@ def test_small_all_sweep_report_is_pinned():
     cfg = SweepConfig(t_min=0.39, t_max=0.41, steps=5)
     serial = run_suite("all", cfg).to_json()
     assert hashlib.sha256(serial.encode()).hexdigest() == (
-        "cb7cf44ee76a6048bfe1d95b9af4611e0dff3c34ba405ccec0aab6201833bbdd")
+        "f637aee0dbe9fccaed1676eb51bee8786589c415e697fc1b9fab66a2595275ee")
     summary = json.loads(serial)["summary"]
     assert (summary["records"], summary["failed"]) == (466, 6)
     assert run_suite("all", cfg, jobs=2).to_json() == serial
@@ -480,11 +507,11 @@ def test_extended_relations_restore_mpmath_precision():
 
 _PINNED_EXPORTS = {
     ("arcs", 0.39): {
-        "arcs.obj": "9489469850b34f3dc74a6b2815c0441c4c9637af902914719fe42a28b52b6dda",
+        "arcs.obj": "cb51fb8324fb062f0a93f6c77c7a9a82949376e18da82f9de792ce19e2a4e75c",
         "arcs_manifest.json": "393d4064b7848bfd2e0203e6822d0567fc4208dcc109bb3c392c5ed9aaad3101",
     },
     ("arcs", 0.41): {
-        "arcs.obj": "66216bab3cff223c93131732a4acc870131a395bf9be972759a8d19eccdc0c2c",
+        "arcs.obj": "070a0153d8a347f72299fd0aa611885b43ba0c5883a66ee8fd6974b40d1564cc",
         "arcs_manifest.json": "5dff5fedf3aec7d0bacbfaf69c6c0fe2d5a915af5c672e811f9638b2c95c15c4",
     },
     ("disks", 0.39): {
