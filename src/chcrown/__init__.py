@@ -30,7 +30,7 @@ from .crown import (
     clearance_objective,
     crown_fundamental_certificate,
     disk_disjointness_certificates,
-    hat_arc,
+    hat_arcs,
     linked_pair_report,
     minimize_blocking,
     minimize_clearance,
@@ -115,7 +115,7 @@ __all__ = [
     "expected_to_meet",
     "export_geometry",
     "fixed_points_boundary",
-    "hat_arc",
+    "hat_arcs",
     "hermitian_product",
     "limit_set_points",
     "linked_pair_report",

@@ -52,12 +52,8 @@ def _emit_report(report: verify.Report, out: str | None, fmt: str) -> None:
             fh.write(text)
     else:
         click.echo(text, nl=False)
-    summary = report.summary()
     where = f" -> {out}" if out else ""
-    click.echo(
-        f"{summary['records']} records, {summary['failed']} failed{where}",
-        err=True,
-    )
+    click.echo(f"{len(report.records)} records, {report.failed} failed{where}", err=True)
 
 
 @main.command("verify")

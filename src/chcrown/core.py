@@ -94,19 +94,23 @@ def _max_abs(a: np.ndarray) -> float:
     return max(float(abs(x)) for x in np.asarray(a).ravel())
 
 
-def norm_type(v) -> NormType:
-    """Sign of <v, v> relative to |v|^2, null within ``EPS_ALG``: point, boundary or polar."""
-    v = _data(v)
-    s = hermitian_product(v, v)
-    scale = sum(_abs2(x) for x in v)
-    if scale == 0:
+#: the norm types by the sign of ``<v, v>``, ``-1`` first
+_NORM_TYPES = np.array([NormType.NEGATIVE, NormType.NULL, NormType.POSITIVE], dtype=object)
+
+
+def norm_type(v):
+    """Sign of <v, v> relative to |v|^2, null within ``EPS_ALG``: point, boundary or polar.
+
+    Of one 3-vector, answered with one member, or of each row of an
+    ``(n, 3)`` stack, answered with an object array of members.
+    """
+    rows = _vectors(v).reshape(-1, 3)
+    scale = _abs2(rows).sum(axis=1)
+    if np.any(scale == 0):
         raise GeometryError("zero vector has no norm type")
-    rel = float(s.real) / float(scale)
-    if rel > EPS_ALG:
-        return NormType.POSITIVE
-    if rel < -EPS_ALG:
-        return NormType.NEGATIVE
-    return NormType.NULL
+    rel = hermitian_product(rows, rows).real / scale
+    kind = _NORM_TYPES[(rel > EPS_ALG).astype(int) - (rel < -EPS_ALG) + 1]
+    return kind[0] if np.ndim(v) == 1 else kind
 
 
 def _cross_rows(v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -140,7 +144,11 @@ def box_product(v, w):
 
 @dataclass(frozen=True, eq=False)
 class GroupElement:
-    """A holomorphic isometry: a matrix preserving the Siegel form."""
+    """A holomorphic isometry: a matrix preserving the Siegel form.
+
+    The product, inverse and :meth:`apply` also take an ``(n, 3, 3)`` stack
+    of matrices, row by row, each rounding as one matrix does.
+    """
 
     matrix: np.ndarray
 
@@ -149,7 +157,7 @@ class GroupElement:
 
     def inverse(self) -> "GroupElement":
         # M^H J M = J  gives  M^{-1} = J^{-1} M^H J, and J is involutive.
-        mh = np.conj(self.matrix).T
+        mh = np.conj(self.matrix).swapaxes(-1, -2)
         return GroupElement(SIEGEL @ mh @ SIEGEL)
 
     def apply(self, v):

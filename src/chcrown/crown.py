@@ -15,10 +15,11 @@ spheres; their cutting disks tile the boundary of the crown solid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .core import (
     GeometryError,
     GroupElement,
     _abs2,
+    _apply,
     _fixed_row,
     box_product,
     fixed_points_boundary,
@@ -38,11 +40,16 @@ from .dirichlet import (
     DirichletConfig,
     SpinalSphere,
     canonical_index,
+    ring_bounds,
+    ring_max,
+    trig_basis,
 )
 from .heisenberg import (
     AffineDisk,
     CCircle,
+    ChordSegment,
     ccircle_from_polar,
+    chord_sample_lifts,
     dilation_element,
     disk_intersection_segment,
     translation_element,
@@ -125,16 +132,17 @@ def beta_polar_scaled(t: float) -> np.ndarray:
     )
 
 
-def linking_value(v: np.ndarray, w: np.ndarray) -> float:
+def linking_value(v: np.ndarray, w: np.ndarray):
     """|<v,w>|^2 - <v,v><w,w>; positive iff the two C-circles are unlinked.
 
+    Of two lifts, answered with a float, or row by row of two ``(n, 3)``
+    stacks, answered with an array; each row rounds as a lone pair does.
     Scales with |c|^2 in either lift, so only the sign is scale-free; the
     closed-form regressions pin specific lifts.
     """
-    vw = complex(hermitian_product(v, w))
-    vv = complex(hermitian_product(v, v)).real
-    ww = complex(hermitian_product(w, w)).real
-    return abs(vw) ** 2 - vv * ww
+    vw, vv, ww = hermitian_product(np.stack([v, v, w]), np.stack([w, v, w]))
+    out = np.float_power(np.hypot(vw.real, vw.imag), 2.0) - vv.real * ww.real
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def linking_alpha_beta_closed(t: float) -> float:
@@ -151,17 +159,26 @@ def crown_circle_polars(config: DirichletConfig,
                         beta: Tuple[np.ndarray, np.ndarray]) -> Dict[str, np.ndarray]:
     """Polar lifts of the eight crown circles, g2-orbits of alpha1/beta1.
 
-    ``beta`` is the fixed-point pair of the beta base map ``g2^-1 g3``.
+    ``beta`` is the fixed-point pair of the beta base map ``g2^-1 g3``.  The
+    two base polars move as one two-row stack.
     """
-    g2 = config.gens.g2
-    va = alpha1_polar(config.gens.t)
-    vb = box_product(*beta)
-    out: Dict[str, np.ndarray] = {}
-    for i in range(4):
-        out[f"alpha{i + 1}"] = va
-        out[f"beta{i + 1}"] = vb
-        va = g2.apply(va)
-        vb = g2.apply(vb)
+    base = np.stack([alpha1_polar(config.gens.t), box_product(*beta)])
+    orbit = _g2_orbit(config, np.tile(base, (4, 1)), np.repeat(np.arange(4), 2))
+    return {f"{family}{i + 1}": orbit[2 * i + f]
+            for i in range(4) for f, family in enumerate(("alpha", "beta"))}
+
+
+def _g2_orbit(config: DirichletConfig, rows: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """Row ``i`` of an ``(n, 3)`` stack moved by ``g2^powers[i]``, ``0 <= powers < 4``.
+
+    All rows that still move are carried together, one matrix-vector
+    product per row, so each rounds as one vector carried alone does.
+    """
+    g2 = config.gens.g2.matrix
+    out = np.array(rows, dtype=complex)
+    for p in range(1, 4):
+        moving = powers >= p
+        out[moving] = _apply(g2, out[moving])
     return out
 
 
@@ -174,15 +191,18 @@ class LinkReport:
     value: float
 
 
+#: the 28 pairs ``i < j`` of the crown circles, in the order of ``Scene.polars``
+_CIRCLE_PAIRS = np.triu_indices(8, 1)
+
+
 def linked_pair_report(scene: Scene) -> List[LinkReport]:
-    """Linking sign for all 28 pairs of the scene's crown circles."""
-    polars = scene.polars
-    names = list(polars)
-    out = []
-    for i, ni in enumerate(names):
-        for nj in names[i + 1:]:
-            out.append(LinkReport(ni, nj, linking_value(polars[ni], polars[nj])))
-    return out
+    """Linking sign for all 28 pairs of the scene's crown circles, one stack."""
+    names = list(scene.polars)
+    polars = np.stack(list(scene.polars.values()))
+    first, second = _CIRCLE_PAIRS
+    values = linking_value(polars[first], polars[second])
+    return [LinkReport(names[i], names[j], value)
+            for i, j, value in zip(first.tolist(), second.tolist(), values.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -215,54 +235,86 @@ class ChartedCircle:
     backward: GroupElement
 
     @classmethod
-    def build(cls, t: float, circle: CCircle) -> "ChartedCircle":
-        if circle.vertical:
+    def build(cls, t: float, circles) -> "ChartedCircle":
+        """The chart of one circle, or the list of charts of a sequence of
+        circles, their moves built as one stack."""
+        one = isinstance(circles, CCircle)
+        circles = [circles] if one else list(circles)
+        if any(circle.vertical for circle in circles):
             raise GeometryError("vertical circles have no planar chart")
-        z0 = complex(circle.center.z)
-        v0 = float(circle.center.v)
-        lam = math.sqrt(2.0 * (8.0 * t - 3.0)) / circle.radius
+        z0 = np.array([complex(circle.center.z) for circle in circles])
+        v0 = np.array([float(circle.center.v) for circle in circles])
+        lam = math.sqrt(2.0 * (8.0 * t - 3.0)) / np.array([c.radius for c in circles])
         # Heisenberg left translation by the group inverse of the center,
         # then the dilation that fixes the target radius.
         move = dilation_element(lam) @ translation_element(-z0, -v0)
-        return cls(t, circle, move, move.inverse())
-
-    def to_chart(self, lift: np.ndarray) -> Tuple[float, float]:
-        img = self.forward.apply(np.asarray(lift, dtype=complex))
-        if abs(img[2]) < 1e-13 * float(np.max(np.abs(img))):
-            raise GeometryError("point maps to infinity; not on the chart")
-        w = img / img[2]
-        r = math.sqrt(2.0 * (8.0 * self.t - 3.0))
-        z = complex(w[1]) / r
-        return z.real, z.imag
-
-    def chart_angle(self, lift: np.ndarray) -> float:
-        x, y = self.to_chart(lift)
-        n = math.hypot(x, y)
-        if abs(n - 1.0) > 1e-6:
-            raise GeometryError(f"point is off the chart circle (|xy| = {n:.6f})")
-        return math.atan2(y, x)
+        back = move.inverse()
+        charts = [cls(t, circle, GroupElement(f), GroupElement(b))
+                  for circle, f, b in zip(circles, move.matrix, back.matrix)]
+        return charts[0] if one else charts
 
     def from_chart(self, x, y) -> np.ndarray:
         """Lifts of the actual boundary points over chart positions (x, y).
 
         Floats give one ``(3,)`` lift, equal-length arrays an ``(n, 3)`` stack.
         """
-        img = self.backward.apply(standard_chart_lift(self.t, x, y))
-        return img / img[..., 2:]
+        return _from_charts(self.backward.matrix, self.t, x, y)
 
     def sphere_lines(self, config: DirichletConfig) -> Tuple["ChartLine", ...]:
-        """The chart lines of the eight spheres, sphere ``k`` at index ``k - 1``.
+        """The chart lines of the eight spheres, sphere ``k`` at index ``k - 1``."""
+        return tuple(ChartLine(*line) for line in _chart_lines([self], config)[0].tolist())
 
-        Each affine side function is read off its values at the chart points
-        (1, 0), (-1, 0) and (0, 1): the three are lifted as one stack, and
-        one :meth:`DirichletConfig.side_matrix` call evaluates all eight
-        spheres there.
-        """
-        f10, fm10, f01 = config.side_matrix(self.from_chart(_PROBE_X, _PROBE_Y))
-        k0 = (f10 + fm10) / 2.0
-        k1 = (f10 - fm10) / 2.0
-        k2 = f01 - k0
-        return tuple(ChartLine(*line) for line in zip(k0.tolist(), k1.tolist(), k2.tolist()))
+
+def _to_charts(forward: np.ndarray, t: float, lifts: np.ndarray):
+    """Chart positions ``(x, y)`` of lifts by one chart's ``forward`` matrix,
+    or row by row by an ``(n, 3, 3)`` stack of them, one chart per lift.
+
+    ``x + iy`` is the image's ``w_2 / w_3`` divided by the radius as Python
+    divides a complex by a float: ``((re + im * 0) / r, (im - re * 0) / r)``.
+    """
+    img = _apply(forward, lifts)
+    if np.any(np.abs(img[..., 2]) < 1e-13 * np.max(np.abs(img), axis=-1)):
+        raise GeometryError("point maps to infinity; not on the chart")
+    w = (img / img[..., 2:])[..., 1]
+    r = math.sqrt(2.0 * (8.0 * t - 3.0))
+    return (w.real + w.imag * 0.0) / r, (w.imag - w.real * 0.0) / r
+
+
+def _chart_angles(forward: np.ndarray, t: float, lifts: np.ndarray) -> np.ndarray:
+    """Chart angles of lifts on the chart circle, as :func:`_to_charts` takes
+    them; ``math.atan2``, which ``np.arctan2`` does not match bit for bit."""
+    x, y = _to_charts(forward, t, lifts)
+    n = np.hypot(x, y)
+    if np.any(np.abs(n - 1.0) > 1e-6):
+        raise GeometryError(f"point is off the chart circle (|xy| = {np.max(n):.6f})")
+    x, y = np.atleast_1d(x), np.atleast_1d(y)
+    angles = np.fromiter(map(math.atan2, y.tolist(), x.tolist()), float, len(x))
+    return angles.reshape(np.shape(n))
+
+
+def _from_charts(backward: np.ndarray, t: float, x, y) -> np.ndarray:
+    """Lifts over chart positions (x, y) by one chart's ``backward`` matrix,
+    or row by row by an ``(n, 3, 3)`` stack of them, one chart per point."""
+    img = _apply(backward, standard_chart_lift(t, x, y))
+    return img / img[..., 2:]
+
+
+def _chart_lines(charts: List[ChartedCircle], config: DirichletConfig) -> np.ndarray:
+    """``(m, 8, 3)`` coefficients ``(k0, k1, k2)`` of the eight spheres' chart
+    lines on each of ``m`` charts, from one stack.
+
+    Each affine side function is read off its values at the chart points
+    (1, 0), (-1, 0) and (0, 1): the three points of every chart are lifted
+    as one stack, and one :meth:`DirichletConfig.side_matrix` call
+    evaluates all eight spheres there.  The charts share the parameter.
+    """
+    backward = np.repeat(np.stack([chart.backward.matrix for chart in charts]), 3, axis=0)
+    n = len(charts)
+    lifts = _from_charts(backward, charts[0].t, np.tile(_PROBE_X, n), np.tile(_PROBE_Y, n))
+    sides = config.side_matrix(lifts).reshape(n, 3, 8)
+    f10, fm10, f01 = sides[:, 0], sides[:, 1], sides[:, 2]
+    k0 = (f10 + fm10) / 2.0
+    return np.stack([k0, (f10 - fm10) / 2.0, f01 - k0], axis=-1)
 
 
 #: the chart points whose side values give a sphere's chart line
@@ -278,31 +330,40 @@ class ChartLine:
     k1: float
     k2: float
 
-    @property
-    def direction_norm(self) -> float:
-        return math.hypot(self.k1, self.k2)
-
     def circle_crossings(self) -> List[float]:
         """Angles where the line meets the unit circle (0, 1, or 2)."""
-        r = self.direction_norm
-        if r == 0.0:
-            return []
-        c = -self.k0 / r
-        if abs(c) > 1.0:
-            return []
-        c = min(1.0, max(-1.0, c))
-        phi = math.atan2(self.k2, self.k1)
-        d = math.acos(c)
-        if d == 0.0:
-            return [_wrap_angle(phi)]
-        return [_wrap_angle(phi - d), _wrap_angle(phi + d)]
+        first, second, count = _crossing_angles(*(np.array([k]) for k in (self.k0, self.k1, self.k2)))
+        return [float(first[0]), float(second[0])][:int(count[0])]
 
 
-def _wrap_angle(theta: float) -> float:
-    out = math.fmod(theta + math.pi, 2.0 * math.pi)
-    if out < 0:
-        out += 2.0 * math.pi
-    return out - math.pi
+def _crossing_angles(k0: np.ndarray, k1: np.ndarray, k2: np.ndarray):
+    """Where the chart lines ``k0 + k1 x + k2 y = 0`` meet the unit circle,
+    elementwise: two angle arrays and the number of crossings (0, 1 or 2).
+
+    A line at distance ``c = -k0 / |(k1, k2)|`` in direction ``phi`` meets
+    it at ``phi -+ acos(c)``, once where the two coincide.  ``hypot``,
+    ``atan2`` and ``acos`` are Python's, which numpy's do not match bit for
+    bit, and ``c`` is clamped as Python's ``max`` and ``min`` clamp it.
+    """
+    shape = np.shape(k0)
+    k0, k1, k2 = (np.ravel(k) for k in (k0, k1, k2))
+    r = np.fromiter(map(math.hypot, k1.tolist(), k2.tolist()), float, len(k0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = -k0 / r
+    count = np.where((r == 0.0) | (np.abs(c) > 1.0), 0, 2)
+    c = np.where(c > -1.0, c, -1.0)
+    c = np.where(c < 1.0, c, 1.0)
+    phi = np.fromiter(map(math.atan2, k2.tolist(), k1.tolist()), float, len(k0))
+    d = np.fromiter(map(math.acos, c.tolist()), float, len(k0))
+    count[(count == 2) & (d == 0.0)] = 1
+    return (_wrap_angle(phi - d).reshape(shape), _wrap_angle(phi + d).reshape(shape),
+            count.reshape(shape))
+
+
+def _wrap_angle(theta):
+    """``theta`` wrapped into ``[-pi, pi)``; a float or, elementwise, an array."""
+    out = np.fmod(theta + math.pi, 2.0 * math.pi)
+    return np.where(out < 0, out + 2.0 * math.pi, out) - math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +375,7 @@ class CrownArc:
     """A fixed-point-to-fixed-point sub-arc of a crown circle.
 
     Runs from the attracting chart angle through ``sweep`` (signed) to the
-    repelling one; ``point_param`` linearly sweeps the angle, so s = 0 is
+    repelling one; ``angle_at`` linearly sweeps the angle, so s = 0 is
     the attracting end.
     """
 
@@ -331,13 +392,13 @@ class CrownArc:
         th = self.angle_at(s)
         return self.chart.from_chart(math.cos(th), math.sin(th))
 
-    def param_of_angle(self, theta: float) -> float:
-        """Arc parameter of an angle; in [0, 1] iff the angle is on the arc."""
-        delta = _wrap_angle(theta - self.theta_att)
-        s = delta / self.sweep
-        if s < 0.0:
-            s = (delta + math.copysign(2.0 * math.pi, self.sweep)) / self.sweep
-        return s
+
+def _arc_params(theta, theta_att, sweep):
+    """Arc parameters of angles on arcs from ``theta_att`` through ``sweep``,
+    elementwise; an angle is on its arc iff its parameter is in [0, 1]."""
+    delta = _wrap_angle(theta - theta_att)
+    s = delta / sweep
+    return np.where(s < 0.0, (delta + np.copysign(2.0 * math.pi, sweep)) / sweep, s)
 
 
 def base_map(gens, family: str) -> GroupElement:
@@ -345,9 +406,9 @@ def base_map(gens, family: str) -> GroupElement:
     return gens.g1 if family == "alpha" else gens.g2.inverse() @ gens.g3
 
 
-def _crown_arc(config: DirichletConfig, name: str,
-               base: Tuple[np.ndarray, np.ndarray]) -> CrownArc:
-    """The named arc: counterclockwise from the attracting end.
+def _crown_arcs(config: DirichletConfig, names: List[str],
+                att: np.ndarray, rep: np.ndarray) -> List[CrownArc]:
+    """The named arcs: each counterclockwise from its attracting end.
 
     The two fixed points sit antipodally on the chart circle, and every
     sphere's chart line is perpendicular to that diameter, so the side
@@ -355,61 +416,81 @@ def _crown_arc(config: DirichletConfig, name: str,
     to the spheres identically, and picking one is a normalization, not a
     finding.  The counterclockwise half is the one the symmetry transports
     consistently (``g2`` images match, and the carried beta hat abuts the
-    alpha hat); :func:`hat_arc` certifies it holds a single in-domain
-    segment.  ``base`` is the fixed-point pair of the family's
-    :func:`base_map`, which ``g2`` carries to the named arc.
+    alpha hat); :func:`hat_arcs` certifies it holds a single in-domain
+    segment.  Row ``i`` of the ``(n, 3)`` stacks ``att`` and ``rep`` is the
+    fixed-point pair of the :func:`base_map` of ``names[i]``'s family, which
+    ``g2`` carries to the named arc; the pairs and their polars move as one
+    stack.
     """
-    if name not in ARC_NAMES:
-        raise GeometryError(f"unknown arc name {name!r}")
-    gens = config.gens
-    idx = int(name[-1])
-    att, rep = base
-    polar = box_product(att, rep)
-    for _ in range(idx - 1):
-        att = gens.g2.apply(att)
-        rep = gens.g2.apply(rep)
-        polar = gens.g2.apply(polar)
-    circle = ccircle_from_polar(polar)
-    chart = ChartedCircle.build(gens.t, circle)
-    theta_att = chart.chart_angle(att)
-    ccw = (chart.chart_angle(rep) - theta_att) % (2.0 * math.pi)
-    return CrownArc(name, circle, chart, theta_att, ccw)
+    for name in names:
+        if name not in ARC_NAMES:
+            raise GeometryError(f"unknown arc name {name!r}")
+    n = len(names)
+    powers = np.array([int(name[-1]) - 1 for name in names])
+    moved = _g2_orbit(config, np.concatenate([att, rep, box_product(att, rep)]),
+                      np.tile(powers, 3))
+    t = config.gens.t
+    charts = ChartedCircle.build(t, ccircle_from_polar(moved[2 * n:]))
+    forward = np.stack([chart.forward.matrix for chart in charts])
+    theta = _chart_angles(np.concatenate([forward, forward]), t, moved[:2 * n])
+    sweep = np.mod(theta[n:] - theta[:n], 2.0 * math.pi)
+    return [CrownArc(name, chart.circle, chart, a, ccw)
+            for name, chart, a, ccw in zip(names, charts, theta[:n].tolist(), sweep.tolist())]
 
 
-def _sphere_crossing_params(arc: CrownArc, config: DirichletConfig):
-    """Sorted arc parameters of on-arc sphere crossings, with sphere index."""
-    hits: List[Tuple[float, int]] = []
-    for sphere, line in zip(config.spheres, arc.chart.sphere_lines(config)):
-        for theta in line.circle_crossings():
-            s = arc.param_of_angle(theta)
-            if 0.0 <= s <= 1.0:
-                hits.append((s, sphere.index))
-    hits.sort()
+def _sphere_crossing_params(arcs: List[CrownArc], lines: np.ndarray):
+    """Sorted arc parameters of on-arc sphere crossings, with sphere index, of
+    each arc; ``lines[i]`` holds the eight spheres' chart line coefficients
+    on ``arcs[i]``'s chart (:func:`_chart_lines`).  All crossings of all
+    arcs are placed as one stack."""
+    first, second, count = _crossing_angles(lines[..., 0], lines[..., 1], lines[..., 2])
+    att = np.array([arc.theta_att for arc in arcs])[:, None]
+    sweep = np.array([arc.sweep for arc in arcs])[:, None]
+    s = _arc_params(np.stack([first, second]), att, sweep)
+    on = (np.arange(2)[:, None, None] < count) & (0.0 <= s) & (s <= 1.0)
+    hits = []
+    for i in range(len(arcs)):
+        which, k = np.nonzero(on[:, i])
+        hits.append(sorted(zip(s[which, i, k].tolist(), (k + 1).tolist())))
     return hits
 
 
-def _in_domain_segments(arc: CrownArc, config: DirichletConfig,
-                        hits: List[Tuple[float, int]]) -> List[Tuple[float, float]]:
-    """Maximal sub-intervals of the arc outside all eight spheres.
+def _arc_lifts(arcs: List[CrownArc], which: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Lifts of the points at parameters ``s`` on the arcs ``arcs[which]``, one stack."""
+    theta = (np.array([arc.theta_att for arc in arcs])[which]
+             + s * np.array([arc.sweep for arc in arcs])[which])
+    backward = np.stack([arc.chart.backward.matrix for arc in arcs])[which]
+    return _from_charts(backward, arcs[0].chart.t, np.cos(theta), np.sin(theta))
 
-    ``hits`` are the arc's sphere crossings from ``_sphere_crossing_params``;
-    a piece is outside when its midpoint's largest side value is below
-    ``-1e-12``.  The midpoints of all pieces are lifted and evaluated as one
-    stack.
+
+def _in_domain_segments(arcs: List[CrownArc], config: DirichletConfig,
+                        hits: List[List[Tuple[float, int]]]) -> List[List[Tuple[float, float]]]:
+    """Maximal sub-intervals of each arc outside all eight spheres.
+
+    ``hits[i]`` are ``arcs[i]``'s sphere crossings from
+    ``_sphere_crossing_params``; a piece is outside when its midpoint's
+    largest side value is below ``-1e-12``.  The midpoints of all pieces of
+    all arcs are lifted and evaluated as one stack.
     """
-    cuts = [0.0] + [s for s, _ in hits] + [1.0]
-    pieces = [(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi - lo >= 1e-12]
-    theta = arc.angle_at(np.array([(lo + hi) / 2.0 for lo, hi in pieces]))
-    sides = config.side_matrix(arc.chart.from_chart(np.cos(theta), np.sin(theta)))
-    segments = [piece for piece, top in zip(pieces, np.max(sides, axis=1)) if top < -1e-12]
-    # merge adjacent segments split by a crossing that does not change sign
-    merged: List[Tuple[float, float]] = []
-    for seg in segments:
-        if merged and abs(merged[-1][1] - seg[0]) < 1e-12:
-            merged[-1] = (merged[-1][0], seg[1])
-        else:
-            merged.append(seg)
-    return [tuple(seg) for seg in merged]
+    pieces = []
+    for arc_hits in hits:
+        cuts = [0.0] + [s for s, _ in arc_hits] + [1.0]
+        pieces.append([(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi - lo >= 1e-12])
+    which = np.repeat(np.arange(len(arcs)), [len(p) for p in pieces])
+    mids = np.array([(lo + hi) / 2.0 for arc_pieces in pieces for lo, hi in arc_pieces])
+    tops = iter(np.max(config.side_matrix(_arc_lifts(arcs, which, mids)), axis=1).tolist())
+    out = []
+    for arc_pieces in pieces:
+        segments = [piece for piece, top in zip(arc_pieces, tops) if top < -1e-12]
+        # merge adjacent segments split by a crossing that does not change sign
+        merged: List[Tuple[float, float]] = []
+        for seg in segments:
+            if merged and abs(merged[-1][1] - seg[0]) < 1e-12:
+                merged[-1] = (merged[-1][0], seg[1])
+            else:
+                merged.append(seg)
+        out.append(merged)
+    return out
 
 
 @dataclass(frozen=True)
@@ -445,32 +526,35 @@ class HatArc:
         return self.arc.angle_at(np.linspace(self.s_minus, self.s_plus, n))
 
 
-def hat_arc(arc: CrownArc, config: DirichletConfig,
-            hits: List[Tuple[float, int]]) -> HatArc:
-    """Cut the arc by all spheres and keep the unique in-domain segment.
+def hat_arcs(arcs: List[CrownArc], config: DirichletConfig,
+             hits: List[List[Tuple[float, int]]]) -> List[HatArc]:
+    """Cut each arc by all spheres and keep its unique in-domain segment.
 
     The endpoints are sphere crossings; their spheres are the hosts.  The
     minus end is the one hosted by the odd-indexed sphere of the pair
-    (canonical 2i+1 for both arc families).  ``hits`` are the arc's sphere
-    crossings from ``_sphere_crossing_params``.
+    (canonical 2i+1 for both arc families).  ``hits[i]`` are ``arcs[i]``'s
+    sphere crossings from ``_sphere_crossing_params``.  The hats' midpoints
+    are evaluated as one stack.
     """
-    segs = _in_domain_segments(arc, config, hits)
-    if len(segs) != 1:
-        raise GeometryError(f"{arc.name}: expected one in-domain segment, got {len(segs)}")
-    lo, hi = segs[0]
-    host_of = {}
-    for s, k in hits:
-        host_of[round(s, 12)] = k
-    try:
-        h_lo = host_of[round(lo, 12)]
-        h_hi = host_of[round(hi, 12)]
-    except KeyError:
-        raise GeometryError(f"{arc.name}: in-domain segment not bounded by crossings")
-    mid_vals = config.side_matrix(arc.lift_at((lo + hi) / 2.0))
-    margin = float(-np.max(mid_vals))
-    if h_lo % 2 == 1:
-        return HatArc(arc, lo, hi, h_lo, h_hi, margin)
-    return HatArc(arc, hi, lo, h_hi, h_lo, margin)
+    ends = []
+    for arc, segs, arc_hits in zip(arcs, _in_domain_segments(arcs, config, hits), hits):
+        if len(segs) != 1:
+            raise GeometryError(f"{arc.name}: expected one in-domain segment, got {len(segs)}")
+        lo, hi = segs[0]
+        host_of = {round(s, 12): k for s, k in arc_hits}
+        try:
+            ends.append((lo, hi, host_of[round(lo, 12)], host_of[round(hi, 12)]))
+        except KeyError:
+            raise GeometryError(f"{arc.name}: in-domain segment not bounded by crossings")
+    mids = np.array([(lo + hi) / 2.0 for lo, hi, _, _ in ends])
+    sides = config.side_matrix(_arc_lifts(arcs, np.arange(len(arcs)), mids))
+    out = []
+    for arc, (lo, hi, h_lo, h_hi), top in zip(arcs, ends, np.max(sides, axis=1).tolist()):
+        if h_lo % 2 == 1:
+            out.append(HatArc(arc, lo, hi, h_lo, h_hi, -top))
+        else:
+            out.append(HatArc(arc, hi, lo, h_hi, h_lo, -top))
+    return out
 
 
 def expected_hosts(name: str) -> Tuple[int, int]:
@@ -509,20 +593,29 @@ class ArcReport:
         return True
 
 
-def arc_report(config: DirichletConfig, name: str,
-               base: Tuple[np.ndarray, np.ndarray]) -> ArcReport:
-    """Hat, hosts and crossing counts of one arc from a single crossing list.
+def arc_report(config: DirichletConfig, name, base: Tuple[np.ndarray, np.ndarray]):
+    """Hat, hosts and crossing counts of arcs, each from a single crossing list.
 
-    ``base`` is the fixed-point pair of the family's :func:`base_map`;
-    :func:`hat_arc` certifies the one in-domain segment.
+    ``name`` is one arc name, answered with one report, and ``base`` the
+    fixed-point pair of its family's :func:`base_map`; or ``name`` is a
+    sequence of names, answered with a tuple of reports, and ``base`` two
+    ``(n, 3)`` stacks, row ``i`` the pair of ``name[i]``'s family.  One name
+    is the one-row stack: all arcs' chart lines come from one
+    :meth:`DirichletConfig.side_matrix` call, and :func:`hat_arcs`
+    certifies each arc's one in-domain segment.
     """
-    arc = _crown_arc(config, name, base)
-    hits = _sphere_crossing_params(arc, config)
-    hat = hat_arc(arc, config, hits)
-    counts: Dict[int, int] = {k: 0 for k in range(1, 9)}
-    for _s, k in hits:
-        counts[k] += 1
-    return ArcReport(name, hat.hosts, counts, hat)
+    one = isinstance(name, str)
+    names = [name] if one else list(name)
+    att, rep = (np.reshape(b, (-1, 3)) for b in base)
+    arcs = _crown_arcs(config, names, att, rep)
+    hits = _sphere_crossing_params(arcs, _chart_lines([arc.chart for arc in arcs], config))
+    reports = []
+    for arc_name, hat, arc_hits in zip(names, hat_arcs(arcs, config, hits), hits):
+        counts: Dict[int, int] = {k: 0 for k in range(1, 9)}
+        for _s, k in arc_hits:
+            counts[k] += 1
+        reports.append(ArcReport(arc_name, hat.hosts, counts, hat))
+    return reports[0] if one else tuple(reports)
 
 
 def table1(scene: "Scene") -> Dict[str, Tuple[int, int]]:
@@ -534,8 +627,8 @@ class Scene:
     """The pipeline of one parameter, shared by everything that reads ``t``.
 
     The configuration, the fixed points of the two base maps, the
-    crown-circle polars and each crown arc's report are computed on first
-    use and at most once; a sweep builds one scene per ``t`` and drops it
+    crown-circle polars and the eight crown arcs' reports are computed on
+    first use and at most once; a sweep builds one scene per ``t`` and drops it
     when the point is done.
     """
 
@@ -564,9 +657,21 @@ class Scene:
         """:func:`crown_circle_polars` of the configuration."""
         return crown_circle_polars(self.config, self.fixed_points("beta"))
 
+    @cached_property
+    def disks(self) -> Dict[str, AffineDisk]:
+        """The affine disks of the crown circles, in the order of :attr:`polars`,
+        decoded as one stack."""
+        circles = ccircle_from_polar(np.stack(list(self.polars.values())))
+        return dict(zip(self.polars, map(AffineDisk, circles)))
+
     def arc_report(self, name: str) -> ArcReport:
-        if name not in self._arcs:
-            self._arcs[name] = arc_report(self.config, name, self.fixed_points(name[:-1]))
+        """The named arc's report; the first call builds all eight as one stack."""
+        if name not in ARC_NAMES:
+            raise GeometryError(f"unknown arc name {name!r}")
+        if not self._arcs:
+            pairs = [self.fixed_points(arc[:-1]) for arc in ARC_NAMES]
+            base = tuple(np.stack(rows) for rows in zip(*pairs))
+            self._arcs = dict(zip(ARC_NAMES, arc_report(self.config, ARC_NAMES, base)))
         return self._arcs[name]
 
 
@@ -826,8 +931,7 @@ def honest_chord_blocking(t: float, sphere3: SpinalSphere) -> Optional[float]:
     so it should land on twice :func:`blocking_minimum_at`.  ``None`` when
     there is no chord.
     """
-    c1 = ccircle_from_polar(alpha1_polar(t))
-    c2 = ccircle_from_polar(alpha2_polar(t))
+    c1, c2 = ccircle_from_polar(np.stack([alpha1_polar(t), alpha2_polar(t)]))
     seg = disk_intersection_segment(AffineDisk(c1), AffineDisk(c2))
     if seg is None:
         return None
@@ -842,61 +946,105 @@ def honest_chord_blocking(t: float, sphere3: SpinalSphere) -> Optional[float]:
 class VisibleComponent:
     """Hat-reachable free region of one affine disk, on a polar grid.
 
-    ``reach[i, j]`` marks cells (radius row i, angle column j) that lie
-    outside all eight spheres and connect to the hat arc through free
-    cells.  The cutting disk is exactly the hat-adjacent visible part of
-    the affine disk, so a point failing :meth:`reachable` lies beyond the
-    disk's sphere-cap boundary, up to grid resolution.  A non-finite point
-    is never reachable.
+    The grid has ``nr`` radius rows and ``nth`` angle columns; cell ``(i, j)``
+    has the flat index ``i * nth + j``.  The region is the union of the
+    half-open runs ``[starts[k], stops[k])`` of flat indices, ascending, each
+    inside one row: the cells that lie outside all eight spheres and connect
+    to the hat arc through free cells.  The cutting disk is exactly the
+    hat-adjacent visible part of the affine disk, so a point that is not
+    :meth:`reachable` lies beyond the disk's sphere-cap boundary, up to grid
+    resolution.
     """
 
     center: complex
     radius: float
-    reach: np.ndarray
+    nr: int
+    nth: int
+    starts: np.ndarray
+    stops: np.ndarray
 
-    def reachable(self, z: complex) -> bool:
-        nr, nth = self.reach.shape
-        offset = complex(z) - self.center
-        rho = abs(offset)
-        if not rho <= self.radius * (1.0 + 1e-9):  # NaN fails too
-            return False
-        i = min(nr - 1, int(rho / self.radius * nr))
-        j = int((math.atan2(offset.imag, offset.real) % _TWO_PI) / _TWO_PI * nth) % nth
-        return bool(self.reach[i, j])
+    def reachable(self, z) -> np.ndarray:
+        """Whether each point of the array ``z`` lies in a reachable cell.
+
+        A point's cell is its radius row and its angle column about the
+        centre, one ``searchsorted`` lookup for all of them.  A non-finite
+        point is never reachable.  The angle is ``math.atan2``, which
+        ``np.arctan2`` does not match bit for bit.
+        """
+        offset = np.asarray(z, dtype=complex) - self.center
+        rho = np.hypot(offset.real, offset.imag)
+        inside = np.flatnonzero(rho <= self.radius * (1.0 + 1e-9))  # NaN fails too
+        out = np.zeros(offset.shape, dtype=bool)
+        if not len(inside):
+            return out
+        near = offset.ravel()[inside]
+        row = np.minimum(self.nr - 1, (rho.ravel()[inside] / self.radius * self.nr).astype(int))
+        angle = np.fromiter(map(math.atan2, near.imag.tolist(), near.real.tolist()),
+                            float, len(inside))
+        cell = row * self.nth + _angle_columns(angle, self.nth)
+        run = np.searchsorted(self.starts, cell, side="right") - 1
+        hit = (run >= 0) & (cell < self.stops[np.maximum(run, 0)])
+        out.ravel()[inside] = hit
+        return out
 
 
 _TWO_PI = 2.0 * math.pi
+
+
+@functools.lru_cache(maxsize=None)
+def _polar_grid(nr: int, nth: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fill grid's constants: ring radii of a unit disk, the unit
+    vectors of the angle columns and their trigonometric basis
+    (:func:`trig_basis`), read-only since every fill of this size shares them."""
+    unit = (np.arange(nr) + 0.5) / nr
+    spin = np.exp(1j * ((np.arange(nth) + 0.5) / nth * _TWO_PI))
+    basis = trig_basis(spin)
+    for a in (unit, spin, basis):
+        a.setflags(write=False)
+    return unit, spin, basis
 
 
 def visible_component(config: DirichletConfig, hat: HatArc,
                       nr: int, nth: int) -> VisibleComponent:
     """Flood-fill the affine disk of ``hat``'s circle from the hat arc.
 
-    The grid has ``nr`` radius rows and ``nth`` angle columns.  Cells are
-    seeded at the outermost free ring (of the last five) under each angle
-    column one of 400 hat samples passes through (the hat itself lies on
-    the circle), then grown through the 4-neighborhood of sphere-free cells
-    by :func:`seeded_components`.  The chart's backward map is a Heisenberg
-    translation by the circle centre and a positive dilation, so a hat
-    point's angle about the centre is its chart angle, read off the arc
-    without lifting the point.
+    The grid has ``nr`` radius rows and ``nth`` angle columns.  A ring whose
+    :func:`ring_bounds` put every cell more than the guard ``err`` inside
+    a sphere is blocked, and one whose bounds put every cell more than
+    ``err`` outside all spheres is free; the other rings take
+    :func:`ring_max` over the spheres that can be largest on them.  Cells
+    are seeded at the outermost free ring (of the last five) under each
+    angle column one of 400 hat samples passes through (the hat itself lies
+    on the circle), then grown through the 4-neighborhood of sphere-free
+    cells by :func:`seeded_components`.  The chart's backward map is a
+    Heisenberg translation by the circle centre and a positive dilation, so
+    a hat point's angle about the centre is its chart angle, read off the
+    arc without lifting the point.
     """
     circle = hat.arc.circle
     plane = AffineDisk(circle).plane
     center = complex(circle.center.z)
     radius = float(circle.radius)
-    rho = (np.arange(nr) + 0.5) / nr * radius
-    ang = (np.arange(nth) + 0.5) / nth * _TWO_PI
-    spin = np.exp(1j * ang)
+    unit, spin, basis = _polar_grid(nr, nth)
+    rho = unit * radius
     height = (-plane.coeff_const, -plane.coeff_x, -plane.coeff_y)
-    top, err = config.ring_side_max(center, height, rho, spin)
-    free = top < -err[:, None]
-    unsure = ~(free | (top > err[:, None]))
+    q, err = config.ring_quadratics(center, height, rho)
+    lower, uppers = ring_bounds(q)
+    free_ring = np.max(uppers, axis=0) < -err
+    free = np.zeros((nr, nth), dtype=bool)
+    free[free_ring] = True
+    rows = np.flatnonzero(~((lower > err) | free_ring))
+    # a sphere more than err below another at every cell of these rings is
+    # never their largest side value, rounding included (a NaN keeps it;
+    # without such rings no sphere is dropped, and none is evaluated)
+    below = np.all(uppers[:, rows] + err[rows] < lower[rows], axis=1) & (len(rows) > 0)
+    top = ring_max(q[~below][:, rows], basis)
+    guard = err[rows, None]
+    free[rows] = inside = top < -guard
+    unsure = rows[~np.all(inside | (top > guard), axis=1)]
     # blocks holding a cell within the guard band are decided on the lifts,
     # exactly as in_boundary_domain decides them
-    for r0 in range(0, nr, _FLOOD_BLOCK_ROWS):
-        if not unsure[r0:r0 + _FLOOD_BLOCK_ROWS].any():
-            continue
+    for r0 in sorted({r // _FLOOD_BLOCK_ROWS * _FLOOD_BLOCK_ROWS for r in unsure.tolist()}):
         z = center + rho[r0:r0 + _FLOOD_BLOCK_ROWS, None] * spin
         v = -(plane.coeff_const + plane.coeff_x * z.real + plane.coeff_y * z.imag)
         lifts = np.empty(z.shape + (3,), dtype=complex)
@@ -906,11 +1054,13 @@ def visible_component(config: DirichletConfig, hat: HatArc,
         block = config.in_boundary_domain(lifts.reshape(-1, 3))
         free[r0:r0 + _FLOOD_BLOCK_ROWS] = block.reshape(z.shape)
 
-    cols = np.unique(_angle_columns(hat.sample_angles(400), nth))
+    hat_cols = np.zeros(nth, dtype=bool)
+    hat_cols[_angle_columns(hat.sample_angles(400), nth)] = True
+    cols = np.flatnonzero(hat_cols)
     rings = free[max(nr - 5, 0):, cols][::-1]
-    rows = nr - 1 - np.argmax(rings, axis=0)
-    hit = rings.any(axis=0)
-    return VisibleComponent(center, radius, seeded_components(free, zip(rows[hit], cols[hit])))
+    seeds = np.stack([nr - 1 - np.argmax(rings, axis=0), cols], axis=1)[rings.any(axis=0)]
+    starts, stops = seeded_components(free, seeds)
+    return VisibleComponent(center, radius, nr, nth, starts, stops)
 
 
 def _angle_columns(theta: np.ndarray, nth: int) -> np.ndarray:
@@ -918,49 +1068,61 @@ def _angle_columns(theta: np.ndarray, nth: int) -> np.ndarray:
     return (np.mod(theta, _TWO_PI) / _TWO_PI * nth).astype(int) % nth
 
 
-def seeded_components(free: np.ndarray, seeds: Iterable[Tuple[int, int]]) -> np.ndarray:
-    """Cells of ``free`` 4-connected to a seed cell; columns wrap, rows do not.
+def seeded_components(free: np.ndarray, seeds) -> Tuple[np.ndarray, np.ndarray]:
+    """Runs of ``free`` 4-connected to a seed cell; columns wrap, rows do not.
 
     ``free[i, j]`` is radius row ``i`` and angle column ``j``, so column
-    ``nth - 1`` neighbours column 0.  A run-length fill: every row splits
-    into runs of free cells, runs sharing a column in adjacent rows are
-    joined, and so are a row's first and last runs when they meet across
-    the angular seam.  The components holding a seed are kept; seeds on
-    blocked cells are ignored.
+    ``nth - 1`` neighbours column 0; ``seeds`` holds ``(i, j)`` rows.  Every
+    row splits into runs of free cells, found in one pass over the grid; all
+    else works on the runs.  Runs overlapping in adjacent rows are joined,
+    and so are a row's first and last runs when they meet across the
+    angular seam.  The components holding a seed are kept; seeds on blocked
+    cells are ignored.  Returns the kept runs as ascending half-open flat
+    index ranges ``[starts, stops)``, as :class:`VisibleComponent` holds them.
     """
-    free = np.asarray(free, dtype=bool)
-    starts = free.copy()
-    starts[:, 1:] &= ~free[:, :-1]
-    n_runs = int(np.count_nonzero(starts))
-    if n_runs == 0:
-        return np.zeros_like(free)
-    # run id of every free cell; a run never spans two rows
-    run = (np.cumsum(starts.ravel()) - 1).reshape(free.shape)
-    # vertical links, one per stretch of columns joining the same two runs
-    link = free[:-1] & free[1:]
-    link[:, 1:] &= ~(free[:-1, :-1] & free[1:, :-1])
-    seam = free[:, 0] & free[:, -1]
-    edges = np.concatenate([run[:-1][link] * n_runs + run[1:][link],
-                            run[seam, 0] * n_runs + run[seam, -1]])
-
-    parent = list(range(n_runs))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for edge in edges.tolist():
-        ra, rb = find(edge // n_runs), find(edge % n_runs)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    root = np.array([find(a) for a in range(n_runs)])
-    seeded = np.zeros(n_runs, dtype=bool)
-    for i, j in seeds:
-        if free[i, j]:
-            seeded[root[run[i, j]]] = True
-    return free & seeded[root[run]]
+    nr, nth = np.shape(free)
+    padded = np.zeros((nr, nth + 2), dtype=bool)
+    padded[:, 1:-1] = free
+    edge = np.flatnonzero(padded[:, 1:] != padded[:, :-1])
+    # every row opens and closes its runs in turn; edge e sits in row e // (nth + 1)
+    row, col = np.divmod(edge, nth + 1)
+    starts = row[0::2] * nth + col[0::2]
+    stops = row[1::2] * nth + col[1::2]
+    if not len(starts):
+        return starts, stops
+    # the runs of the row above that overlap each run: a contiguous range
+    above = row[0::2] * nth - nth
+    first = np.searchsorted(stops, above + col[0::2], side="right")
+    count = np.maximum(np.searchsorted(starts, above + col[1::2], side="left") - first, 0)
+    # a row whose first and last cells are free joins its first and last runs
+    seam = np.flatnonzero(padded[:, 1] & padded[:, -2])
+    a = np.concatenate([np.repeat(np.arange(len(starts)), count),
+                        np.searchsorted(starts, seam * nth, side="right") - 1])
+    b = np.concatenate([np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum()),
+                        np.searchsorted(starts, seam * nth + nth - 1, side="right") - 1])
+    # components by hooking and pointer jumping: every run points to a
+    # smaller one or to itself, and after each round every run points to
+    # the root of its tree; a linked pair with two roots hooks the larger
+    # root under the smaller, until every link joins runs of one root
+    root = np.arange(len(starts))
+    while True:
+        ra, rb = root[a], root[b]
+        if np.array_equal(ra, rb):
+            break
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    seeds = np.asarray(seeds, dtype=int).reshape(-1, 2)
+    cell = seeds[:, 0] * nth + seeds[:, 1]
+    at = np.searchsorted(starts, cell, side="right") - 1
+    on = (at >= 0) & (cell < stops[np.maximum(at, 0)])
+    seeded = np.zeros(len(starts), dtype=bool)
+    seeded[root[at[on]]] = True
+    keep = seeded[root]
+    return starts[keep], stops[keep]
 
 
 @dataclass(frozen=True)
@@ -996,7 +1158,9 @@ class DiskPairCert:
 
     @property
     def disjoint(self) -> bool:
-        return self.mode != "overlapping"
+        """Not overlapping, and the margin is a number: a NaN margin was
+        never checked against anything."""
+        return self.mode != "overlapping" and not math.isnan(self.margin)
 
 
 #: samples along each shared chord segment of the disk ladder
@@ -1021,12 +1185,14 @@ def disk_disjointness_certificates(scene: Scene) -> List[DiskPairCert]:
     a flood-fill check that no exposed segment point is visible from both
     hat arcs.  Pairs failing every rung are reported as overlapping with
     an explicit witness point.  The hats come from ``scene``.
+
+    The chord samples of all pairs with a segment are evaluated as one
+    :meth:`DirichletConfig.side_matrix` stack.  A pair with a non-finite
+    side value is neither blocked nor covered, and a sample whose cover is
+    not a number counts as exposed, so its NaN becomes the pair's margin.
     """
     config = scene.config
-    polars = scene.polars
-    names = list(polars)
-    links = {(r.first, r.second): r.value for r in linked_pair_report(scene)}
-    disks = {name: AffineDisk(ccircle_from_polar(polars[name])) for name in names}
+    disks = scene.disks
     comps: Dict[str, VisibleComponent] = {}
 
     def comp(name: str) -> VisibleComponent:
@@ -1035,43 +1201,49 @@ def disk_disjointness_certificates(scene: Scene) -> List[DiskPairCert]:
                                             _FLOOD_NR, _FLOOD_NTH)
         return comps[name]
 
-    out: List[DiskPairCert] = []
-    for i, ni in enumerate(names):
-        for nj in names[i + 1:]:
-            link = links[(ni, nj)]
-            try:
-                seg = disk_intersection_segment(disks[ni], disks[nj])
-                parallel = False
-            except GeometryError:
-                seg, parallel = None, True
-            if seg is None:
-                if link > 0.0:
-                    mode = "unlinked"
-                else:
-                    mode = "parallel-planes" if parallel else "no-chord"
-                out.append(DiskPairCert(ni, nj, link, mode, link))
-                continue
-            lifts = seg.sample_lifts(_CHORD_SAMPLES)
-            side = config.side_matrix(lifts)
-            per_sphere = np.min(side, axis=0)
-            best = int(np.argmax(per_sphere))
-            if per_sphere[best] > 0.0:
-                out.append(DiskPairCert(ni, nj, link, "blocked",
-                                        float(per_sphere[best]), best + 1))
-                continue
-            cover = np.max(side, axis=1)
-            if float(np.min(cover)) >= -_VISIBLE_TOL:
-                out.append(DiskPairCert(ni, nj, link, "covered", float(np.min(cover))))
-                continue
-            exposed = np.nonzero(cover < -_VISIBLE_TOL)[0]
-            ci, cj = comp(ni), comp(nj)
-            zs = lifts[:, 1].tolist()
-            shared = [int(k) for k in exposed if ci.reachable(zs[k]) and cj.reachable(zs[k])]
-            pool = shared if shared else [int(k) for k in exposed]
-            k = min(pool, key=lambda idx: float(cover[idx]))
-            witness = (zs[k].real, zs[k].imag, float(2.0 * lifts[k, 0].imag))
-            mode = "overlapping" if shared else "separated"
-            out.append(DiskPairCert(ni, nj, link, mode, float(cover[k]), None, witness))
+    links = linked_pair_report(scene)
+    segs, parallel = disk_intersection_segment([disks[link.first] for link in links],
+                                               [disks[link.second] for link in links])
+    out: List[Optional[DiskPairCert]] = []
+    chords: List[Tuple[int, ChordSegment]] = []
+    for link, seg, flat in zip(links, segs, parallel.tolist()):
+        if seg is None:
+            if link.value > 0.0:
+                mode = "unlinked"
+            else:
+                mode = "parallel-planes" if flat else "no-chord"
+            out.append(DiskPairCert(link.first, link.second, link.value, mode, link.value))
+        else:
+            chords.append((len(out), seg))
+            out.append(None)
+    if not chords:
+        return out
+    lifts = chord_sample_lifts([seg for _, seg in chords], _CHORD_SAMPLES)
+    # (8, pairs, samples): each sphere's values along every pair's chord
+    side = config.side_matrix(lifts.reshape(-1, 3)).T.reshape(8, len(chords), _CHORD_SAMPLES)
+    finite = np.isfinite(side).all(axis=(0, 2))
+    per_sphere = np.min(side, axis=2)
+    best = np.argmax(per_sphere, axis=0)
+    blocking = per_sphere[best, np.arange(len(chords))]
+    cover = np.max(side, axis=0)
+    worst = np.min(cover, axis=1)
+    for p, (idx, _seg) in enumerate(chords):
+        ni, nj, link = links[idx].first, links[idx].second, links[idx].value
+        if finite[p] and blocking[p] > 0.0:
+            out[idx] = DiskPairCert(ni, nj, link, "blocked", float(blocking[p]), int(best[p]) + 1)
+            continue
+        if finite[p] and worst[p] >= -_VISIBLE_TOL:
+            out[idx] = DiskPairCert(ni, nj, link, "covered", float(worst[p]))
+            continue
+        exposed = np.flatnonzero(~(cover[p] >= -_VISIBLE_TOL))
+        zs = lifts[p, exposed, 1]
+        shared = exposed[comp(ni).reachable(zs) & comp(nj).reachable(zs)]
+        pool = shared if len(shared) else exposed
+        k = int(pool[np.argmin(cover[p, pool])])
+        z = complex(lifts[p, k, 1])
+        witness = (z.real, z.imag, float(2.0 * lifts[p, k, 0].imag))
+        mode = "overlapping" if len(shared) else "separated"
+        out[idx] = DiskPairCert(ni, nj, link, mode, float(cover[p, k]), None, witness)
     return out
 
 
@@ -1096,12 +1268,13 @@ def crown_fundamental_certificate(scene: Scene) -> Dict[str, float]:
     alpha = scene.arc_report("alpha1").hat
     beta = scene.arc_report("beta1").hat
     chart = alpha.arc.chart
-    angle_of = chart.chart_angle
 
-    bm = angle_of(carrier.apply(beta.endpoint_lift("-")))
-    bp = angle_of(carrier.apply(beta.endpoint_lift("+")))
-    am = angle_of(alpha.endpoint_lift("-"))
-    ap = angle_of(alpha.endpoint_lift("+"))
+    def angles_of(lifts):
+        return _chart_angles(chart.forward.matrix, chart.t, np.stack(lifts)).tolist()
+
+    bm, bp, am, ap = angles_of([carrier.apply(beta.endpoint_lift("-")),
+                                carrier.apply(beta.endpoint_lift("+")),
+                                alpha.endpoint_lift("-"), alpha.endpoint_lift("+")])
 
     gaps = {
         ("b-", "a-"): abs(_wrap_angle(bm - am)),
@@ -1112,10 +1285,9 @@ def crown_fundamental_certificate(scene: Scene) -> Dict[str, float]:
     (shared_b, shared_a), abut = min(gaps.items(), key=lambda kv: kv[1])
     far_b = bm if shared_b == "b+" else bp
     far_a = am if shared_a == "a+" else ap
-    img = angle_of(g1.apply(chart.from_chart(math.cos(far_b), math.sin(far_b))))
-    translate_res = abs(_wrap_angle(img - far_a))
-    img2 = angle_of(g1.inverse().apply(chart.from_chart(math.cos(far_a), math.sin(far_a))))
-    translate_res = min(translate_res, abs(_wrap_angle(img2 - far_b)))
+    img, img2 = angles_of([g1.apply(chart.from_chart(math.cos(far_b), math.sin(far_b))),
+                           g1.inverse().apply(chart.from_chart(math.cos(far_a), math.sin(far_a)))])
+    translate_res = min(abs(_wrap_angle(img - far_a)), abs(_wrap_angle(img2 - far_b)))
     return {
         "word_residual": word_res,
         "abutment_gap": abut,

@@ -27,6 +27,7 @@ import numpy as np
 from .core import (
     GeometryError,
     SIEGEL,
+    _abs2,
     _apply,
     _cmul,
     box_product,
@@ -69,7 +70,7 @@ _COLLINEAR = 1e-9
 
 _SHADOW_PAD = 1.6
 _SHADOW_DOUBLINGS = 12
-#: error bound of :meth:`DirichletConfig.ring_side_max`, relative to the
+#: error bound of :meth:`DirichletConfig.ring_quadratics`, relative to the
 #: absolute sums of its ring coefficients
 _RING_GUARD = 1e-10
 
@@ -96,12 +97,10 @@ class SpinalSphere:
         object.__setattr__(self, "_rv", _row_form(self.v))
 
     def side_of_lifts(self, points: np.ndarray) -> np.ndarray:
-        """Side values for an (n, 3) array of lift vectors."""
-        pts = np.atleast_2d(np.asarray(points, dtype=complex))
-        pu = pts @ _RU
-        pv = pts @ self._rv
-        out = (pu * np.conj(pu) - pv * np.conj(pv)).real
-        return out if out.size > 1 else out.reshape(-1)
+        """Side values for an (n, 3) array of lift vectors; column ``index - 1``
+        of :meth:`DirichletConfig.side_matrix`, bit for bit."""
+        near, far = _norm2_products(np.stack([_RU, self._rv]), points)
+        return near - far
 
     def vertical_quadratic(self, z: np.ndarray):
         """Coefficients (A, B, C) of the side function on vertical lines.
@@ -198,21 +197,23 @@ class DirichletConfig:
         row ``k - 1``, evaluated as one stack on first use."""
         return self.gens.evaluate_words([involution_word(k) for k in CANONICAL_INDICES])
 
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        """(9, 3) row forms: the centre's, then the eight spheres' in order."""
+        return np.stack([_RU] + [s._rv for s in self.spheres])
+
     def side_matrix(self, points: np.ndarray) -> np.ndarray:
         """(n, 8) side values of lift points against all spheres.
 
         Every sphere is a bisector of the same center lift ``Q0``, so the
         ``|<p, Q0>|^2`` term is evaluated once and shared by all eight
-        columns; each column is otherwise exactly ``side_of_lifts``.  The
-        result is column-major, so per-point reductions over the spheres
-        run down contiguous columns.
+        columns.  Row ``i`` depends on point ``i`` alone, bit for bit
+        (:func:`_norm2_products`), so a point's side values do not depend on
+        what it is stacked with.  The result is column-major, so per-point
+        reductions over the spheres run down contiguous columns.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=complex))
-        near = _norm2(pts @ _RU)
-        out = np.empty((len(self.spheres), pts.shape[0]))
-        for k, s in enumerate(self.spheres):
-            out[k] = near - _norm2(pts @ s._rv)
-        return out.T
+        norms = _norm2_products(self._rows, points)
+        return (norms[0] - norms[1:]).T
 
     def in_boundary_domain(self, points: np.ndarray) -> np.ndarray:
         """Lift points outside or on every sphere: ``max(side_matrix) <= 0``.
@@ -221,23 +222,19 @@ class DirichletConfig:
         difference is monotone in what is subtracted, so the largest side
         value is ``near`` minus the smallest ``|<p, v_k>|^2``: one difference
         per point instead of the (n, 8) matrix, equal bit for bit.
-        ``np.minimum`` propagates NaN, so a non-finite row is never free.
+        ``np.min`` propagates NaN, so a non-finite row is never free.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=complex))
-        near = _norm2(pts @ _RU)
-        far = _norm2(pts @ self.spheres[0]._rv)
-        for s in self.spheres[1:]:
-            np.minimum(far, _norm2(pts @ s._rv), out=far)
-        return near - far <= 0.0
+        norms = _norm2_products(self._rows, points)
+        return norms[0] - np.min(norms[1:], axis=0) <= 0.0
 
-    def ring_side_max(self, center: complex, height: Tuple[float, float, float],
-                      rho: np.ndarray, spin: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Largest side value on a polar grid of a lifted plane, with its error bound.
+    def ring_quadratics(self, center: complex, height: Tuple[float, float, float],
+                        rho: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The side functions on the rings of a polar grid of a lifted plane.
 
-        The grid points are ``z = center + rho_i spin_j`` (``|spin_j| = 1``),
-        lifted at height ``h0 + hx x + hy y`` for ``height = (h0, hx, hy)``.
-        On ring ``i`` the lift's first coordinate ``(-|z|^2 + i v)/2`` is
-        ``A0 + A1 e + A-1 conj(e)`` in ``e = spin_j``, so ``<p, u>`` is
+        The grid points are ``z = center + rho_i e`` for unit ``e``, lifted
+        at height ``h0 + hx x + hy y`` for ``height = (h0, hx, hy)``.  On
+        ring ``i`` the lift's first coordinate ``(-|z|^2 + i v)/2`` is
+        ``A0 + A1 e + A-1 conj(e)``, so ``<p, u>`` is
         ``P0 + P1 e + P-1 conj(e)`` and ``|<p, u>|^2`` is the real
         trigonometric quadratic ``D0 + 2 Re(D1 e) + 2 Re(D2 e^2)`` with
 
@@ -245,51 +242,88 @@ class DirichletConfig:
             D1 = P0 conj(P-1) + P1 conj(P0),
             D2 = P1 conj(P-1).
 
-        Each side value is the difference of two such quadratics, so the
-        ``(nr, nth)`` maximum over the eight spheres is eight real
-        ``(nr, 5) @ (5, nth)`` products, and no point is lifted.  Like
-        :meth:`vertical_quadratic`, this is the side function restricted to
-        a curve.  ``err[i]`` bounds how far ring ``i``'s values can lie from
-        ``np.max(side_matrix(lifts), axis=1)`` at the lifted grid points:
-        both round to a few ulps of the coefficients' absolute sums (``D0``
-        bounds ``|D1|`` and ``|D2|``), and ``_RING_GUARD`` is about 10^5 times
-        that.  Non-finite input gives NaN values or bounds, which decide no
-        comparison.
+        Each side value is the difference of two such quadratics: row
+        ``q[k - 1, i]`` of the ``(8, nr, 5)`` result holds sphere ``k``'s on
+        ring ``i``, in the basis of :func:`trig_basis`, and no point is
+        lifted.  Like :meth:`vertical_quadratic`, this is the side function
+        restricted to a curve.  ``err[i]`` bounds how far the values of
+        :func:`ring_max` and the bounds of :func:`ring_bounds` on ring ``i``
+        can lie from the lifted side values (for :func:`ring_max`, from
+        ``np.max(side_matrix(lifts), axis=1)``): all round to a few ulps of
+        the coefficients' absolute sums (``D0`` bounds ``|D1|`` and
+        ``|D2|``), and ``_RING_GUARD`` is about 10^5 times that.  Non-finite
+        input gives NaN coefficients or bounds, which decide no comparison.
         """
         h0, hx, hy = height
         c = complex(center)
         rho = np.asarray(rho, dtype=float)
-        a0 = (-(c.real**2 + c.imag**2 + rho**2) + 1j * (h0 + hx * c.real + hy * c.imag)) / 2.0
-        a1 = rho * (complex(hy, hx) / 2.0 - c.conjugate()) / 2.0
-        am = rho * (complex(-hy, hx) / 2.0 - c) / 2.0
-        rows = np.stack([_RU] + [s._rv for s in self.spheres])[:, :, None]
-        p0 = rows[:, 0] * a0 + (rows[:, 1] * c + rows[:, 2])
-        p1 = rows[:, 0] * a1 + rows[:, 1] * rho
-        pm = rows[:, 0] * am
-        d1 = p0 * np.conj(pm) + p1 * np.conj(p0)
-        d2 = p1 * np.conj(pm)
+        rho2 = rho * rho
+        # A0 = a0 - rho^2/2, A1 = rho b1 and A-1 = rho bm, so for a row form r
+        # P0 = U - r[0] rho^2/2, P1 = rho V and P-1 = rho W, with the ring-free
+        # U = r[0] a0 + r[1] c + r[2], V = r[0] b1 + r[1] and W = r[0] bm
+        a0 = complex(-(c.real**2 + c.imag**2), h0 + hx * c.real + hy * c.imag) / 2.0
+        b1 = (complex(hy, hx) / 2.0 - c.conjugate()) / 2.0
+        bm = (complex(-hy, hx) / 2.0 - c) / 2.0
+        r = self._rows
+        u, v, w = r[:, 0] * a0 + r[:, 1] * c + r[:, 2], r[:, 0] * b1 + r[:, 1], r[:, 0] * bm
+        p0 = u[:, None] - (r[:, 0] / 2.0)[:, None] * rho2
+        d1 = rho * (p0 * np.conj(w)[:, None] + v[:, None] * np.conj(p0))
+        d2 = (v * np.conj(w))[:, None] * rho2
         # (9, nr, 5): the centre's row first, then the eight spheres'
-        coef = np.stack([_norm2(p0) + _norm2(p1) + _norm2(pm),
-                         2.0 * d1.real, -2.0 * d1.imag, 2.0 * d2.real, -2.0 * d2.imag], axis=-1)
-        spin = np.asarray(spin, dtype=complex)
-        sq = spin * spin
-        basis = np.stack([np.ones(spin.shape), spin.real, spin.imag, sq.real, sq.imag])
-        side = coef[0] - coef[1:]
-        top = side[0] @ basis
-        buf = np.empty_like(top)
-        for s in side[1:]:
-            np.maximum(top, np.matmul(s, basis, out=buf), out=top)
+        coef = np.empty(p0.shape + (5,))
+        coef[..., 0] = _abs2(p0) + (_abs2(v) + _abs2(w))[:, None] * rho2
+        np.multiply(d1.real, 2.0, out=coef[..., 1])
+        np.multiply(d1.imag, -2.0, out=coef[..., 2])
+        np.multiply(d2.real, 2.0, out=coef[..., 3])
+        np.multiply(d2.imag, -2.0, out=coef[..., 4])
         size = np.sum(np.abs(coef), axis=-1)
-        return top, _RING_GUARD * (size[0] + np.max(size[1:], axis=0))
+        return coef[0] - coef[1:], _RING_GUARD * (size[0] + np.max(size[1:], axis=0))
 
 
-def _norm2(w: np.ndarray) -> np.ndarray:
-    """``|w|^2`` rounded as ``side_of_lifts`` rounds it.
+def ring_max(q: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """``(nr, nth)`` largest of the spheres' side values ``q`` (rows of
+    :meth:`DirichletConfig.ring_quadratics`) at the unit vectors of ``basis``
+    (:func:`trig_basis`): one real ``(nr, 5) @ (5, nth)`` product per sphere."""
+    top = q[0] @ basis
+    buf = np.empty_like(top)
+    for k in q[1:]:
+        np.maximum(top, np.matmul(k, basis, out=buf), out=top)
+    return top
 
-    numpy's complex product may fuse its multiply-add, so
-    ``w.real**2 + w.imag**2`` differs from it in the last bit.
+
+def ring_bounds(q: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Bounds of the side values over each whole ring.
+
+    A quadratic ``a0 + a1 cos + b1 sin + a2 cos 2 + b2 sin 2`` lies within
+    ``|(a1, b1)| + |(a2, b2)|`` of ``a0``.  Returns the ``(nr,)`` largest of
+    the spheres' lower bounds, which the largest side value never drops
+    below, and the ``(8, nr)`` upper bounds of each sphere.
     """
-    return (w * np.conj(w)).real
+    amp = np.hypot(q[..., 1], q[..., 2]) + np.hypot(q[..., 3], q[..., 4])
+    return np.max(q[..., 0] - amp, axis=0), q[..., 0] + amp
+
+
+def trig_basis(spin: np.ndarray) -> np.ndarray:
+    """``(5, nth)`` rows ``1, Re e, Im e, Re e^2, Im e^2`` of unit vectors ``e``:
+    a ring's trigonometric quadratic in :meth:`DirichletConfig.ring_quadratics`
+    is its ``(5,)`` coefficient row times this basis."""
+    spin = np.asarray(spin, dtype=complex)
+    sq = spin * spin
+    return np.stack([np.ones(spin.shape), spin.real, spin.imag, sq.real, sq.imag])
+
+
+def _norm2_products(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``(k, n)`` values ``|<p_i, u>|^2 = |r @ p_i|^2`` of the row forms ``r``
+    of a ``(k, 3)`` stack against an ``(n, 3)`` stack of lift points.
+
+    Entry ``(k, i)`` depends on row ``k`` and point ``i`` alone, bit for bit:
+    ``einsum`` (without ``optimize``) sums the three products of every entry
+    in one order whatever the sizes, where a matrix product turns into a dot
+    product for one point and a BLAS gemv for several, which round
+    differently.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=complex))
+    return _abs2(np.einsum("kj,nj->kn", rows, pts))
 
 
 def defining_spheres(gens: GeneratorSet, ks: Tuple[int, ...]) -> Tuple[SpinalSphere, ...]:

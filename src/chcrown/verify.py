@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,7 +47,7 @@ from .dirichlet import (
     sphere_mesh,
     symmetry_certificate,
 )
-from .heisenberg import AffineDisk, ccircle_from_polar, heisenberg_coordinates
+from .heisenberg import ccircle_from_polar, heisenberg_coordinates
 from .triangle import (
     PARAM_MAX,
     PARAM_MIN,
@@ -108,9 +109,9 @@ class SweepConfig:
 # records and reports
 
 
-@dataclass(frozen=True)
-class Record:
-    """One checked (or logged) value at one parameter."""
+class Record(NamedTuple):
+    """One checked (or logged) value at one parameter; a named tuple, which
+    a sweep makes and its workers send by the thousand."""
 
     suite: str
     t: float
@@ -118,6 +119,10 @@ class Record:
     value: float
     margin: float
     passed: bool
+
+
+#: the sort key of report records: ``(suite, t, key)``
+_RECORD_ORDER = operator.itemgetter(0, 1, 2)
 
 
 def _rec(suite: str, t: float, key: str, value, margin, passed) -> Record:
@@ -157,6 +162,14 @@ def _worst(margins: Sequence[float]) -> float:
     return min(margins, key=lambda m: (not math.isnan(m), m))
 
 
+def _json_float(x: float) -> str:
+    """A float as ``_emit_json`` writes it.  JSON has no NaN or infinity:
+    those go out as the strings "nan", "inf" and "-inf", which float() reads
+    back."""
+    text = format(x, ".17g")
+    return text if math.isfinite(x) else f'"{text}"'
+
+
 def _emit_json(obj, indent: int = 0) -> str:
     """Render ``obj`` with 17-significant-digit floats, preserving dict order."""
     pad = "  " * indent
@@ -177,14 +190,59 @@ def _emit_json(obj, indent: int = 0) -> str:
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, float):
-        # JSON has no NaN or infinity: those go out as the strings "nan",
-        # "inf" and "-inf", which float() reads back
-        return _f17(obj) if math.isfinite(obj) else json.dumps(_f17(obj))
+        return _json_float(obj)
     if isinstance(obj, int):
         return str(obj)
     if obj is None:
         return "null"
     return json.dumps(str(obj))
+
+
+#: one record of ``Report.to_json``, laid out as ``_emit_json`` lays out a
+#: dict at depth 2 of the report body; the second takes finite floats
+_RECORD_TEMPLATE = ('    {\n      "suite": %s,\n      "t": %s,\n      "key": %s,\n'
+                    '      "value": %s,\n      "margin": %s,\n      "pass": %s\n    }')
+_RECORD_FINITE = _RECORD_TEMPLATE.replace('"value": %s', '"value": %.17g').replace(
+    '"margin": %s', '"margin": %.17g')
+
+
+class _Quoted(dict):
+    """JSON string literals of the texts looked up, each made once."""
+
+    def __missing__(self, text: str) -> str:
+        self[text] = json.dumps(text)
+        return self[text]
+
+
+class _Params(dict):
+    """``%.17g`` of the finite parameters looked up, each made once; zero is
+    not kept, since ``-0.0`` would find the text of ``0.0``."""
+
+    def __missing__(self, t: float) -> str:
+        text = "%.17g" % t
+        if t:
+            self[t] = text
+        return text
+
+
+def _summary(ordered: Sequence[Record]) -> Dict[str, object]:
+    """Counts and worst margin per suite of records in ``sorted_records`` order."""
+    by_suite: Dict[str, List[Record]] = {}
+    for r in ordered:
+        by_suite.setdefault(r.suite, []).append(r)
+    suites = {
+        name: {
+            "failed": sum(not r.passed for r in recs),
+            "records": len(recs),
+            "worst_margin": _worst([r.margin for r in recs]),
+        }
+        for name, recs in by_suite.items()
+    }
+    return {
+        "failed": sum(int(c["failed"]) for c in suites.values()),
+        "records": len(ordered),
+        "suites": dict(sorted(suites.items())),
+    }
 
 
 @dataclass
@@ -195,47 +253,40 @@ class Report:
     records: List[Record] = field(default_factory=list)
 
     def sorted_records(self) -> List[Record]:
-        return sorted(self.records, key=lambda r: (r.suite, r.t, r.key))
+        """The records by ``(suite, t, key)``, the first three fields."""
+        return sorted(self.records, key=_RECORD_ORDER)
 
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.records)
 
-    def summary(self) -> Dict[str, object]:
-        by_suite: Dict[str, List[Record]] = {}
-        for r in self.sorted_records():
-            by_suite.setdefault(r.suite, []).append(r)
-        suites = {
-            name: {
-                "failed": sum(not r.passed for r in recs),
-                "records": len(recs),
-                "worst_margin": _worst([r.margin for r in recs]),
-            }
-            for name, recs in by_suite.items()
-        }
-        return {
-            "failed": sum(int(c["failed"]) for c in suites.values()),
-            "records": len(self.records),
-            "suites": dict(sorted(suites.items())),
-        }
+    @property
+    def failed(self) -> int:
+        return sum(not r.passed for r in self.records)
 
     def to_json(self) -> str:
-        body = {
-            "config": dict(sorted(self.config.items())),
-            "summary": self.summary(),
-            "records": [
-                {
-                    "suite": r.suite,
-                    "t": r.t,
-                    "key": r.key,
-                    "value": r.value,
-                    "margin": r.margin,
-                    "pass": r.passed,
-                }
-                for r in self.sorted_records()
-            ],
-        }
-        return _emit_json(body) + "\n"
+        """The report as ``_emit_json`` writes ``{config, summary, records}``.
+
+        ``config`` and ``summary`` go through ``_emit_json``; each record is
+        one fixed template, its strings quoted as ``_emit_json`` quotes them
+        and its floats and flag written as ``_emit_json`` writes a ``float``
+        and a ``bool``, which :class:`Record` holds (``_rec`` makes them so).
+        ``%.17g`` is ``_f17``'s format, and each parameter is formatted once;
+        a record with a non-finite float takes ``_json_float``, which quotes
+        it.  The records are sorted once, for the summary and the list.
+        """
+        ordered = self.sorted_records()
+        quoted, params = _Quoted(), _Params()
+        flag = ("false", "true")
+        rows = [_RECORD_FINITE % (quoted[suite], params[t], quoted[key], value, margin, flag[ok])
+                if math.isfinite(t + value + margin) else
+                _RECORD_TEMPLATE % (quoted[suite], _json_float(t), quoted[key],
+                                    _json_float(value), _json_float(margin), flag[ok])
+                for suite, t, key, value, margin, ok in ordered]
+        records = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+        return ('{\n  "config": ' + _emit_json(dict(sorted(self.config.items())), 1)
+                + ',\n  "summary": ' + _emit_json(_summary(ordered), 1)
+                + ',\n  "records": ' + records + "\n}\n")
 
     def to_csv(self) -> str:
         lines = ["suite,t,key,value,margin,pass"]
@@ -441,12 +492,12 @@ def _disks_cell(scene: crown.Scene) -> List[Record]:
     vbeta = crown.beta_polar_scaled(t)
     # the alpha-alpha closed form pins the neighbor lift g2(alpha1)/(2 sqrt 2)
     v_nbr = config.gens.g2.apply(va) / (2.0 * math.sqrt(2.0))
-    res = abs(crown.linking_value(va, v_nbr) - crown.linking_alpha_alpha_closed(t))
+    aa, ab = crown.linking_value(np.stack([va, va]), np.stack([v_nbr, vbeta])).tolist()
+    res = abs(aa - crown.linking_alpha_alpha_closed(t))
     out.append(_residual_rec("disks", t, "linking-closed-alpha-alpha", res, 1e-11))
-    res = abs(crown.linking_value(va, vbeta) - crown.linking_alpha_beta_closed(t))
+    res = abs(ab - crown.linking_alpha_beta_closed(t))
     out.append(_residual_rec("disks", t, "linking-closed-alpha-beta", res, 1e-11))
-    r1 = ccircle_from_polar(va).radius
-    r2 = ccircle_from_polar(vb).radius
+    r1, r2 = (circle.radius for circle in ccircle_from_polar(np.stack([va, vb])))
     den = 2.0 * t * math.sqrt(6.0 * t - 2.0) + 4.0 * t - 1.0
     out.append(_residual_rec("disks", t, "radius-form-alpha1",
                              abs(r1 - math.sqrt((6.0 - 16.0 * t) / (2.0 * t - 1.0))), 1e-9))
@@ -666,11 +717,10 @@ def export_disks(t: float, out_dir: str, rim: int = 96) -> List[str]:
     _require_size("rim", rim, 3)
     validate_param(t, strict_interior=True)
     scene = crown.Scene(t)
-    polars = scene.polars
     lines = []
     offset = 0
     for name in crown.ARC_NAMES:
-        disk = AffineDisk(ccircle_from_polar(polars[name]))
+        disk = scene.disks[name]
         c = complex(disk.circle.center.z)
         r = disk.circle.radius
         plane = disk.plane

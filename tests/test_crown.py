@@ -141,7 +141,7 @@ def test_chart_roundtrip_and_incidence(t):
     for th in np.linspace(0.0, 2.0 * math.pi, 7, endpoint=False):
         lift = chart.from_chart(math.cos(th), math.sin(th))
         assert abs(complex(hermitian_product(lift, pol))) < 1e-10
-        x, y = chart.to_chart(lift)
+        x, y = crown._to_charts(chart.forward.matrix, t, lift)
         assert x == pytest.approx(math.cos(th), abs=1e-10)
         assert y == pytest.approx(math.sin(th), abs=1e-10)
 
@@ -170,8 +170,7 @@ def test_g3_fixed_points_on_chart_closed_form():
         att, rep = fixed_points_boundary(build_generators(t).g3)
         s = math.sqrt(4.0 * t - 1.0 - 2.0 * t * co.a)
         xf, yf = (t - co.a) / s, co.b / s
-        xa, ya = chart.to_chart(att)
-        xr, yr = chart.to_chart(rep)
+        (xa, xr), (ya, yr) = crown._to_charts(chart.forward.matrix, t, np.stack([att, rep]))
         assert math.hypot(xa - xf, ya - yf) < 1e-8
         assert math.hypot(xr + xf, yr + yf) < 1e-8
 
@@ -183,7 +182,7 @@ def test_sphere_lines_one_and_two_are_parallel(config_041):
     chart = crown.alpha4_chart(t)
     l1, l2 = chart.sphere_lines(config_041)[:2]
     cross = l1.k1 * l2.k2 - l1.k2 * l2.k1
-    scale = max(l1.direction_norm * l2.direction_norm, 1e-30)
+    scale = max(math.hypot(l1.k1, l1.k2) * math.hypot(l2.k1, l2.k2), 1e-30)
     ratio_dir = (1.0 - 2.0 * t) / (4.0 * t - 1.0)
     for value in (abs(cross) / scale,
                   max(abs(l1.k1 - ratio_dir * l2.k1), abs(l1.k2 - ratio_dir * l2.k2)),
@@ -228,12 +227,11 @@ def test_mirror_symmetry_of_alpha_arcs(config_041):
     for name in ("alpha1", "alpha3"):
         arc = _report(config_041, name).hat.arc
         other = dataclasses.replace(arc, sweep=arc.sweep - 2.0 * math.pi)
-        mine = crown._sphere_crossing_params(arc, config_041)
-        theirs = crown._sphere_crossing_params(other, config_041)
+        lines = crown._chart_lines([arc.chart], config_041)[0]
+        mine, theirs = crown._sphere_crossing_params([arc, other], np.stack([lines, lines]))
         assert len(mine) == len(theirs) > 0
         worst = max(abs(a - b) + (ka != kb) for (a, ka), (b, kb) in zip(mine, theirs))
-        segs_a = crown._in_domain_segments(arc, config_041, mine)
-        segs_b = crown._in_domain_segments(other, config_041, theirs)
+        segs_a, segs_b = crown._in_domain_segments([arc, other], config_041, [mine, theirs])
         assert len(segs_a) == len(segs_b)
         for (a0, a1), (b0, b1) in zip(segs_a, segs_b):
             worst = max(worst, abs(a0 - b0), abs(a1 - b1))
@@ -255,7 +253,8 @@ def test_flip_carries_each_alpha_hat_onto_the_mirror_half_of_its_image(t):
         arc = own.arc
 
         def image_param(lift):
-            return arc.param_of_angle(arc.chart.chart_angle(flip.apply(lift)))
+            theta = crown._chart_angles(arc.chart.forward.matrix, t, flip.apply(lift))
+            return float(crown._arc_params(theta, arc.theta_att, arc.sweep))
 
         ends = [image_param(hat.endpoint_lift(side)) for side in "-+"]
         assert ends == pytest.approx([2.0 - own.s_plus, 2.0 - own.s_minus], abs=1e-12)
@@ -622,25 +621,45 @@ def _masks_and_seeds(draw):
     return free, draw(st.lists(cells, max_size=5))
 
 
+def _runs_grid(starts, stops, shape):
+    """The cells of half-open flat-index runs, as a boolean grid."""
+    grid = np.zeros(shape[0] * shape[1], dtype=bool)
+    for a, b in zip(starts.tolist(), stops.tolist()):
+        grid[a:b] = True
+    return grid.reshape(shape)
+
+
+def _reach(comp):
+    """A visible component's reachable cells, as a boolean grid."""
+    return _runs_grid(comp.starts, comp.stops, (comp.nr, comp.nth))
+
+
+def _seeded_grid(free, seeds):
+    starts, stops = crown.seeded_components(free, np.array(sorted(seeds), dtype=int))
+    nth = free.shape[1]
+    # ascending, disjoint, non-empty runs that each stay in one row
+    assert np.all(starts < stops) and np.all(stops[:-1] <= starts[1:])
+    assert np.all(starts // nth == (stops - 1) // nth)
+    return _runs_grid(starts, stops, free.shape)
+
+
 @given(_masks_and_seeds())
 @settings(max_examples=300, deadline=None)
 def test_run_length_fill_matches_bfs(case):
     free, seeds = case
-    got = crown.seeded_components(free, seeds)
-    assert got.dtype == bool and got.shape == free.shape
-    assert np.array_equal(got, _bfs_components(free, seeds))
+    assert np.array_equal(_seeded_grid(free, seeds), _bfs_components(free, seeds))
 
 
 def test_run_length_fill_joins_across_the_angular_seam():
     free = np.array([[1, 0, 0, 1],
                      [0, 0, 0, 1],
                      [1, 1, 0, 0]], dtype=bool)
-    reach = crown.seeded_components(free, [(1, 3)])
+    reach = _seeded_grid(free, [(1, 3)])
     # (0, 3) wraps to (0, 0); row 2 is cut off, since rows do not wrap
     assert reach.tolist() == [[True, False, False, True],
                               [False, False, False, True],
                               [False, False, False, False]]
-    assert not crown.seeded_components(free, [(1, 0)]).any()
+    assert not _seeded_grid(free, [(1, 0)]).any()
 
 
 def _visible_component_reference(config, hat, nr, nth, hat_samples=400):
@@ -664,7 +683,7 @@ def _visible_component_reference(config, hat, nr, nth, hat_samples=400):
             if free[i, j]:
                 seeds.add((i, j))
                 break
-    return crown.seeded_components(free, seeds)
+    return _seeded_grid(free, seeds)
 
 
 def _lifted_column(lift, center, nth):
@@ -682,14 +701,14 @@ linked_params = st.floats(min_value=0.4005, max_value=PARAM_MAX,
 def test_visible_component_equals_the_reference(t, name, nr, nth):
     config = DirichletConfig.build(t)
     hat = _report(config, name).hat
-    got = crown.visible_component(config, hat, nr, nth).reach
+    got = _reach(crown.visible_component(config, hat, nr, nth))
     assert np.array_equal(got, _visible_component_reference(config, hat, nr, nth))
 
 
 def test_visible_component_equals_the_reference_at_default_size(config_041):
     for name in ARC_NAMES:
         hat = _report(config_041, name).hat
-        got = crown.visible_component(config_041, hat, crown._FLOOD_NR, crown._FLOOD_NTH).reach
+        got = _reach(crown.visible_component(config_041, hat, crown._FLOOD_NR, crown._FLOOD_NTH))
         assert got.shape == (128, 512) and got.any()
         assert np.array_equal(got, _visible_component_reference(config_041, hat, 128, 512))
 
@@ -714,12 +733,19 @@ def _ring_grid(hat, nr, nth):
 @settings(max_examples=30, deadline=None)
 def test_ring_side_max_is_the_lifted_maximum_within_its_bound(t, name, nr, nth):
     config = DirichletConfig.build(t)
-    grid, lifts = _ring_grid(_report(config, name).hat, nr, nth)
-    top, err = config.ring_side_max(*grid)
-    assert top.shape == (nr, nth) and err.shape == (nr,)
+    (center, height, rho, spin), lifts = _ring_grid(_report(config, name).hat, nr, nth)
+    q, err = config.ring_quadratics(center, height, rho)
+    top = dirichlet.ring_max(q, dirichlet.trig_basis(spin))
+    lower, uppers = dirichlet.ring_bounds(q)
+    assert top.shape == (nr, nth) and err.shape == lower.shape == (nr,)
+    assert uppers.shape == (8, nr)
     assert np.all(np.isfinite(top)) and np.all(err > 0.0)
-    want = np.max(config.side_matrix(lifts), axis=1).reshape(nr, nth)
+    sides = config.side_matrix(lifts).T.reshape(8, nr, nth)
+    want = np.max(sides, axis=0)
     assert np.all(np.abs(top - want) <= err[:, None])
+    # the ring bounds hold every cell of their ring, within the same guard
+    assert np.all(lower[:, None] - err[:, None] <= want)
+    assert np.all(sides <= uppers[..., None] + err[:, None])
 
 
 @pytest.mark.parametrize("t", [0.4005, 0.41])
@@ -739,7 +765,7 @@ def test_visible_component_on_the_lifts_alone_equals_the_reference(t, monkeypatc
     for name in ARC_NAMES:
         hat = _report(config, name).hat
         blocks.clear()
-        got = crown.visible_component(config, hat, nr, nth).reach
+        got = _reach(crown.visible_component(config, hat, nr, nth))
         assert blocks == [8 * nth] * 4 + [5 * nth]
         assert np.array_equal(got, _visible_component_reference(config, hat, nr, nth))
 
@@ -747,7 +773,7 @@ def test_visible_component_on_the_lifts_alone_equals_the_reference(t, monkeypatc
 def test_non_finite_spheres_or_planes_free_no_cell(config_041, monkeypatch):
     hat = _report(config_041, "alpha4").hat
     grid, _ = _ring_grid(hat, 16, 64)
-    assert crown.visible_component(config_041, hat, 16, 64).reach.any()
+    assert _reach(crown.visible_component(config_041, hat, 16, 64)).any()
     broken = list(config_041.spheres)
     # the constructor refuses a NaN lift, so overwrite a valid sphere's
     broken[2] = dataclasses.replace(broken[2])
@@ -757,22 +783,52 @@ def test_non_finite_spheres_or_planes_free_no_cell(config_041, monkeypatch):
     bad_sphere = dataclasses.replace(config_041, spheres=tuple(broken))
     center, (h0, hx, hy), rho, spin = grid
     with np.errstate(invalid="ignore"):
-        cases = [bad_sphere.ring_side_max(*grid),
-                 config_041.ring_side_max(center, (math.nan, hx, hy), rho, spin)]
-        for top, err in cases:
+        for config, height in ((bad_sphere, (h0, hx, hy)), (config_041, (math.nan, hx, hy))):
+            q, err = config.ring_quadratics(center, height, rho)
+            top = dirichlet.ring_max(q, dirichlet.trig_basis(spin))
+            lower, uppers = dirichlet.ring_bounds(q)
             assert not np.any(top < -err[:, None]) and not np.any(top > err[:, None])
-        assert not crown.visible_component(bad_sphere, hat, 16, 64).reach.any()
+            assert not np.any(lower > err) and not np.any(np.max(uppers, axis=0) < -err)
+        assert not _reach(crown.visible_component(bad_sphere, hat, 16, 64)).any()
         monkeypatch.setattr(heisenberg.ContactPlane, "coeff_const",
                             property(lambda plane: math.nan))
-        assert not crown.visible_component(config_041, hat, 16, 64).reach.any()
+        assert not _reach(crown.visible_component(config_041, hat, 16, 64)).any()
 
 
 @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.0, math.nan),
                                complex(math.inf, 0.0), complex(math.inf, math.nan)])
 def test_reachable_is_false_at_non_finite_points(config_041, z):
+    # the array lookup that replaced the one-point one: a non-finite point
+    # next to reachable ones is never reachable
     comp = crown.visible_component(config_041, _report(config_041, "alpha4").hat, 16, 64)
-    assert comp.reachable(comp.center)
-    assert comp.reachable(z) is False
+    got = comp.reachable(np.array([comp.center, z, comp.center]))
+    assert got.dtype == bool and got.tolist() == [True, False, True]
+    assert comp.reachable(np.array([z, z])).tolist() == [False, False]
+
+
+def test_a_nan_side_row_never_makes_a_pair_blocked_or_covered(monkeypatch):
+    # at the real point the ladder has blocked and covered pairs; with the
+    # first sample of every chord made NaN, none may stay blocked or
+    # covered, and every chord pair fails on its NaN margin
+    scene = Scene(T_REAL)
+    for name in ARC_NAMES:
+        scene.arc_report(name)
+    before = disk_disjointness_certificates(scene)
+    assert {"blocked", "covered"} <= {cert.mode for cert in before}
+    side_matrix = DirichletConfig.side_matrix
+
+    def poisoned(self, points):
+        out = side_matrix(self, points).copy()
+        out[::crown._CHORD_SAMPLES] = np.nan
+        return out
+
+    monkeypatch.setattr(DirichletConfig, "side_matrix", poisoned)
+    after = disk_disjointness_certificates(scene)
+    chords = [cert for old, cert in zip(before, after)
+              if old.mode in ("blocked", "covered", "separated", "overlapping")]
+    assert len(chords) == 24
+    assert not any(cert.mode in ("blocked", "covered") or cert.disjoint for cert in chords)
+    assert all(math.isnan(cert.margin) for cert in chords)
 
 
 @pytest.mark.parametrize("t", [0.3751, 0.39, 0.4005, 0.41, T_REAL])

@@ -205,6 +205,33 @@ def test_in_boundary_domain_is_the_side_matrix_maximum(t):
     assert np.array_equal(config.in_boundary_domain(pts), want)
 
 
+@given(params, st.sampled_from([1, 2, 3, 257, 4096]), st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_side_values_do_not_depend_on_the_stack(t, n, seed):
+    # row i of a stacked call is the one-row call on point i, bit for bit,
+    # whatever else is stacked with it: random lifts over six decades of
+    # scale, half of them standard lifts [(-|z|^2 + iv)/2, z, 1]
+    config = DirichletConfig.build(t)
+    rng = np.random.default_rng(seed)
+    pts = (rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))) * 10.0 ** rng.uniform(
+        -3.0, 3.0, size=(n, 1))
+    z, v = pts[::2, 1], pts[::2, 0].real
+    pts[::2, 0] = (-np.abs(z) ** 2 + 1j * v) / 2.0
+    pts[::2, 2] = 1.0
+    sides = config.side_matrix(pts)
+    free = config.in_boundary_domain(pts)
+    assert sides.shape == (n, 8) and free.shape == (n,)
+    for i in sorted(set(rng.integers(0, n, size=12).tolist()) | {0, n - 1}):
+        assert np.array_equal(config.side_matrix(pts[i])[0], sides[i])
+        assert np.array_equal(config.side_matrix(pts[i:i + 2])[0], sides[i])
+        assert config.in_boundary_domain(pts[i]).tolist() == [free[i]]
+    half = (n + 1) // 2
+    assert np.array_equal(config.side_matrix(pts[half:]), sides[half:])
+    assert np.array_equal(config.in_boundary_domain(pts[:half]), free[:half])
+    for k, sphere in enumerate(config.spheres):
+        assert np.array_equal(sphere.side_of_lifts(pts), sides[:, k])
+
+
 def test_in_boundary_domain_fails_closed_on_non_finite_rows(config_041):
     rows = []
     for col in range(3):

@@ -45,6 +45,7 @@ from chcrown.verify import (
     _f17,
     _rec,
     _residual_rec,
+    _summary,
 )
 
 
@@ -102,10 +103,37 @@ def test_report_roundtrip_and_sorting():
     rep = Report({"suite": "mixed"}, records)
     assert not rep.passed
     assert [r.key for r in rep.sorted_records()] == ["a", "b", "k"]
-    assert rep.summary()["failed"] == 1
+    assert rep.failed == 1
     back = Report.from_json(rep.to_json())
     assert back.records == rep.sorted_records()
     assert Report(back.config, back.records).to_json() == rep.to_json()
+
+
+def test_record_template_writes_what_the_generic_writer_writes():
+    # to_json formats each record from one template; on NaN, both
+    # infinities, both zeros, the extremes of the doubles and keys with
+    # quotes, backslashes and non-ASCII text it must give _emit_json's bytes
+    records = [
+        _rec("disks", 0.41, 'quote"d \\ key', math.nan, -0.0, True),
+        _rec("disks", 0.41, "\u00fcn\u00efcode \u2603", math.inf, -math.inf, True),
+        _rec("arcs", -0.0, "minus-zero-t", 0.0, 1e-300, True),
+        _rec("arcs", 0.0, "plus-zero-t", -0.0, 5e-324, True),
+        _rec("arcs", -0.0, "minus-zero-t-again", 1.7976931348623157e308, -2.5e17, False),
+        Record("arcs", 0.39, "third", 1.0 / 3.0, -1.0 / 3.0, True),
+        Record("arcs", math.nan, "nan-t", 1.0, 2.0, False),
+        Record("z\"suite", math.inf, "k", 1.0, 1.0, False),
+    ]
+    rep = Report({"suite": "mixed", "points": [0.39, -0.0], "\u00fc": math.nan}, records)
+    ordered = rep.sorted_records()
+    body = {
+        "config": dict(sorted(rep.config.items())),
+        "summary": _summary(ordered),
+        "records": [{"suite": r.suite, "t": r.t, "key": r.key, "value": r.value,
+                     "margin": r.margin, "pass": r.passed} for r in ordered],
+    }
+    assert rep.to_json() == _emit_json(body) + "\n"
+    empty = {"config": {}, "summary": _summary([]), "records": []}
+    assert Report({}, []).to_json() == _emit_json(empty) + "\n"
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -117,7 +145,7 @@ def test_non_finite_values_fail_closed(bad):
     ]
     assert not any(r.passed for r in recs)
     rep = Report({}, recs)
-    assert rep.summary()["failed"] == 3
+    assert rep.failed == 3
     text = rep.to_json()
     def no_constants(token):
         raise AssertionError(f"{token} is not JSON")
@@ -213,13 +241,16 @@ def test_pool_is_no_larger_than_the_task_count(monkeypatch):
 
 def test_one_point_builds_each_arc_and_the_linking_values_once(monkeypatch):
     # every suite at a parameter reads one scene: each (t, arc) report is
-    # built once, and the disks cell reads the linking values off the
-    # certificates instead of computing all 28 a second time
-    arcs, links = Counter(), Counter()
+    # built once, all eight in one stacked call, and the disks cell reads
+    # the linking values off the certificates instead of computing all 28
+    # a second time
+    arcs, calls, links = Counter(), Counter(), Counter()
     build_arc, link_report = crown.arc_report, crown.linked_pair_report
 
     def counted_arc(config, name, base):
-        arcs[(config.gens.t, name)] += 1
+        calls[config.gens.t] += 1
+        for one in [name] if isinstance(name, str) else name:
+            arcs[(config.gens.t, one)] += 1
         return build_arc(config, name, base)
 
     def counted_links(scene):
@@ -230,7 +261,7 @@ def test_one_point_builds_each_arc_and_the_linking_values_once(monkeypatch):
     monkeypatch.setattr(crown, "linked_pair_report", counted_links)
     run_suite("all", points=[0.41])
     assert sorted(name for t, name in arcs if t == 0.41) == sorted(ARC_NAMES)
-    assert set(arcs.values()) == {1}
+    assert set(arcs.values()) == {1} and calls[0.41] == 1
     assert links == Counter({0.41: 1})
 
 
@@ -486,7 +517,7 @@ def test_small_all_sweep_report_is_pinned():
     cfg = SweepConfig(t_min=0.39, t_max=0.41, steps=5)
     serial = run_suite("all", cfg).to_json()
     assert hashlib.sha256(serial.encode()).hexdigest() == (
-        "f637aee0dbe9fccaed1676eb51bee8786589c415e697fc1b9fab66a2595275ee")
+        "784e38b978b25a3b7b77275505742309673228266458b38fc1a94914fefd1d91")
     summary = json.loads(serial)["summary"]
     assert (summary["records"], summary["failed"]) == (466, 6)
     assert run_suite("all", cfg, jobs=2).to_json() == serial
@@ -507,11 +538,11 @@ def test_extended_relations_restore_mpmath_precision():
 
 _PINNED_EXPORTS = {
     ("arcs", 0.39): {
-        "arcs.obj": "cb51fb8324fb062f0a93f6c77c7a9a82949376e18da82f9de792ce19e2a4e75c",
+        "arcs.obj": "faa501d58d952713ce0a13943d067bcade31c4764996680c1fba15aa04e5f052",
         "arcs_manifest.json": "393d4064b7848bfd2e0203e6822d0567fc4208dcc109bb3c392c5ed9aaad3101",
     },
     ("arcs", 0.41): {
-        "arcs.obj": "070a0153d8a347f72299fd0aa611885b43ba0c5883a66ee8fd6974b40d1564cc",
+        "arcs.obj": "f6f1add88d98a9f597ee04552d1b260f308e695547921d95274901b692fe6015",
         "arcs_manifest.json": "5dff5fedf3aec7d0bacbfaf69c6c0fe2d5a915af5c672e811f9638b2c95c15c4",
     },
     ("disks", 0.39): {
@@ -520,7 +551,7 @@ _PINNED_EXPORTS = {
         "disks_manifest.json": "bcff74dd37a26ea9ddd283ceafb6239775d5b6fed8debd046be5dc7b830defa2",
     },
     ("disks", 0.41): {
-        "disk_certificates.jsonl": "1fcfb002b810c1716b6208f91bd31bd3a52228e281b5d5b301041e47c2c274ae",
+        "disk_certificates.jsonl": "33c3316b657091b467d487746c8378c0eb549a18b682d009deb6b142af9d2465",
         "disks.obj": "329097cb995b2f271094e4f97aba58d8e4d86e529c65c94260c392b948b6bd9b",
         "disks_manifest.json": "f0a2c9f0be02e82a990aea86e3975e7253f1fbe652579f41729a45c2e08278ba",
     },
